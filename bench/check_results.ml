@@ -307,77 +307,6 @@ let check_telemetry path j ~serve_digest =
   | _ -> fail "%s: telemetry_overhead.slow_entries missing" path);
   (p50_on /. p50_off -. 1.) *. 100.
 
-(* The descent_fastpath section gates the compare-in-place descent
-   (DESIGN.md §13).  Correctness: the "fast" and "reference" rows must
-   carry the same reply digest — and the same digest as
-   serve_throughput's rows, since all drive the identical query mix.  A
-   fast path that changes a single reply byte is a search bug.  Cost:
-   the fast p50 must stay within 10% of the reference p50 (best-of-3
-   rows damp scheduler noise; on quiet hardware it is strictly faster),
-   and the fast per-request minor-allocation median must be strictly
-   below the reference one — allocation is what the fast path exists to
-   remove, and the comparison is scheduling-independent. *)
-let check_descent_fastpath path j ~serve_digest =
-  let rows =
-    match get path "descent_fastpath" j with
-    | Obs.Json.List (_ :: _ as rows) -> rows
-    | Obs.Json.List [] -> fail "%s: descent_fastpath is empty" path
-    | _ -> fail "%s: descent_fastpath is not a list" path
-  in
-  let num name row =
-    match Obs.Json.member name row with
-    | Some (Obs.Json.Float f) -> f
-    | Some (Obs.Json.Int i) -> float_of_int i
-    | _ -> fail "%s: descent_fastpath.%s not a number" path name
-  in
-  let find mode =
-    match
-      List.find_opt
-        (fun row ->
-          Obs.Json.(member "mode" row |> Option.map to_str)
-          = Some (Some mode))
-        rows
-    with
-    | Some row -> row
-    | None -> fail "%s: descent_fastpath has no %S row" path mode
-  in
-  let reference = find "reference" and fast = find "fast" in
-  let digest row =
-    match Obs.Json.(member "digest" row |> Option.map to_str) with
-    | Some (Some d) -> d
-    | _ -> fail "%s: descent_fastpath row missing digest" path
-  in
-  let d_ref = digest reference and d_fast = digest fast in
-  if d_fast <> d_ref then
-    fail
-      "descent_fastpath: fast descent changed reply bytes (digest %s fast, \
-       %s reference) — compare-in-place search disagrees with decode"
-      d_fast d_ref;
-  (match serve_digest with
-  | Some d when d <> d_ref ->
-      fail
-        "descent_fastpath: digest %s differs from serve_throughput's %s — \
-         the sections no longer run the same query mix"
-        d_ref d
-  | _ -> ());
-  let p50_ref = num "p50_us" reference and p50_fast = num "p50_us" fast in
-  if p50_fast > 1.10 *. p50_ref then
-    fail
-      "descent_fastpath: fast p50 %.1f us is %.1f%% over reference p50 %.1f \
-       us (budget: 10%%) — the fast path regressed latency"
-      p50_fast
-      ((p50_fast /. p50_ref -. 1.) *. 100.)
-      p50_ref;
-  let al_ref = num "alloc_p50_words" reference
-  and al_fast = num "alloc_p50_words" fast in
-  if al_fast >= al_ref then
-    fail
-      "descent_fastpath: fast path allocates %.0f words per request at p50, \
-       not below the reference %.0f — the allocation-free descent is not \
-       engaging"
-      al_fast al_ref;
-  (al_fast, al_ref)
-
 (* The chaos_resilience section gates the fault-tolerant serving story.
    Correctness: both rows' digests must equal serve_throughput's — every
    reply the retrying client accepted as a success was byte-identical to
@@ -613,7 +542,6 @@ let () =
   let n_sv, serve_digest = check_serve_throughput results_path r in
   let n_mx = check_serve_mixed results_path r in
   let tel_pct = check_telemetry results_path r ~serve_digest in
-  let al_fast, al_ref = check_descent_fastpath results_path r ~serve_digest in
   let cr_rate, cr_faults, cr_retries =
     check_chaos_resilience results_path r ~serve_digest
   in
@@ -624,9 +552,8 @@ let () =
      with hits; %d checksum A/B rows read-identical; %d serve rows \
      digest-identical with 4>=1 scaling; %d mixed rows digest-identical \
      with <1 fsync/commit at >=4 writers; telemetry digest-identical at \
-     %+.1f%% p50; fast descent digest-identical at %.0f alloc words p50 \
-     (reference %.0f); chaos digest-identical at %.1f%% success through \
+     %+.1f%% p50; chaos digest-identical at %.1f%% success through \
      %.0f faults and %.0f retries; %d shard rows digest-identical at \
      %.2fx 4-shard speedup; bulk load of %d entries identical and faster\n"
-    (List.length want) expected_path n_ab n_ck n_sv n_mx tel_pct al_fast al_ref
+    (List.length want) expected_path n_ab n_ck n_sv n_mx tel_pct
     (100. *. cr_rate) cr_faults cr_retries n_ss ss_speedup n_bl

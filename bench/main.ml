@@ -1414,116 +1414,6 @@ let run_telemetry_overhead (e : Dg.exp1) =
     rows;
   rows
 
-(* --- descent fast path A/B --------------------------------------------------- *)
-
-(* The compare-in-place descent (DESIGN.md §13) against the reference
-   decode-every-node path, over the same served query mix as the
-   telemetry rows.  Three things are gated by check_results: both
-   digests must equal serve_throughput's (byte-identical answers), the
-   fast p50 must be no worse than the reference p50 (within scheduler
-   tolerance), and the fast per-request minor-allocation median must be
-   strictly below the reference one — the whole point of the change.
-   The allocation medians are scheduling-independent, so this section
-   stays meaningful under UINDEX_BENCH_SKIP_TIMING.  Must run before
-   serve_mixed mutates the store. *)
-type descent_row = {
-  ds_mode : string; (* "reference" | "fast" *)
-  ds_queries : int;
-  ds_p50_us : float;
-  ds_p99_us : float;
-  ds_alloc_p50_words : int; (* median Gc.minor_words delta per request *)
-  ds_digest : string;
-}
-
-let run_descent_fastpath (e : Dg.exp1) =
-  section "Descent fast path: compare-in-place vs reference decode, fixed digest";
-  let module Db = Uindex.Db in
-  let module Service = Uindex_server.Service in
-  let db = Db.create e.store in
-  Db.attach_index db e.ch_color;
-  Db.attach_index db e.path_age;
-  let telemetry =
-    {
-      Service.tracing = false;
-      sample_every = 1;
-      slow_threshold_ns = max_int;
-      slow_capacity = 0;
-    }
-  in
-  let mix =
-    [|
-      "query (Red, Bus*)";
-      "query (White, Vehicle*)";
-      "query-forward (Red, Bus*)";
-      "query ([50-60], Employee*, Company*, Vehicle*)";
-    |]
-  in
-  let total = if quick then 240 else 480 in
-  let one_run svc =
-    let n_mix = Array.length mix in
-    let lat = Array.make total 0. in
-    let alloc = Array.make total 0 in
-    let cycle = Array.make n_mix "" in
-    for i = 0 to total - 1 do
-      let line = mix.(i mod n_mix) in
-      let q0 = Unix.gettimeofday () in
-      let w0 = Gc.minor_words () in
-      let raw = Service.serve_line svc line in
-      alloc.(i) <- int_of_float (Gc.minor_words () -. w0);
-      lat.(i) <- Unix.gettimeofday () -. q0;
-      let j = i mod n_mix in
-      if i < n_mix then cycle.(j) <- raw
-      else if raw <> cycle.(j) then
-        failwith "descent_fastpath: reply drifted between cycles"
-    done;
-    Array.sort compare lat;
-    Array.sort compare alloc;
-    let pct p = 1e6 *. lat.(min (total - 1) (p * total / 100)) in
-    ( pct 50,
-      pct 99,
-      alloc.(total / 2),
-      Digest.string (String.concat "\n" (Array.to_list cycle)) )
-  in
-  let row mode fast =
-    Btree.set_fast_descent fast;
-    let svc = Service.create ~telemetry ~schema:e.ext.b.schema db in
-    (* one untimed warm cycle: first-touch costs, and the per-domain
-       scanner slot, settle before measurement *)
-    Array.iter (fun l -> ignore (Service.serve_line svc l)) mix;
-    let p50, p99, alloc_p50, digest =
-      List.init 3 (fun _ -> one_run svc)
-      |> List.fold_left
-           (fun acc ((p50, _, _, _) as r) ->
-             match acc with
-             | Some ((best, _, _, _) as a) -> Some (if p50 < best then r else a)
-             | None -> Some r)
-           None
-      |> Option.get
-    in
-    {
-      ds_mode = mode;
-      ds_queries = total;
-      ds_p50_us = p50;
-      ds_p99_us = p99;
-      ds_alloc_p50_words = alloc_p50;
-      ds_digest = digest;
-    }
-  in
-  let rows =
-    Fun.protect
-      ~finally:(fun () -> Btree.set_fast_descent true)
-      (fun () -> [ row "reference" false; row "fast" true ])
-  in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "descent %-9s: p50 %8.1f us  p99 %8.1f us  alloc p50 %7d words  (%d \
-         queries, digest %s)\n"
-        r.ds_mode r.ds_p50_us r.ds_p99_us r.ds_alloc_p50_words r.ds_queries
-        (Digest.to_hex r.ds_digest))
-    rows;
-  rows
-
 (* --- chaos resilience --------------------------------------------------------- *)
 
 (* The serve_throughput mix fired through the retrying client at a
@@ -1914,7 +1804,7 @@ let json_path =
     (Sys.getenv_opt "UINDEX_BENCH_JSON")
 
 let write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~serve ~mixed
-    ~telemetry ~descent ~chaos ~bulk ~shard =
+    ~telemetry ~chaos ~bulk ~shard =
   let open Obs.Json in
   let row (r : Ex.t1_row) =
     Obj
@@ -1992,17 +1882,6 @@ let write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~serve ~mixed
         ("slow_entries", Int r.tl_slow);
       ]
   in
-  let ds_row r =
-    Obj
-      [
-        ("mode", Str r.ds_mode);
-        ("queries", Int r.ds_queries);
-        ("p50_us", Float r.ds_p50_us);
-        ("p99_us", Float r.ds_p99_us);
-        ("alloc_p50_words", Int r.ds_alloc_p50_words);
-        ("digest", Str (Digest.to_hex r.ds_digest));
-      ]
-  in
   let cr_row r =
     Obj
       [
@@ -2043,7 +1922,7 @@ let write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~serve ~mixed
   let j =
     Obj
       [
-        ("schema_version", Int 9);
+        ("schema_version", Int 10);
         ("quick", Bool quick);
         ("reps", Int reps);
         ("objects", Int n_objects);
@@ -2058,7 +1937,6 @@ let write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~serve ~mixed
         ("serve_throughput", List (List.map sv_row serve));
         ("serve_mixed", List (List.map mx_row mixed));
         ("telemetry_overhead", List (List.map tel_row telemetry));
-        ("descent_fastpath", List (List.map ds_row descent));
         ("chaos_resilience", List (List.map cr_row chaos));
         ("shard_scaling", List (List.map ss_row shard));
         ("bulk_load", bulk_obj);
@@ -2096,9 +1974,6 @@ let () =
   (* telemetry must run before serve_mixed mutates e1's store: its digest
      is gated against serve_throughput's *)
   let telemetry = run_telemetry_overhead e1 in
-  (* same store-unmutated constraint: both descent digests are gated
-     against serve_throughput's *)
-  let descent = run_descent_fastpath e1 in
   (* chaos replays the same mix, so the store must still be unmutated:
      its digests are gated against serve_throughput's *)
   let chaos = run_chaos_resilience e1 in
@@ -2109,4 +1984,4 @@ let () =
   (* last: its writers mutate e1's store *)
   let mixed = run_serve_mixed e1 in
   write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~serve ~mixed
-    ~telemetry ~descent ~chaos ~bulk ~shard
+    ~telemetry ~chaos ~bulk ~shard

@@ -106,19 +106,6 @@ let demo_cmd =
 
 (* --- query --------------------------------------------------------------- *)
 
-(* shared by query/serve: drop to the decode-then-search reference
-   descent (DESIGN.md §13) for A/B runs against the compare-in-place
-   fast path *)
-let no_fast_descent_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fast-descent" ]
-        ~doc:
-          "Use the reference B-tree descent (decode every node) instead \
-           of the compare-in-place fast path.  Answers and page reads \
-           are identical; this exists for A/B measurement and \
-           debugging.")
-
 (* shared by query/explain: size of the cross-query LRU buffer pool; 0
    keeps the paper's exact uncached page-read accounting *)
 let cache_pages_arg =
@@ -143,8 +130,7 @@ let pool_report idx =
         (Storage.Buffer_pool.resident p)
 
 let query_cmd =
-  let run n_vehicles seed cls color algo cache_pages repeat no_fast =
-    if no_fast then Btree.set_fast_descent false;
+  let run n_vehicles seed cls color algo cache_pages repeat =
     let e = Dg.exp1 ~n_vehicles ~seed () in
     let b = e.ext.b in
     let schema = b.schema in
@@ -206,8 +192,7 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:"Run one class-hierarchy query on a generated vehicle database.")
     Term.(
-      const run $ n $ seed $ cls $ color $ algo $ cache_pages_arg $ repeat
-      $ no_fast_descent_arg)
+      const run $ n $ seed $ cls $ color $ algo $ cache_pages_arg $ repeat)
 
 (* --- run: textual queries --------------------------------------------------- *)
 
@@ -1379,9 +1364,8 @@ let run_router mapfile addr workers backlog timeout chaos restart_budget =
 
 let serve_cmd =
   let run n_vehicles seed addr workers backlog timeout file churn group_window
-      slow_ms slow_log trace_sample no_tracing no_fast chaos_spec scrub_every
+      slow_ms slow_log trace_sample no_tracing chaos_spec scrub_every
       restart_budget shard_map shard_id =
-    if no_fast then Btree.set_fast_descent false;
     let chaos = parse_chaos_or_die chaos_spec in
     match (shard_map, shard_id) with
     | None, Some _ ->
@@ -1665,7 +1649,7 @@ let serve_cmd =
     Term.(
       const run $ n $ seed $ addr_args $ workers $ backlog $ timeout $ file
       $ churn $ group_window $ slow_ms $ slow_log $ trace_sample
-      $ no_tracing $ no_fast_descent_arg $ chaos $ scrub_every
+      $ no_tracing $ chaos $ scrub_every
       $ restart_budget $ shard_map $ shard_id)
 
 let client_cmd =

@@ -29,15 +29,6 @@ let visit_node level =
   Obs.Metrics.incr m_node_visits;
   Obs.Metrics.observe h_visit_level level
 
-(* Read-path selector: the fast path searches encoded pages in place
-   (see Node.leaf_search); the reference path decodes every node it
-   touches.  Both issue identical page reads and metrics, differing only
-   in allocation — kept switchable at runtime so benchmarks can A/B them
-   and the differential suite can prove them byte-identical. *)
-let fast_flag = Atomic.make true
-let set_fast_descent on = Atomic.set fast_flag on
-let fast_descent () = Atomic.get fast_flag
-
 type config = {
   max_entries : int option;
   front_coding : bool;
@@ -924,97 +915,47 @@ let delete t key =
 
 type entry = { key : string; value : unit -> string }
 
-let find_leaf read root key =
-  Obs.Metrics.incr m_descents;
-  let rec go id level =
-    visit_node level;
-    match load read id with
-    | Node.Leaf l -> (id, l)
-    | Node.Internal n -> go n.children.(child_index n key) (level + 1)
-  in
-  go root 0
-
-let find_decode t read key =
-  let _, l = find_leaf read t.root key in
-  let i = lower_bound l.lkeys key in
-  if i < Array.length l.lkeys && l.lkeys.(i) = key then
-    Some (resolve_value read l.lvals.(i))
-  else None
-
-let mem_decode t read key =
-  let _, l = find_leaf read t.root key in
-  let i = lower_bound l.lkeys key in
-  i < Array.length l.lkeys && l.lkeys.(i) = key
-
-(* Fast-path descent to the leaf covering [key]: kind byte plus
-   compare-in-place child selection on the raw page — no decode, no
-   allocation.  Top-level recursion (not a local closure) so a warm-pool
-   point lookup allocates nothing at all.  The [_raw] variant reads the
-   tree's own page source directly; building a [raw_read t] closure per
-   call would defeat the point. *)
-let rec fast_leaf_raw t key id level =
+(* The one read path: descend to the leaf covering [key] by kind byte
+   plus compare-in-place child selection on the raw page — no decode, no
+   allocation — and hand the leaf page and its id to [at_leaf], so every
+   corruption report names its page.  [read = None] reads the tree's own
+   page source: a top-level recursion over an option, rather than a
+   [raw_read t] closure, keeps a warm-pool point lookup allocation-free. *)
+let rec descend t read key at_leaf id level =
   visit_node level;
-  let b = raw_read t id in
+  let b = match read with None -> raw_read t id | Some r -> r id in
   match Node.is_leaf_page b with
-  | true -> b
+  | true -> at_leaf t read key id b
   | false -> (
       match Node.child_in_place b key with
-      | c -> fast_leaf_raw t key c (level + 1)
+      | c -> descend t read key at_leaf c (level + 1)
       | exception (Invalid_argument d | Failure d) -> corrupt id d)
   | exception (Invalid_argument d | Failure d) -> corrupt id d
 
-let rec fast_leaf_with read key id level =
-  visit_node level;
-  let b = read id in
-  match Node.is_leaf_page b with
-  | true -> b
-  | false -> (
-      match Node.child_in_place b key with
-      | c -> fast_leaf_with read key c (level + 1)
+let find_at t read key id b =
+  match Node.leaf_search b key with
+  | r when Node.search_exact r -> (
+      match Node.leaf_value b (Node.leaf_payload_off b (Node.search_off r)) with
+      | Node.Inline s -> Some s
+      | Node.Overflow { head; length } ->
+          let read = match read with Some r -> r | None -> raw_read t in
+          Some (read_overflow read head length)
       | exception (Invalid_argument d | Failure d) -> corrupt id d)
+  | _ -> None
   | exception (Invalid_argument d | Failure d) -> corrupt id d
 
-(* On a leaf that fails to parse mid-search the fast path no longer
-   knows which page it is on; the decoding reference path re-derives the
-   typed corruption report (with its page id) — or, if the damage was
-   transient, the correct answer. *)
+let mem_at _ _ key id b =
+  match Node.leaf_search b key with
+  | r -> Node.search_exact r
+  | exception (Invalid_argument d | Failure d) -> corrupt id d
+
 let find t ?read key =
-  if Atomic.get fast_flag then (
-    try
-      Obs.Metrics.incr m_descents;
-      let b =
-        match read with
-        | None -> fast_leaf_raw t key t.root 0
-        | Some r -> fast_leaf_with r key t.root 0
-      in
-      let r = Node.leaf_search b key in
-      if Node.search_exact r then
-        Some
-          (match
-             Node.leaf_value b (Node.leaf_payload_off b (Node.search_off r))
-           with
-          | Node.Inline s -> s
-          | Node.Overflow { head; length } ->
-              let read = match read with Some r -> r | None -> raw_read t in
-              read_overflow read head length)
-      else None
-    with Invalid_argument _ | Failure _ ->
-      find_decode t (match read with Some r -> r | None -> raw_read t) key)
-  else find_decode t (match read with Some r -> r | None -> raw_read t) key
+  Obs.Metrics.incr m_descents;
+  descend t read key find_at t.root 0
 
 let mem t ?read key =
-  if Atomic.get fast_flag then (
-    try
-      Obs.Metrics.incr m_descents;
-      let b =
-        match read with
-        | None -> fast_leaf_raw t key t.root 0
-        | Some r -> fast_leaf_with r key t.root 0
-      in
-      Node.search_exact (Node.leaf_search b key)
-    with Invalid_argument _ | Failure _ ->
-      mem_decode t (match read with Some r -> r | None -> raw_read t) key)
-  else mem_decode t (match read with Some r -> r | None -> raw_read t) key
+  Obs.Metrics.incr m_descents;
+  descend t read key mem_at t.root 0
 
 let make_entry read (l : Node.leaf) i =
   { key = l.lkeys.(i); value = (fun () -> resolve_value read l.lvals.(i)) }
@@ -1024,32 +965,23 @@ let make_entry read (l : Node.leaf) i =
 module Scanner = struct
   type tree = t
 
-  (* One scanner carries both read paths, selected by [fast] (sampled
-     from the process-wide mode at create/reset time so a query never
-     mixes them).  The fast cursor walks the encoded leaf page directly,
-     reconstructing only the key under the cursor into the reusable
-     [keybuf] scratch — entries a scan skips past are never
-     materialized, and values only on [entry.value ()].  The reference
-     cursor decodes nodes as before, memoizing internal ones only: the
-     leaf chain is visited once per scan, so memoizing leaves (the
-     pre-PR-8 behaviour) pinned every decoded leaf of a full iteration.
-     All mutable state is recycled by [reset], so a session can reuse
-     one scanner (and its memo table and scratch) across queries. *)
+  (* The cursor walks the encoded leaf page directly, reconstructing
+     only the key under the cursor into the reusable [keybuf] scratch —
+     entries a scan skips past are never materialized, and values only
+     on [entry.value ()].  Pages come from [read] alone: a re-seek
+     re-reads its internal pages unless [read] is a
+     {!Storage.Pager.Cache} reader, which is how the parallel algorithm
+     gets its per-query page dedup.  All mutable state is recycled by
+     [reset], so a session can reuse one scanner (and its scratch)
+     across queries. *)
   type t = {
     mutable tree : tree;
     mutable read : int -> Bytes.t;
-    mutable fast : bool;
-    (* reference path *)
-    memo : (int, Node.t) Hashtbl.t;  (* internal nodes only *)
-    mutable leaf : Node.leaf option;
-    mutable idx : int;
-    (* fast path *)
-    pmemo : (int, Bytes.t) Hashtbl.t;  (* raw internal pages only *)
     mutable page : Bytes.t;  (* current leaf page; [Bytes.empty] = unpositioned *)
     mutable pid : int;  (* its page id, for corruption reports *)
     mutable n : int;  (* its entry count *)
     mutable next_leaf : int;
-    mutable fidx : int;  (* cursor entry index within the leaf *)
+    mutable idx : int;  (* cursor entry index within the leaf *)
     mutable off : int;  (* cursor entry byte offset *)
     mutable keybuf : Bytes.t;  (* cursor key bytes live in [0, keylen) *)
     mutable keylen : int;
@@ -1060,88 +992,27 @@ module Scanner = struct
     {
       tree;
       read;
-      fast = Atomic.get fast_flag;
-      memo = Hashtbl.create 32;
-      leaf = None;
-      idx = 0;
-      pmemo = Hashtbl.create 32;
       page = Bytes.empty;
       pid = -1;
       n = 0;
       next_leaf = -1;
-      fidx = 0;
+      idx = 0;
       off = 0;
       keybuf = Bytes.create 64;
       keylen = 0;
       live = false;
     }
 
-  (* Re-point a scanner at a (possibly different) tree, keeping its memo
-     table and key scratch allocations.  Any mutation of the tree — or
-     swapping the underlying view — invalidates a scanner's position;
-     reset is the reuse contract's only entry point. *)
+  (* Re-point a scanner at a (possibly different) tree, keeping its key
+     scratch allocation.  Any mutation of the tree — or swapping the
+     underlying view — invalidates a scanner's position; reset is the
+     reuse contract's only entry point. *)
   let reset t tree ~read =
     t.tree <- tree;
     t.read <- read;
-    t.fast <- Atomic.get fast_flag;
-    Hashtbl.reset t.memo;
-    t.leaf <- None;
-    t.idx <- 0;
-    Hashtbl.reset t.pmemo;
     t.page <- Bytes.empty;
     t.pid <- -1;
     t.live <- false
-
-  let memo_size t = Hashtbl.length t.memo + Hashtbl.length t.pmemo
-
-  (* --- reference path --- *)
-
-  let load_memo t id =
-    match Hashtbl.find_opt t.memo id with
-    | Some n -> n
-    | None ->
-        let n = load t.read id in
-        (match n with
-        | Node.Internal _ -> Hashtbl.add t.memo id n
-        | Node.Leaf _ -> ());
-        n
-
-  (* skip empty leaves until an entry is under the cursor *)
-  let rec normalize t =
-    match t.leaf with
-    | None -> ()
-    | Some l ->
-        if t.idx < Array.length l.lkeys then ()
-        else if l.next < 0 then t.leaf <- None
-        else begin
-          (match load_memo t l.next with
-          | Node.Leaf l' -> t.leaf <- Some l'
-          | Node.Internal _ ->
-              corrupt l.next "Btree: leaf chain hit internal node");
-          t.idx <- 0;
-          normalize t
-        end
-
-  let ref_peek t =
-    match t.leaf with
-    | Some l when t.idx < Array.length l.lkeys ->
-        Some (make_entry t.read l t.idx)
-    | Some _ | None -> None
-
-  let ref_seek t key =
-    let rec descend id level =
-      visit_node level;
-      match load_memo t id with
-      | Node.Leaf l -> l
-      | Node.Internal n -> descend n.children.(child_index n key) (level + 1)
-    in
-    let l = descend t.tree.root 0 in
-    t.leaf <- Some l;
-    t.idx <- lower_bound l.lkeys key;
-    normalize t;
-    ref_peek t
-
-  (* --- fast path --- *)
 
   let reserve t len =
     if Bytes.length t.keybuf < len then begin
@@ -1181,8 +1052,8 @@ module Scanner = struct
     t.live <- true
 
   (* position at the first entry of the leaf-chain page [id], skipping
-     empty leaves, exactly as [normalize] does on decoded nodes *)
-  let rec fast_first_entry t id =
+     empty leaves *)
+  let rec first_entry t id =
     if id < 0 then t.live <- false
     else begin
       let b = t.read id in
@@ -1195,7 +1066,7 @@ module Scanner = struct
         t.n <- Node.entry_count b;
         t.next_leaf <- Node.leaf_next b;
         if t.n > 0 then begin
-          t.fidx <- 0;
+          t.idx <- 0;
           t.off <- Node.header_size;
           set_cursor_advance t;
           true
@@ -1203,36 +1074,14 @@ module Scanner = struct
         else false
       with
       | true -> ()
-      | false -> fast_first_entry t t.next_leaf
+      | false -> first_entry t t.next_leaf
       | exception (Invalid_argument d | Failure d) -> corrupt id d
     end
 
-  (* Mirror of [load_memo]: internal pages are memoized raw, so a
-     re-seek re-reads exactly what the reference path re-reads — the
-     leaf only.  Memoized pages were classified internal when added,
-     so the kind check is skipped on a hit. *)
-  let rec fast_descend t key id level =
-    visit_node level;
-    match Hashtbl.find_opt t.pmemo id with
-    | Some b -> (
-        match Node.child_in_place b key with
-        | c -> fast_descend t key c (level + 1)
-        | exception (Invalid_argument d | Failure d) -> corrupt id d)
-    | None -> (
-        let b = t.read id in
-        match Node.is_leaf_page b with
-        | true ->
-            t.pid <- id;
-            b
-        | false -> (
-            Hashtbl.add t.pmemo id b;
-            match Node.child_in_place b key with
-            | c -> fast_descend t key c (level + 1)
-            | exception (Invalid_argument d | Failure d) -> corrupt id d)
-        | exception (Invalid_argument d | Failure d) -> corrupt id d)
-
-  let fast_seek t key =
-    let b = fast_descend t key t.tree.root 0 in
+  (* the [descend] continuation: put the cursor on the first entry
+     [>= key] of leaf page [b], or of a later leaf *)
+  let position t key id b =
+    t.pid <- id;
     t.page <- b;
     t.keylen <- 0;
     try
@@ -1241,24 +1090,14 @@ module Scanner = struct
       t.next_leaf <- Node.leaf_next b;
       let i = Node.search_index r in
       if i < t.n then begin
-        t.fidx <- i;
+        t.idx <- i;
         t.off <- Node.search_off r;
         set_cursor_from_probe t key
       end
-      else fast_first_entry t t.next_leaf
-    with Invalid_argument d | Failure d -> corrupt t.pid d
+      else first_entry t t.next_leaf
+    with Invalid_argument d | Failure d -> corrupt id d
 
-  let fast_next t =
-    if t.live then
-      if t.fidx + 1 < t.n then (
-        try
-          t.off <- Node.leaf_entry_end t.page t.off;
-          t.fidx <- t.fidx + 1;
-          set_cursor_advance t
-        with Invalid_argument d | Failure d -> corrupt t.pid d)
-      else fast_first_entry t t.next_leaf
-
-  let fast_peek t =
+  let peek t =
     if not t.live then None
     else begin
       let read = t.read in
@@ -1279,26 +1118,23 @@ module Scanner = struct
       | exception (Invalid_argument d | Failure d) -> corrupt pid d
     end
 
-  (* --- dispatch --- *)
-
   let seek t key =
     Obs.Metrics.incr m_descents;
-    if t.fast then begin
-      fast_seek t key;
-      fast_peek t
-    end
-    else ref_seek t key
+    descend t.tree (Some t.read) key
+      (fun _ _ key id b -> position t key id b)
+      t.tree.root 0;
+    peek t
 
   let next t =
-    if t.fast then begin
-      fast_next t;
-      fast_peek t
-    end
-    else begin
-      t.idx <- t.idx + 1;
-      normalize t;
-      ref_peek t
-    end
+    if t.live then
+      if t.idx + 1 < t.n then (
+        try
+          t.off <- Node.leaf_entry_end t.page t.off;
+          t.idx <- t.idx + 1;
+          set_cursor_advance t
+        with Invalid_argument d | Failure d -> corrupt t.pid d)
+      else first_entry t t.next_leaf;
+    peek t
 end
 
 let iter t ?read f =

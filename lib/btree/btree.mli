@@ -94,18 +94,6 @@ val raw_read : t -> int -> Bytes.t
 val cached_read : t -> Storage.Pager.Cache.t
 (** A fresh per-query cache over this tree's page source. *)
 
-val set_fast_descent : bool -> unit
-(** Process-wide read-path selector (default [on]).  When on, lookups
-    and scans search the encoded page in place ({!Node.leaf_search} /
-    {!Node.child_in_place}) and never materialize keys they skip; when
-    off, every touched node is decoded ({!Node.decode}), the reference
-    implementation.  Both paths issue identical page reads and return
-    byte-identical results (proven by the differential suite); only
-    allocation and CPU differ.  Scanners sample the flag at
-    create/reset time, so in-flight scans are unaffected. *)
-
-val fast_descent : unit -> bool
-
 (** {1 Updates} *)
 
 val insert : t -> key:string -> value:string -> unit
@@ -190,8 +178,9 @@ val trace_intervals :
 (** {1 Positioned scans}
 
     A scanner supports the paper's skip-scan: sequential advance plus
-    re-seek to an arbitrary key, sharing one page cache so that revisited
-    pages are free. *)
+    re-seek to an arbitrary key.  It keeps no pages of its own between
+    seeks: give it a {!Storage.Pager.Cache} reader and revisited pages
+    are free, give it {!raw_read} and every re-seek is counted. *)
 
 module Scanner : sig
   type tree := t
@@ -200,13 +189,13 @@ module Scanner : sig
   val create : tree -> read:(int -> Bytes.t) -> t
 
   val reset : t -> tree -> read:(int -> Bytes.t) -> unit
-  (** Re-point an existing scanner at a tree, recycling its memo table
-      and key scratch instead of allocating fresh ones — the session
-      cursor-reuse hook.  {b Contract:} any mutation of the underlying
-      tree (insert, delete, bulk load, root change) or swap of the view
-      it reads from invalidates a scanner's position; the owner must
-      [reset] before the next query and must not interleave two queries
-      on one scanner. *)
+  (** Re-point an existing scanner at a tree, recycling its key scratch
+      instead of allocating a fresh one — the session cursor-reuse hook.
+      {b Contract:} any mutation of the underlying tree (insert, delete,
+      bulk load, root change) or swap of the view it reads from
+      invalidates a scanner's position; the owner must [reset] before
+      the next query and must not interleave two queries on one
+      scanner. *)
 
   val seek : t -> string -> entry option
   (** Position at the first entry with key [>=] the argument and return
@@ -214,12 +203,6 @@ module Scanner : sig
 
   val next : t -> entry option
   (** Advance to the following entry. *)
-
-  val memo_size : t -> int
-  (** Decoded nodes currently memoized (reference path; the fast path
-      memoizes nothing).  Bounded by the number of internal nodes the
-      scan's descents touch — O(height) for a plain iteration — never by
-      the leaf count. *)
 end
 
 (** {1 Introspection (tests, experiments)} *)

@@ -144,12 +144,13 @@ let seg_entry seg ~accepted =
 (* --- cursor reuse -------------------------------------------------------- *)
 
 (* One scanner per domain, re-pointed at the query's view with
-   [Scanner.reset]: the memo table and key scratch are recycled instead
-   of reallocated per query (ROADMAP item 5's "cursor structs reused
-   across a session").  Server workers are domains, so each worker gets
-   its own cursor and no locking is needed.  The slot is emptied while a
-   query runs — a re-entrant call would simply build a fresh scanner —
-   and refilled on the way out, exceptions included. *)
+   [Scanner.reset]: its key scratch is recycled instead of reallocated
+   per query.  Page dedup is not the scanner's business: the parallel
+   algorithm hands it a [Pager.Cache] reader.  Server workers are
+   domains, so each worker gets its own cursor and no locking is
+   needed.  The slot is emptied while a query runs — a re-entrant call
+   would simply build a fresh scanner — and refilled on the way out,
+   exceptions included. *)
 let scanner_slot : Btree.Scanner.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

@@ -210,7 +210,6 @@ let health_response t =
       ("durable_lsn", Json.Int durable);
       ("lsn_lag", Json.Int (acked - durable));
       ("tracing", Json.Bool t.tel.tracing);
-      ("fast_descent", Json.Bool (Btree.fast_descent ()));
       ( "supervisor",
         Json.Obj
           [

@@ -356,6 +356,62 @@ let test_attach_corrupt_root () =
         "reattach over mangled root" (fun () -> Btree.reattach p);
       Pager.close p)
 
+(* A damaged non-root leaf must surface as typed corruption naming that
+   leaf through every read entry point: the point lookups, a seek that
+   lands on it, and a cursor that walks onto it along the leaf chain.
+   [damage] builds the garbage page; it is written through the pager, so
+   only the node layer can notice. *)
+let test_damaged_leaf damage () =
+  let page_size = 256 in
+  let p = Pager.create ~page_size () in
+  let t = Btree.create p in
+  for i = 0 to 99 do
+    Btree.insert t ~key:(Printf.sprintf "k%03d" i) ~value:(string_of_int i)
+  done;
+  let leaves =
+    List.filter_map
+      (fun (v : Btree.visit) -> if v.is_leaf then Some v.page else None)
+      (Btree.trace_intervals t ~read:(Btree.raw_read t) [ ("", "\xff") ])
+  in
+  let prev, leaf =
+    match leaves with
+    | a :: b :: _ :: _ -> (a, b)
+    | _ -> Alcotest.fail "tree too small: want at least three leaves"
+  in
+  let keys id =
+    match Btree.Node.decode (Pager.read p id) with
+    | Btree.Node.Leaf l -> l.lkeys
+    | Btree.Node.Internal _ -> Alcotest.fail "not a leaf"
+  in
+  let inside = (keys leaf).(0) in
+  let before =
+    let k = keys prev in
+    k.(Array.length k - 1)
+  in
+  Pager.write p leaf (damage page_size);
+  let expect what fn =
+    expect_corruption ~component:"btree.node" ~page:leaf what (fun () ->
+        ignore (fn ()))
+  in
+  expect "find" (fun () -> Btree.find t inside);
+  expect "mem" (fun () -> Btree.mem t inside);
+  let sc = Btree.Scanner.create t ~read:(Btree.raw_read t) in
+  expect "Scanner.seek" (fun () -> Btree.Scanner.seek sc inside);
+  Btree.Scanner.reset sc t ~read:(Btree.raw_read t);
+  (match Btree.Scanner.seek sc before with
+  | Some e -> Alcotest.(check string) "cursor on previous leaf" before e.key
+  | None -> Alcotest.fail "seek into the previous leaf found nothing");
+  expect "Scanner.next" (fun () -> Btree.Scanner.next sc)
+
+let bad_kind_byte page_size = Bytes.make page_size '\007'
+
+(* a leaf kind byte over 0xFF bytes: entry count, prefix and suffix
+   lengths all run past the page *)
+let garbage_leaf_body page_size =
+  let b = Bytes.make page_size '\xff' in
+  Bytes.set b 0 '\001';
+  b
+
 (* ------------------------------------------------------------------ *)
 (* The headline property: randomized corruption never yields a silent
    wrong answer, and salvage restores the oracle                        *)
@@ -536,6 +592,10 @@ let unit_suite =
       test_pool_never_caches_corrupt_page;
     Alcotest.test_case "attach over corrupt root" `Quick
       test_attach_corrupt_root;
+    Alcotest.test_case "damaged leaf: bad kind byte" `Quick
+      (test_damaged_leaf bad_kind_byte);
+    Alcotest.test_case "damaged leaf: garbage leaf body" `Quick
+      (test_damaged_leaf garbage_leaf_body);
     Alcotest.test_case "verify accepts a healthy index" `Quick
       test_verify_clean;
   ]

@@ -1,22 +1,20 @@
-(* The compare-in-place descent (DESIGN.md §13) against the decoding
-   reference implementation:
+(* The compare-in-place read path (DESIGN.md §13) against a decoding
+   oracle:
 
    - node-level property tests proving [Node.leaf_search] and
      [Node.child_in_place] agree with plain binary-search semantics over
      the decoded node, across adversarial key shapes (dup-heavy shared
      prefixes, prefix-of-each-other chains, long keys, front coding on
      and off);
-   - a tree-level differential test proving fast and reference modes
-     return byte-identical answers AND issue identical page reads with
-     no cache attached;
+   - a tree-level differential test proving [find], [mem] and the
+     scanner return byte-identical answers to an in-test reader built on
+     [Node.decode], AND issue identical page reads with no cache
+     attached, plus absolute descent accounting;
    - an allocation assertion: a warm-pool point lookup allocates
      (almost) nothing on the minor heap;
-   - scanner-reuse and memo-bound regressions. *)
+   - scanner-reuse regressions. *)
 
-let with_fast on f =
-  let old = Btree.fast_descent () in
-  Btree.set_fast_descent on;
-  Fun.protect ~finally:(fun () -> Btree.set_fast_descent old) f
+module Bu = Storage.Bytes_util
 
 let mk ?(page_size = 256) ?max_entries ?(front_coding = true) () =
   let pager = Storage.Pager.create ~page_size () in
@@ -171,6 +169,87 @@ let prop_child_matches_decode =
           true)
         (probes_of keys))
 
+(* --- the decode oracle ------------------------------------------------------ *)
+
+(* The decode-every-node reader, kept only as a test oracle: it parses
+   each page it touches with [Node.decode] and searches the decoded keys
+   with [ref_lower_bound] / [ref_child].  It fetches the same pages in
+   the same order as the compare-in-place path, so on an uncached tree
+   both answers and page reads must agree exactly. *)
+module Oracle = struct
+  let rec leaf read id key =
+    match Btree.Node.decode (read id) with
+    | Btree.Node.Leaf l -> l
+    | Btree.Node.Internal n -> leaf read (ref_child n key) key
+
+  (* overflow chain: u32 next page, u16 chunk length, chunk bytes *)
+  let value read = function
+    | Btree.Node.Inline s -> s
+    | Btree.Node.Overflow { head; length } ->
+        let buf = Buffer.create length in
+        let rec go id =
+          if id <> 0xFFFFFFFF then begin
+            let b = read id in
+            Buffer.add_subbytes buf b 6 (Bu.get_u16 b 4);
+            go (Bu.get_u32 b 0)
+          end
+        in
+        go head;
+        Buffer.contents buf
+
+  let find t read key =
+    let l = leaf read (Btree.root t) key in
+    match ref_lower_bound l.lkeys key with
+    | i, true -> Some (value read l.lvals.(i))
+    | _, false -> None
+
+  let mem t read key =
+    snd (ref_lower_bound (leaf read (Btree.root t) key).lkeys key)
+
+  (* a cursor: the decoded leaf under it and an entry index *)
+  type cursor = {
+    read : int -> Bytes.t;
+    mutable cur : Btree.Node.leaf option;
+    mutable idx : int;
+  }
+
+  let cursor read = { read; cur = None; idx = 0 }
+
+  (* skip exhausted and empty leaves along the chain *)
+  let rec settle c =
+    match c.cur with
+    | Some l when c.idx >= Array.length l.lkeys ->
+        c.cur <-
+          (if l.next < 0 then None
+           else
+             match Btree.Node.decode (c.read l.next) with
+             | Btree.Node.Leaf l' -> Some l'
+             | Btree.Node.Internal _ -> failwith "leaf chain hit internal");
+        c.idx <- 0;
+        settle c
+    | Some _ | None -> ()
+
+  let peek c =
+    Option.map
+      (fun (l : Btree.Node.leaf) ->
+        (l.lkeys.(c.idx), value c.read l.lvals.(c.idx)))
+      c.cur
+
+  let seek t c key =
+    let l = leaf c.read (Btree.root t) key in
+    c.cur <- Some l;
+    c.idx <- fst (ref_lower_bound l.lkeys key);
+    settle c;
+    peek c
+
+  let next c =
+    if Option.is_some c.cur then begin
+      c.idx <- c.idx + 1;
+      settle c
+    end;
+    peek c
+end
+
 (* --- tree-level differential: answers and page reads ---------------------- *)
 
 (* keys with shared prefixes, a few hundred entries over many small pages,
@@ -190,73 +269,102 @@ let build_tree () =
 let tree_probes =
   List.init 450 (fun i -> Printf.sprintf "grp%d/item%04d" (i mod 7) i)
 
-let run_mode t fast =
-  with_fast fast @@ fun () ->
+(* one reader under test: point lookups plus a positioned cursor whose
+   entries come back with their values resolved *)
+type reader = {
+  find : string -> string option;
+  mem : string -> bool;
+  seek : string -> (string * string) option;
+  next : unit -> (string * string) option;
+}
+
+let in_place t =
+  let sc = Btree.Scanner.create t ~read:(Btree.raw_read t) in
+  let kv = Option.map (fun (e : Btree.entry) -> (e.key, e.value ())) in
+  {
+    find = (fun k -> Btree.find t k);
+    mem = (fun k -> Btree.mem t k);
+    seek = (fun k -> kv (Btree.Scanner.seek sc k));
+    next = (fun () -> kv (Btree.Scanner.next sc));
+  }
+
+let oracle t =
+  let read = Btree.raw_read t in
+  let c = Oracle.cursor read in
+  {
+    find = Oracle.find t read;
+    mem = Oracle.mem t read;
+    seek = Oracle.seek t c;
+    next = (fun () -> Oracle.next c);
+  }
+
+(* every probe through find and mem, short seek+next bursts, then one
+   full sweep of the leaf chain; returns the answers, the pager reads,
+   and the number of seeks issued *)
+let run t r =
   let stats = Storage.Pager.stats (Btree.pager t) in
   Storage.Stats.reset stats;
-  let finds = List.map (fun k -> Btree.find t k) tree_probes in
-  let mems = List.map (fun k -> Btree.mem t k) tree_probes in
-  let sc = Btree.Scanner.create t ~read:(Btree.raw_read t) in
+  let finds = List.map r.find tree_probes in
+  let mems = List.map r.mem tree_probes in
+  let seeks = ref 0 in
   let scanned = ref [] in
-  let note = function
-    | None -> ()
-    | Some (e : Btree.entry) -> scanned := (e.key, e.value ()) :: !scanned
+  let note = Option.iter (fun kv -> scanned := kv :: !scanned) in
+  let seek k =
+    incr seeks;
+    note (r.seek k)
   in
   List.iteri
     (fun i k ->
       if i mod 3 = 0 then begin
-        note (Btree.Scanner.seek sc k);
+        seek k;
         for _ = 1 to 6 do
-          note (Btree.Scanner.next sc)
+          note (r.next ())
         done
       end)
     tree_probes;
-  (* one full sweep through the leaf chain *)
-  note (Btree.Scanner.seek sc "");
-  let continue = ref true in
-  while !continue do
-    match Btree.Scanner.next sc with
-    | Some e -> scanned := (e.key, e.value ()) :: !scanned
-    | None -> continue := false
-  done;
-  (finds, mems, List.rev !scanned, stats.Storage.Stats.reads)
+  seek "";
+  let rec sweep () =
+    match r.next () with
+    | Some kv ->
+        scanned := kv :: !scanned;
+        sweep ()
+    | None -> ()
+  in
+  sweep ();
+  ((finds, mems, List.rev !scanned, stats.Storage.Stats.reads), !seeks)
 
 let test_differential () =
   let t = build_tree () in
-  let f_finds, f_mems, f_scanned, f_reads = run_mode t true in
-  let r_finds, r_mems, r_scanned, r_reads = run_mode t false in
-  Alcotest.(check (list (option string))) "find answers" r_finds f_finds;
-  Alcotest.(check (list bool)) "mem answers" r_mems f_mems;
-  Alcotest.(check (list (pair string string))) "scanned entries" r_scanned
+  let (f_finds, f_mems, f_scanned, f_reads), _ = run t (in_place t) in
+  let (o_finds, o_mems, o_scanned, o_reads), _ = run t (oracle t) in
+  Alcotest.(check (list (option string))) "find answers" o_finds f_finds;
+  Alcotest.(check (list bool)) "mem answers" o_mems f_mems;
+  Alcotest.(check (list (pair string string))) "scanned entries" o_scanned
     f_scanned;
-  (* no cache anywhere: both modes must fetch exactly the same pages *)
-  Alcotest.(check int) "page reads identical" r_reads f_reads;
+  (* no cache anywhere: both readers must fetch exactly the same pages *)
+  Alcotest.(check int) "page reads identical" o_reads f_reads;
   if f_reads = 0 then Alcotest.fail "differential run issued no reads"
 
-(* descents and node visits must also agree: the fast path reports the
-   paper's metrics identically *)
+(* the paper's metrics in absolute terms: one descent per find, mem and
+   seek, each visiting exactly one node per level *)
 let test_differential_metrics () =
   let t = build_tree () in
-  let counters () =
-    ( Option.value ~default:0 (Obs.Metrics.find Obs.Metrics.default "btree.descents"),
-      Option.value ~default:0
-        (Obs.Metrics.find Obs.Metrics.default "btree.node_visits") )
+  let counter name =
+    Option.value ~default:0 (Obs.Metrics.find Obs.Metrics.default name)
   in
-  let delta fast =
-    let d0, v0 = counters () in
-    ignore (run_mode t fast);
-    let d1, v1 = counters () in
-    (d1 - d0, v1 - v0)
-  in
-  let fd, fv = delta true in
-  let rd, rv = delta false in
-  Alcotest.(check int) "descents" rd fd;
-  Alcotest.(check int) "node visits" rv fv
+  let d0 = counter "btree.descents" and v0 = counter "btree.node_visits" in
+  let _, seeks = run t (in_place t) in
+  let descents = counter "btree.descents" - d0 in
+  Alcotest.(check int) "descents = finds + mems + seeks"
+    ((2 * List.length tree_probes) + seeks)
+    descents;
+  Alcotest.(check int) "node visits = descents * height"
+    (descents * Btree.height t)
+    (counter "btree.node_visits" - v0)
 
 (* --- allocation: warm-pool point lookups -------------------------------- *)
 
 let test_warm_lookup_alloc () =
-  with_fast true @@ fun () ->
   let page_size = 1024 in
   let pager = Storage.Pager.create ~page_size () in
   let pool = Storage.Buffer_pool.create ~capacity:512 pager in
@@ -276,58 +384,7 @@ let test_warm_lookup_alloc () =
   if per > 8. then
     Alcotest.failf "warm point lookup allocates %.1f minor words (want ~0)" per
 
-(* --- scanner: memo bound and reuse --------------------------------------- *)
-
-(* reference mode memoizes internal nodes only, so a full iteration over a
-   many-leaf tree keeps the memo at O(height) — pre-fix it pinned every
-   decoded leaf *)
-let test_memo_bounded () =
-  with_fast false @@ fun () ->
-  let t = mk ~page_size:512 ~max_entries:4 () in
-  for i = 0 to 399 do
-    Btree.insert t ~key:(Printf.sprintf "%05d" i) ~value:""
-  done;
-  if Btree.leaf_count t < 50 then
-    Alcotest.failf "tree too shallow for the memo test: %d leaves"
-      (Btree.leaf_count t);
-  let bound = Btree.height t + 2 in
-  let sc = Btree.Scanner.create t ~read:(Btree.raw_read t) in
-  let worst = ref 0 in
-  let cur = ref (Btree.Scanner.seek sc "") in
-  let n = ref 0 in
-  while !cur <> None do
-    worst := max !worst (Btree.Scanner.memo_size sc);
-    incr n;
-    cur := Btree.Scanner.next sc
-  done;
-  Alcotest.(check int) "full iteration" 400 !n;
-  if !worst > bound then
-    Alcotest.failf "memo grew to %d decoded nodes during iteration (height %d)"
-      !worst (Btree.height t)
-
-(* fast mode memoizes raw internal pages (mirroring the reference memo,
-   and for the same reason: page-read parity on repeated seeks) but must
-   never retain leaves — the same O(height) bound applies *)
-let test_fast_memo_bounded () =
-  with_fast true @@ fun () ->
-  let t = mk ~page_size:512 ~max_entries:4 () in
-  for i = 0 to 399 do
-    Btree.insert t ~key:(Printf.sprintf "%05d" i) ~value:""
-  done;
-  let bound = Btree.height t + 2 in
-  let sc = Btree.Scanner.create t ~read:(Btree.raw_read t) in
-  let worst = ref 0 in
-  let cur = ref (Btree.Scanner.seek sc "") in
-  let n = ref 0 in
-  while !cur <> None do
-    worst := max !worst (Btree.Scanner.memo_size sc);
-    incr n;
-    cur := Btree.Scanner.next sc
-  done;
-  Alcotest.(check int) "full iteration" 400 !n;
-  if !worst > bound then
-    Alcotest.failf "fast memo grew to %d pages during iteration (height %d)"
-      !worst (Btree.height t)
+(* --- scanner: reuse ------------------------------------------------------- *)
 
 (* reset re-points an existing scanner at another tree (the Exec per-domain
    cursor), and at the same tree after mutation *)
@@ -343,7 +400,6 @@ let test_scanner_reset_reuse () =
   | Some e -> Alcotest.(check string) "tree A" "a000" e.Btree.key
   | None -> Alcotest.fail "expected entry in tree A");
   Btree.Scanner.reset sc tb ~read:(Btree.raw_read tb);
-  Alcotest.(check int) "memo cleared" 0 (Btree.Scanner.memo_size sc);
   (match Btree.Scanner.seek sc "" with
   | Some e -> Alcotest.(check string) "tree B" "b000" e.Btree.key
   | None -> Alcotest.fail "expected entry in tree B");
@@ -356,36 +412,41 @@ let test_scanner_reset_reuse () =
       Alcotest.(check string) "new value" "new" (e.Btree.value ())
   | None -> Alcotest.fail "reset scanner missed the new entry")
 
-(* both scanner modes agree after reset swaps trees mid-life *)
+(* a scanner that reset swaps between trees mid-life agrees with a fresh
+   oracle cursor per burst *)
 let test_scanner_reset_differential () =
-  let run fast =
-    with_fast fast @@ fun () ->
-    let ta = mk ~max_entries:4 () in
-    let tb = mk ~max_entries:5 () in
-    for i = 0 to 99 do
-      Btree.insert ta ~key:(Printf.sprintf "k%04d" (2 * i)) ~value:"a";
-      Btree.insert tb ~key:(Printf.sprintf "k%04d" ((2 * i) + 1)) ~value:"b"
-    done;
-    let sc = Btree.Scanner.create ta ~read:(Btree.raw_read ta) in
-    let out = ref [] in
-    let burst t key =
-      Btree.Scanner.reset sc t ~read:(Btree.raw_read t);
-      (match Btree.Scanner.seek sc key with
-      | Some e -> out := e.Btree.key :: !out
-      | None -> ());
-      for _ = 1 to 4 do
-        match Btree.Scanner.next sc with
-        | Some e -> out := e.Btree.key :: !out
-        | None -> ()
-      done
-    in
-    burst ta "k0050";
-    burst tb "k0050";
-    burst ta "k0199";
-    burst tb "zzz";
-    List.rev !out
+  let ta = mk ~max_entries:4 () in
+  let tb = mk ~max_entries:5 () in
+  for i = 0 to 99 do
+    Btree.insert ta ~key:(Printf.sprintf "k%04d" (2 * i)) ~value:"a";
+    Btree.insert tb ~key:(Printf.sprintf "k%04d" ((2 * i) + 1)) ~value:"b"
+  done;
+  let sc = Btree.Scanner.create ta ~read:(Btree.raw_read ta) in
+  let bursts = [ (ta, "k0050"); (tb, "k0050"); (ta, "k0199"); (tb, "zzz") ] in
+  let collect seek next =
+    let first = Option.to_list (seek ()) in
+    first @ List.filter_map (fun _ -> next ()) [ 1; 2; 3; 4 ]
   in
-  Alcotest.(check (list string)) "reset bursts agree" (run false) (run true)
+  let reused =
+    List.concat_map
+      (fun (t, key) ->
+        Btree.Scanner.reset sc t ~read:(Btree.raw_read t);
+        let key_of = Option.map (fun (e : Btree.entry) -> e.key) in
+        collect
+          (fun () -> key_of (Btree.Scanner.seek sc key))
+          (fun () -> key_of (Btree.Scanner.next sc)))
+      bursts
+  in
+  let oracle =
+    List.concat_map
+      (fun (t, key) ->
+        let c = Oracle.cursor (Btree.raw_read t) in
+        collect
+          (fun () -> Option.map fst (Oracle.seek t c key))
+          (fun () -> Option.map fst (Oracle.next c)))
+      bursts
+  in
+  Alcotest.(check (list string)) "reset bursts agree" oracle reused
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -404,9 +465,6 @@ let () =
         [ Alcotest.test_case "warm point lookup" `Quick test_warm_lookup_alloc ] );
       ( "scanner",
         [
-          Alcotest.test_case "memo stays O(height)" `Quick test_memo_bounded;
-          Alcotest.test_case "fast memo stays O(height)" `Quick
-            test_fast_memo_bounded;
           Alcotest.test_case "reset and reuse" `Quick test_scanner_reset_reuse;
           Alcotest.test_case "reset differential" `Quick
             test_scanner_reset_differential;
