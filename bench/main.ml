@@ -975,144 +975,92 @@ let run_timing () =
       | None -> ())
     (List.sort compare names)
 
-(* --- serve throughput: the concurrent query service -------------------------- *)
+(* --- serve sections: shared set-up -------------------------------------------- *)
 
-(* N client domains with persistent connections fire a fixed query mix at
-   an in-process server with N workers; every client must get replies
-   byte-identical to every other (one digest per row — check_results
-   asserts the digests agree across thread counts, i.e. concurrent
-   serving returns exactly the sequential answers).  Wall-clock, so this
-   section runs even under UINDEX_BENCH_SKIP_TIMING (qps and p99 are what
-   it exists to measure); best-of-3 per thread count damps scheduler
-   noise. *)
-type serve_row = {
-  sv_threads : int;
-  sv_queries : int;
-  sv_qps : float;
-  sv_p50_us : float;
-  sv_p99_us : float;
-  sv_digest : string;
-}
+(* The five serve sections are wall-clock by nature, so they run even
+   under UINDEX_BENCH_SKIP_TIMING: their qps/p99 rows and cross-run
+   digests are what check_results gates on.  Each is set-up, one
+   Loadgen call per row, and the row's own extras. *)
 
-let run_serve_throughput (e : Dg.exp1) =
-  section "Serve throughput: N clients vs N workers, snapshot per request";
-  let module Db = Uindex.Db in
-  let module Server = Uindex_server.Server in
-  let module Service = Uindex_server.Service in
-  let module Client = Uindex_server.Client in
+module Db = Uindex.Db
+module Server = Uindex_server.Server
+module Service = Uindex_server.Service
+module Client = Uindex_server.Client
+
+(* The mix serve_throughput, telemetry_overhead and chaos_resilience
+   share: check_results gates their digests against each other. *)
+let served_mix =
+  [|
+    "query (Red, Bus*)";
+    "query (White, Vehicle*)";
+    "query-forward (Red, Bus*)";
+    "query ([50-60], Employee*, Company*, Vehicle*)";
+  |]
+
+let served_queries = if quick then 240 else 480
+
+let metric name =
+  Option.value ~default:0 (Obs.Metrics.find Obs.Metrics.default name)
+
+(* e1's two indexes behind a fresh Db over its store *)
+let served_db (e : Dg.exp1) =
   let db = Db.create e.store in
   Db.attach_index db e.ch_color;
   Db.attach_index db e.path_age;
-  let svc = Service.create ~schema:e.ext.b.schema db in
-  let mix =
-    [
-      "query (Red, Bus*)";
-      "query (White, Vehicle*)";
-      "query-forward (Red, Bus*)";
-      "query ([50-60], Employee*, Company*, Vehicle*)";
-    ]
-  in
-  let total_queries = if quick then 240 else 480 in
-  let dir = Filename.temp_file "uindex_bench_srv" "" in
+  db
+
+let with_temp_dir prefix f =
+  let dir = Filename.temp_file prefix "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let one_run threads =
-    let path = Filename.concat dir (Printf.sprintf "srv%d.sock" threads) in
-    let config =
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> f dir)
+
+(* A server on the Unix socket [dir/name.sock]; [tweak] adjusts the
+   config beyond the worker count and a 30 s request timeout. *)
+let listen ?(tweak = Fun.id) ~workers dir name handler =
+  let path = Filename.concat dir (name ^ ".sock") in
+  let config =
+    tweak
       {
         (Server.default_config (Server.Unix_sock path)) with
-        workers = threads;
-        backlog = 64;
+        workers;
         request_timeout = 30.;
       }
-    in
-    let server = Server.start svc config in
-    Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
-    let per_client = total_queries / threads in
-    let t0 = Unix.gettimeofday () in
-    (* clients are pure I/O, so they ride on systhreads: the domains —
-       and the parallelism under test — belong to the server's workers *)
-    let slots = Array.make threads None in
-    let clients =
-      List.init threads (fun k ->
-          Thread.create
-            (fun () ->
-              let c = Client.connect_unix path in
-              Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-              let lat = Array.make per_client 0. in
-              let cycle = Array.make (List.length mix) "" in
-              for i = 0 to per_client - 1 do
-                let line = List.nth mix (i mod List.length mix) in
-                let q0 = Unix.gettimeofday () in
-                let raw = Client.request_raw c line in
-                lat.(i) <- Unix.gettimeofday () -. q0;
-                (* the stream must be the first mix cycle repeating
-                   exactly: snapshots make replies deterministic *)
-                let j = i mod List.length mix in
-                if i < List.length mix then cycle.(j) <- raw
-                else if raw <> cycle.(j) then
-                  failwith "serve_throughput: reply drifted between cycles"
-              done;
-              (* digest one canonical cycle, comparable across any
-                 thread count and client count *)
-              slots.(k) <-
-                Some
-                  (lat, Digest.string (String.concat "\n" (Array.to_list cycle))))
-            ())
-    in
-    List.iter Thread.join clients;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    let results =
-      Array.to_list slots
-      |> List.map (function
-           | Some r -> r
-           | None -> failwith "serve_throughput: a client thread died")
-    in
-    (* every client ran the same request sequence: their reply streams —
-       and hence digests — must be identical *)
-    let digest =
-      match results with
-      | (_, d) :: rest ->
-          List.iter
-            (fun (_, d') ->
-              if d' <> d then
-                failwith "serve_throughput: clients got different answers")
-            rest;
-          d
-      | [] -> assert false
-    in
-    let lats = Array.concat (List.map fst results) in
-    Array.sort compare lats;
-    let pct p =
-      1e6 *. lats.(min (Array.length lats - 1)
-                     (p * Array.length lats / 100))
-    in
-    {
-      sv_threads = threads;
-      sv_queries = per_client * threads;
-      sv_qps = float_of_int (per_client * threads) /. elapsed;
-      sv_p50_us = pct 50;
-      sv_p99_us = pct 99;
-      sv_digest = digest;
-    }
   in
-  let best threads =
-    let runs = List.init 3 (fun _ -> one_run threads) in
-    List.fold_left
-      (fun acc r -> if r.sv_qps > acc.sv_qps then r else acc)
-      (List.hd runs) (List.tl runs)
-  in
-  let rows = List.map best [ 1; 2; 4 ] in
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%d thread(s): %7.1f queries/s  p50 %8.1f us  p99 %8.1f us  (%d \
-         queries, digest %s)\n"
-        r.sv_threads r.sv_qps r.sv_p50_us r.sv_p99_us r.sv_queries
-        (Digest.to_hex r.sv_digest))
-    rows;
-  rows
+  (Server.start_handler handler config, path)
+
+let serving ?tweak ~workers dir name handler f =
+  let server, path = listen ?tweak ~workers dir name handler in
+  Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f path)
+
+(* --- serve throughput: the concurrent query service -------------------------- *)
+
+(* N socket clients against a server with N workers, best-of-3 by qps
+   (a fresh server per run) to damp scheduler noise.  check_results
+   asserts the digests agree across thread counts — concurrent serving
+   returns exactly the sequential answers — and that 4 workers keep up
+   with 1. *)
+let run_serve_throughput (e : Dg.exp1) =
+  section "Serve throughput: N clients vs N workers, snapshot per request";
+  let svc = Service.create ~schema:e.ext.b.schema (served_db e) in
+  with_temp_dir "uindex_bench_srv" @@ fun dir ->
+  List.map
+    (fun threads ->
+      let run () =
+        serving ~workers:threads dir "srv" (Server.handler_of_service svc)
+        @@ fun path ->
+        Loadgen.run ~name:"serve_throughput" ~mix:served_mix ~clients:threads
+          ~per_client:(served_queries / threads) (Loadgen.socket path)
+      in
+      let r = Loadgen.best_of 3 ~by:(fun (r : Loadgen.result) -> r.qps) run in
+      Loadgen.row [ ("threads", Obs.Json.Int threads) ] r)
+    [ 1; 2; 4 ]
 
 (* --- mixed read/write serve throughput --------------------------------------- *)
 
@@ -1123,38 +1071,16 @@ let run_serve_throughput (e : Dg.exp1) =
    amortize below one fsync per commit (check_results hard-fails
    otherwise).  Writers insert colors no benchmark query matches, so
    reader replies — and their digests — stay identical across rows and
-   to a write-free run.  Runs even under UINDEX_BENCH_SKIP_TIMING: the
-   fsyncs-per-commit ratio is scheduling-independent. *)
-type mixed_row = {
-  mx_threads : int; (* reader clients = server workers = writers *)
-  mx_writers : int;
-  mx_queries : int;
-  mx_qps : float;
-  mx_p50_us : float;
-  mx_p99_us : float;
-  mx_digest : string;
-  mx_commits : int;
-  mx_commits_per_sec : float;
-  mx_fsyncs : int;
-  mx_fsyncs_per_commit : float;
-  mx_groups : int;
-}
-
-let metric name =
-  Option.value ~default:0 (Obs.Metrics.find Obs.Metrics.default name)
-
+   to a write-free run.  The fsyncs-per-commit ratio is
+   scheduling-independent. *)
 let run_serve_mixed (e : Dg.exp1) =
   section "Serve throughput, mixed: N readers + N committing writers";
-  let module Db = Uindex.Db in
-  let module Server = Uindex_server.Server in
-  let module Service = Uindex_server.Service in
-  let module Client = Uindex_server.Client in
   let b = e.ext.b in
-  let dir = Filename.temp_file "uindex_bench_mix" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let pages = Filename.concat dir "mixed.pages" in
-  let pager = Storage.Pager.create_file ~page_size:1024 pages in
+  with_temp_dir "uindex_bench_mix" @@ fun dir ->
+  let pager =
+    Storage.Pager.create_file ~page_size:1024
+      (Filename.concat dir "mixed.pages")
+  in
   let ch =
     Index.create_class_hierarchy pager b.enc ~root:b.vehicle ~attr:"color"
   in
@@ -1163,12 +1089,9 @@ let run_serve_mixed (e : Dg.exp1) =
   Db.sync db;
   Db.set_group_window db 0.002;
   let svc = Service.create ~schema:b.schema db in
-  (* arity-1 mix only: the sole attached index is the file-backed
+  (* arity-1 queries only: the sole attached index is the file-backed
      class-hierarchy one *)
-  let mix =
-    [ "query (Red, Bus*)"; "query (White, Vehicle*)"; "query-forward (Red, Bus*)" ]
-  in
-  let total_queries = if quick then 240 else 480 in
+  let mix = Array.sub served_mix 0 3 in
   let min_commits = if quick then 20 else 40 in
   (* replies carry per-request I/O accounting (page_reads etc.) that
      legitimately moves as writers grow the tree; only the answer itself
@@ -1181,350 +1104,166 @@ let run_serve_mixed (e : Dg.exp1) =
           (Obs.Json.Obj (List.filter_map take [ "ok"; "type"; "count"; "rows" ]))
     | exception Obs.Json.Parse_error _ -> raw
   in
-  let one_run threads =
-    let path = Filename.concat dir (Printf.sprintf "mix%d.sock" threads) in
-    let config =
-      {
-        (Server.default_config (Server.Unix_sock path)) with
-        workers = threads;
-        backlog = 64;
-        request_timeout = 30.;
-      }
-    in
-    let fsyncs0 = metric "journal.fsyncs" in
-    let groups0 = metric "journal.group_commits" in
-    let server = Server.start svc config in
-    Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
-    let per_client = total_queries / threads in
-    let stop_writers = Atomic.make false in
-    let commit_counts = Array.make threads 0 in
-    let t0 = Unix.gettimeofday () in
-    let writers =
-      List.init threads (fun w ->
-          Thread.create
-            (fun () ->
-              let n = ref 0 in
-              while (not (Atomic.get stop_writers)) || !n < min_commits do
-                let color =
-                  Printf.sprintf "zz-mix-%d-%d-%d" threads w !n
-                in
-                ignore
-                  (Db.insert db ~cls:b.vehicle [ ("color", Value.Str color) ]);
-                ignore (Db.commit db);
-                incr n
-              done;
-              commit_counts.(w) <- !n)
-            ())
-    in
-    let slots = Array.make threads None in
-    let clients =
-      List.init threads (fun k ->
-          Thread.create
-            (fun () ->
-              let c = Client.connect_unix path in
-              Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-              let lat = Array.make per_client 0. in
-              let cycle = Array.make (List.length mix) "" in
-              for i = 0 to per_client - 1 do
-                let line = List.nth mix (i mod List.length mix) in
-                let q0 = Unix.gettimeofday () in
-                let raw = stable (Client.request_raw c line) in
-                lat.(i) <- Unix.gettimeofday () -. q0;
-                (* writers never touch queried values, so the answers
-                   must still be the first cycle repeating exactly *)
-                let j = i mod List.length mix in
-                if i < List.length mix then cycle.(j) <- raw
-                else if raw <> cycle.(j) then
-                  failwith "serve_mixed: reply drifted between cycles"
-              done;
-              slots.(k) <-
-                Some
-                  (lat, Digest.string (String.concat "\n" (Array.to_list cycle))))
-            ())
-    in
-    List.iter Thread.join clients;
-    let read_elapsed = Unix.gettimeofday () -. t0 in
-    Atomic.set stop_writers true;
-    List.iter Thread.join writers;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    (* sample before Server.stop: its drain runs one final sync *)
-    let fsyncs = metric "journal.fsyncs" - fsyncs0 in
-    let groups = metric "journal.group_commits" - groups0 in
-    let commits = Array.fold_left ( + ) 0 commit_counts in
-    let results =
-      Array.to_list slots
-      |> List.map (function
-           | Some r -> r
-           | None -> failwith "serve_mixed: a client thread died")
-    in
-    let digest =
-      match results with
-      | (_, d) :: rest ->
-          List.iter
-            (fun (_, d') ->
-              if d' <> d then
-                failwith "serve_mixed: clients got different answers")
-            rest;
-          d
-      | [] -> assert false
-    in
-    let lats = Array.concat (List.map fst results) in
-    Array.sort compare lats;
-    let pct p =
-      1e6 *. lats.(min (Array.length lats - 1) (p * Array.length lats / 100))
-    in
-    {
-      mx_threads = threads;
-      mx_writers = threads;
-      mx_queries = per_client * threads;
-      mx_qps = float_of_int (per_client * threads) /. read_elapsed;
-      mx_p50_us = pct 50;
-      mx_p99_us = pct 99;
-      mx_digest = digest;
-      mx_commits = commits;
-      mx_commits_per_sec = float_of_int commits /. elapsed;
-      mx_fsyncs = fsyncs;
-      mx_fsyncs_per_commit =
-        (if commits = 0 then infinity
-         else float_of_int fsyncs /. float_of_int commits);
-      mx_groups = groups;
-    }
-  in
-  let rows = List.map one_run [ 1; 2; 4 ] in
-  (try Sys.remove pages with Sys_error _ -> ());
-  (try Sys.remove (pages ^ ".journal") with Sys_error _ -> ());
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%dr+%dw: %7.1f queries/s  %6.1f commits/s  %.2f fsyncs/commit (%d \
-         commits in %d groups)  p99 %8.1f us  digest %s\n"
-        r.mx_threads r.mx_writers r.mx_qps r.mx_commits_per_sec
-        r.mx_fsyncs_per_commit r.mx_commits r.mx_groups r.mx_p99_us
-        (Digest.to_hex r.mx_digest))
-    rows;
-  rows
+  List.map
+    (fun threads ->
+      let fsyncs0 = metric "journal.fsyncs" in
+      let groups0 = metric "journal.group_commits" in
+      serving ~workers:threads dir "mix" (Server.handler_of_service svc)
+      @@ fun path ->
+      let stop = Atomic.make false in
+      let commits = Array.make threads 0 in
+      let t0 = Loadgen.now () in
+      let join_writers =
+        Loadgen.spawn threads (fun w ->
+            while (not (Atomic.get stop)) || commits.(w) < min_commits do
+              let color =
+                Value.Str (Printf.sprintf "zz-mix-%d-%d-%d" threads w commits.(w))
+              in
+              ignore (Db.insert db ~cls:b.vehicle [ ("color", color) ]);
+              ignore (Db.commit db);
+              commits.(w) <- commits.(w) + 1
+            done)
+      in
+      let r =
+        Fun.protect
+          ~finally:(fun () -> Atomic.set stop true)
+          (fun () ->
+            Loadgen.run ~name:"serve_mixed" ~mix ~clients:threads
+              ~per_client:(served_queries / threads) ~canon:stable
+              (Loadgen.socket path))
+      in
+      join_writers ();
+      let elapsed = Loadgen.seconds_since t0 in
+      (* sample before Server.stop: its drain runs one final sync *)
+      let fsyncs = metric "journal.fsyncs" - fsyncs0 in
+      let groups = metric "journal.group_commits" - groups0 in
+      let commits = Array.fold_left ( + ) 0 commits in
+      Loadgen.row
+        [ ("threads", Int threads); ("writers", Int threads) ]
+        r
+        ~extras:
+          [
+            ("commits", Int commits);
+            ("commits_per_sec", Float (float_of_int commits /. elapsed));
+            ("fsyncs", Int fsyncs);
+            ( "fsyncs_per_commit",
+              Float
+                (if commits = 0 then infinity
+                 else float_of_int fsyncs /. float_of_int commits) );
+            ("groups", Int groups);
+          ])
+    [ 1; 2; 4 ]
 
 (* --- telemetry overhead ------------------------------------------------------ *)
 
-(* The same request mix as serve_throughput, driven straight through
-   Service.serve_line (no sockets, so the comparison isolates exactly
-   what telemetry adds): tracing off + slow log disabled vs tracing
-   every request + a threshold-0 slow log that admits all of them.
-   Reply bytes must not change — telemetry that alters responses would
-   break the cross-mode digest — and check_results gates the traced p50
-   at <= 110% of the untraced one.  Best-of-3 by p50 damps scheduler
-   noise. *)
-type tel_row = {
-  tl_mode : string;
-  tl_queries : int;
-  tl_p50_us : float;
-  tl_p99_us : float;
-  tl_digest : string;
-  tl_slow : int;
-}
-
+(* The served mix driven straight through Service.serve_line (no
+   sockets, so the comparison isolates exactly what telemetry adds):
+   tracing off + slow log disabled vs tracing every request + a
+   threshold-0 slow log that admits all of them.  Reply bytes must not
+   change — telemetry that alters responses would break the cross-mode
+   digest — and check_results gates the traced p50 at <= 110% of the
+   untraced one.  Best-of-3 by p50 damps scheduler noise. *)
 let run_telemetry_overhead (e : Dg.exp1) =
   section "Telemetry overhead: tracing + slow-log on vs off, fixed digest";
-  let module Db = Uindex.Db in
-  let module Service = Uindex_server.Service in
-  let db = Db.create e.store in
-  Db.attach_index db e.ch_color;
-  Db.attach_index db e.path_age;
-  let mix =
-    [|
-      "query (Red, Bus*)";
-      "query (White, Vehicle*)";
-      "query-forward (Red, Bus*)";
-      "query ([50-60], Employee*, Company*, Vehicle*)";
-    |]
-  in
-  let total = if quick then 240 else 480 in
-  let make_service traced =
-    let telemetry =
-      if traced then
-        {
-          Service.tracing = true;
-          sample_every = 1;
-          slow_threshold_ns = 0;
-          slow_capacity = 64;
-        }
-      else
-        {
-          Service.tracing = false;
-          sample_every = 1;
-          slow_threshold_ns = max_int;
-          slow_capacity = 0;
-        }
-    in
-    Service.create ~telemetry ~schema:e.ext.b.schema db
-  in
-  let one_run svc =
-    let n_mix = Array.length mix in
-    let lat = Array.make total 0. in
-    let cycle = Array.make n_mix "" in
-    let slow0 = metric "server.slow_queries" in
-    for i = 0 to total - 1 do
-      let line = mix.(i mod n_mix) in
-      let q0 = Unix.gettimeofday () in
-      let raw = Service.serve_line svc line in
-      lat.(i) <- Unix.gettimeofday () -. q0;
-      let j = i mod n_mix in
-      if i < n_mix then cycle.(j) <- raw
-      else if raw <> cycle.(j) then
-        failwith "telemetry_overhead: reply drifted between cycles"
-    done;
-    let slow = metric "server.slow_queries" - slow0 in
-    Array.sort compare lat;
-    let pct p = 1e6 *. lat.(min (total - 1) (p * total / 100)) in
-    (pct 50, pct 99, Digest.string (String.concat "\n" (Array.to_list cycle)), slow)
-  in
-  let row mode traced =
-    let svc = make_service traced in
+  let db = served_db e in
+  let row mode telemetry =
+    let svc = Service.create ~telemetry ~schema:e.ext.b.schema db in
     (* one untimed warm cycle so first-touch costs don't bias run 1 *)
-    Array.iter (fun l -> ignore (Service.serve_line svc l)) mix;
-    let p50, p99, digest, slow =
-      List.init 3 (fun _ -> one_run svc)
-      |> List.fold_left
-           (fun acc ((p50, _, _, _) as r) ->
-             match acc with
-             | Some ((best, _, _, _) as a) ->
-                 Some (if p50 < best then r else a)
-             | None -> Some r)
-           None
-      |> Option.get
+    Array.iter (fun l -> ignore (Service.serve_line svc l)) served_mix;
+    let run () =
+      let slow0 = metric "server.slow_queries" in
+      let r =
+        Loadgen.run ~name:"telemetry_overhead" ~mix:served_mix ~clients:1
+          ~per_client:served_queries (Loadgen.in_process svc)
+      in
+      (r, metric "server.slow_queries" - slow0)
     in
-    {
-      tl_mode = mode;
-      tl_queries = total;
-      tl_p50_us = p50;
-      tl_p99_us = p99;
-      tl_digest = digest;
-      tl_slow = slow;
-    }
+    let r, slow =
+      Loadgen.best_of 3 ~by:(fun ((r : Loadgen.result), _) -> -.r.p50_us) run
+    in
+    Loadgen.row [ ("mode", Str mode) ] r ~extras:[ ("slow_entries", Int slow) ]
   in
-  let rows = [ row "off" false; row "on" true ] in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "telemetry %-3s: p50 %8.1f us  p99 %8.1f us  (%d queries, %d slow \
-         entries, digest %s)\n"
-        r.tl_mode r.tl_p50_us r.tl_p99_us r.tl_queries r.tl_slow
-        (Digest.to_hex r.tl_digest))
-    rows;
-  rows
+  [
+    row "off"
+      {
+        Service.tracing = false;
+        sample_every = 1;
+        slow_threshold_ns = max_int;
+        slow_capacity = 0;
+      };
+    row "on"
+      {
+        Service.tracing = true;
+        sample_every = 1;
+        slow_threshold_ns = 0;
+        slow_capacity = 64;
+      };
+  ]
 
 (* --- chaos resilience --------------------------------------------------------- *)
 
-(* The serve_throughput mix fired through the retrying client at a
-   chaos-armed server: connection resets, truncated replies, injected
-   delays, slow-loris reads and worker crashes.  check_results gates the
-   story: both rows' digests must equal serve_throughput's
-   (byte-identical answers survive the storm), the chaos row must have
-   actually injected faults and spent retries, and its success rate must
-   stay above threshold — availability through retries, not luck. *)
-type chaos_row = {
-  cr_mode : string; (* "off" | "on" *)
-  cr_queries : int;
-  cr_ok : int; (* replies byte-identical to the fault-free answer *)
-  cr_typed_errors : int; (* conclusive typed error replies *)
-  cr_failed : int; (* retry exhaustion *)
-  cr_retries : int;
-  cr_faults : int; (* chaos.* injections during the run *)
-  cr_worker_restarts : int;
-  cr_success_rate : float;
-  cr_digest : string; (* digest of one canonical reply cycle *)
-}
-
+(* The served mix fired through the retrying client at a chaos-armed
+   server: connection resets, truncated replies, injected delays,
+   slow-loris reads and worker crashes.  Every accepted reply must be
+   byte-identical to the fault-free answer from the service itself;
+   the digest is built from those accepted replies.  check_results
+   gates the story: both rows' digests must equal serve_throughput's,
+   the chaos row must have actually injected faults and spent retries,
+   and its success rate must stay above threshold — availability
+   through retries, not luck. *)
 let run_chaos_resilience (e : Dg.exp1) =
   section "Chaos resilience: retrying client vs fault-injected server";
-  let module Db = Uindex.Db in
-  let module Server = Uindex_server.Server in
-  let module Service = Uindex_server.Service in
-  let module Client = Uindex_server.Client in
-  let module Chaos = Uindex_server.Chaos in
-  let db = Db.create e.store in
-  Db.attach_index db e.ch_color;
-  Db.attach_index db e.path_age;
-  let svc = Service.create ~schema:e.ext.b.schema db in
-  let mix =
-    [|
-      "query (Red, Bus*)";
-      "query (White, Vehicle*)";
-      "query-forward (Red, Bus*)";
-      "query ([50-60], Employee*, Company*, Vehicle*)";
-    |]
+  let svc = Service.create ~schema:e.ext.b.schema (served_db e) in
+  let expected = Array.map (Service.serve_line svc) served_mix in
+  let policy =
+    {
+      Client.attempts = 10;
+      base_delay = 0.002;
+      max_delay = 0.05;
+      jitter = 0.5;
+      retry_seed = 42;
+    }
   in
-  (* the fault-free answers, straight from the service *)
-  let expected = Array.map (fun l -> Service.serve_line svc l) mix in
-  let total = if quick then 240 else 480 in
-  let dir = Filename.temp_file "uindex_bench_chaos" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let one_run mode chaos =
-    let path = Filename.concat dir (Printf.sprintf "chaos_%s.sock" mode) in
-    let config =
+  let retrying path _ =
+    let c = Client.retrying ~timeout:5. ~policy path in
+    {
+      Loadgen.send = Client.retry_request_raw c;
+      close = (fun () -> Client.retry_close c);
+    }
+  in
+  with_temp_dir "uindex_bench_chaos" @@ fun dir ->
+  let row mode chaos =
+    let faults0 = metric "chaos.faults" in
+    let restarts0 = metric "server.worker_restarts" in
+    let retries0 = metric "client.retries" in
+    let tweak c =
       {
-        (Server.default_config (Server.Unix_sock path)) with
-        workers = 2;
-        backlog = 64;
-        request_timeout = 5.;
-        chaos = Option.map Chaos.arm chaos;
+        c with
+        Server.request_timeout = 5.;
+        chaos = Option.map Uindex_server.Chaos.arm chaos;
         restart_budget = 100_000;
       }
     in
-    let faults0 = metric "chaos.faults" in
-    let restarts0 = metric "server.worker_restarts" in
-    let server = Server.start svc config in
-    let ok = ref 0 and typed = ref 0 and failed = ref 0 in
-    let policy =
-      {
-        Client.attempts = 10;
-        base_delay = 0.002;
-        max_delay = 0.05;
-        jitter = 0.5;
-        retry_seed = 42;
-      }
+    serving ~tweak ~workers:2 dir ("chaos_" ^ mode)
+      (Server.handler_of_service svc)
+    @@ fun path ->
+    let r =
+      Loadgen.run ~name:"chaos_resilience" ~mix:served_mix ~clients:1
+        ~per_client:served_queries ~expected ~errors_ok:true (retrying path)
     in
-    let r = Client.retrying ~timeout:5. ~policy path in
-    Fun.protect
-      ~finally:(fun () ->
-        Client.retry_close r;
-        Server.stop server)
-    @@ fun () ->
-    for i = 0 to total - 1 do
-      let j = i mod Array.length mix in
-      match Client.retry_request_raw r mix.(j) with
-      | raw ->
-          if raw = expected.(j) then incr ok
-          else begin
-            (* the injector never mutates bytes, so anything else must
-               be a typed error document *)
-            (match Obs.Json.of_string raw with
-            | exception _ -> failwith "chaos_resilience: unparseable reply"
-            | resp ->
-                if Uindex_server.Protocol.response_is_ok resp then
-                  failwith "chaos_resilience: silent wrong answer");
-            incr typed
-          end
-      | exception Client.Error (Client.Exhausted _) -> incr failed
-    done;
-    {
-      cr_mode = mode;
-      cr_queries = total;
-      cr_ok = !ok;
-      cr_typed_errors = !typed;
-      cr_failed = !failed;
-      cr_retries = Client.retry_count r;
-      cr_faults = metric "chaos.faults" - faults0;
-      cr_worker_restarts = metric "server.worker_restarts" - restarts0;
-      cr_success_rate = float_of_int !ok /. float_of_int total;
-      cr_digest = Digest.string (String.concat "\n" (Array.to_list expected));
-    }
+    Loadgen.row [ ("mode", Str mode) ] r
+      ~extras:
+        [
+          ("retries", Int (metric "client.retries" - retries0));
+          ("faults", Int (metric "chaos.faults" - faults0));
+          ( "worker_restarts",
+            Int (metric "server.worker_restarts" - restarts0) );
+          ("success_rate", Float (float_of_int r.ok /. float_of_int r.queries));
+        ]
   in
   let storm =
     {
-      Chaos.seed = 42;
+      Uindex_server.Chaos.seed = 42;
       reset = 0.05;
       partial = 0.05;
       truncate = 0.02;
@@ -1534,18 +1273,7 @@ let run_chaos_resilience (e : Dg.exp1) =
       delay_ms = 1.;
     }
   in
-  let rows = [ one_run "off" None; one_run "on" (Some storm) ] in
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  List.iter
-    (fun r ->
-      Printf.printf
-        "chaos %-3s: %d/%d ok (%.1f%%)  %d typed errors  %d failed  %d \
-         retries  %d faults  %d respawns  digest %s\n"
-        r.cr_mode r.cr_ok r.cr_queries (100. *. r.cr_success_rate)
-        r.cr_typed_errors r.cr_failed r.cr_retries r.cr_faults
-        r.cr_worker_restarts (Digest.to_hex r.cr_digest))
-    rows;
-  rows
+  [ row "off" None; row "on" (Some storm) ]
 
 (* --- bulk load vs incremental build ------------------------------------------ *)
 
@@ -1629,43 +1357,25 @@ let run_bulk_load () =
    by at least 2x (gated by check_results when serve_cores >= 8; an
    anti-collapse floor otherwise).  Clients start the mix at staggered
    offsets so lock-step rounds cannot pile onto one shard. *)
-type shard_scaling_row = {
-  ss_shards : int;
-  ss_queries : int;
-  ss_qps : float;
-  ss_p50_us : float;
-  ss_p99_us : float;
-  ss_digest : string;
-}
-
 let run_shard_scaling (e : Dg.exp1) =
   section "Shard scaling: scatter-gather router over 1/2/4 COD-range shards";
-  let module Db = Uindex.Db in
-  let module Server = Uindex_server.Server in
-  let module Service = Uindex_server.Service in
-  let module Client = Uindex_server.Client in
   let module Smap = Uindex_shard.Shard_map in
   let module Splitter = Uindex_shard.Splitter in
   let module Router = Uindex_shard.Router in
   let b = e.ext.b in
   let mix =
-    [
+    [|
       "query (Red, Bus*)";
       "query (Blue, Automobile*)";
       "query (Green, Truck*)";
       "query (Black, CompactAutomobile)";
       "query (White, Vehicle*)";
       "query ([50-60], Employee*, Company*, Vehicle*)";
-    ]
+    |]
   in
-  let n_mix = List.length mix in
   let clients = 8 in
-  let total_queries = if quick then 240 else 480 in
-  let per_client = total_queries / clients in
-  let dir = Filename.temp_file "uindex_bench_shard" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let one_deployment shards =
+  with_temp_dir "uindex_bench_shard" @@ fun dir ->
+  let deployment shards =
     let bounds =
       if shards = 1 then []
       else Splitter.choose_boundaries ~source:e.ch_color ~shards
@@ -1684,118 +1394,33 @@ let run_shard_scaling (e : Dg.exp1) =
             (Splitter.restrict ~source:e.ch_color map i (Storage.Pager.create ()));
           Db.attach_index db
             (Splitter.restrict ~source:e.path_age map i (Storage.Pager.create ()));
-          let svc = Service.create ~schema:b.schema db in
-          let path = Filename.concat dir (Printf.sprintf "s%d_%d.sock" shards i) in
-          let config =
-            {
-              (Server.default_config (Server.Unix_sock path)) with
-              workers = 2;
-              backlog = 64;
-              request_timeout = 30.;
-            }
-          in
-          (Server.start svc config, path))
+          listen ~workers:2 dir
+            (Printf.sprintf "s%d_%d" shards i)
+            (Server.handler_of_service (Service.create ~schema:b.schema db)))
     in
+    Fun.protect ~finally:(fun () ->
+        Array.iter (fun (s, _) -> Server.stop s) shard_servers)
+    @@ fun () ->
     let router =
       Router.create ~schema:b.schema ~enc:b.enc ~map
         ~backends:(Array.map (fun (_, p) -> Router.Remote p) shard_servers)
         ()
     in
-    let rpath = Filename.concat dir (Printf.sprintf "router%d.sock" shards) in
-    let rconfig =
-      {
-        (Server.default_config (Server.Unix_sock rpath)) with
-        workers = clients;
-        backlog = 64;
-        request_timeout = 30.;
-      }
+    serving ~workers:clients dir
+      (Printf.sprintf "router%d" shards)
+      (Router.handler router)
+    @@ fun path ->
+    (* shard indexes are built once per deployment; best-of-3 timed
+       client phases damp scheduler noise *)
+    let run () =
+      Loadgen.run ~name:"shard_scaling" ~mix ~clients
+        ~per_client:(served_queries / clients) ~stagger:true
+        ~canon:Router.canonical_projection (Loadgen.socket path)
     in
-    let rserver = Server.start_handler (Router.handler router) rconfig in
-    let one_run () =
-      let slots = Array.make clients None in
-      let t0 = Unix.gettimeofday () in
-      let threads =
-        List.init clients (fun k ->
-            Thread.create
-              (fun () ->
-                let c = Client.connect_unix rpath in
-                Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-                let lat = Array.make per_client 0. in
-                let cycle = Array.make n_mix "" in
-                for i = 0 to per_client - 1 do
-                  (* staggered start: client k leads with mix slot k *)
-                  let j = (i + k) mod n_mix in
-                  let q0 = Unix.gettimeofday () in
-                  let raw = Client.request_raw c (List.nth mix j) in
-                  lat.(i) <- Unix.gettimeofday () -. q0;
-                  let canon = Router.canonical_projection raw in
-                  if i < n_mix then cycle.(j) <- canon
-                  else if canon <> cycle.(j) then
-                    failwith "shard_scaling: reply drifted between cycles"
-                done;
-                slots.(k) <-
-                  Some
-                    ( lat,
-                      Digest.string (String.concat "\n" (Array.to_list cycle))
-                    ))
-              ())
-      in
-      List.iter Thread.join threads;
-      let elapsed = Unix.gettimeofday () -. t0 in
-      let results =
-        Array.to_list slots
-        |> List.map (function
-             | Some r -> r
-             | None -> failwith "shard_scaling: a client thread died")
-      in
-      let digest =
-        match results with
-        | (_, d) :: rest ->
-            List.iter
-              (fun (_, d') ->
-                if d' <> d then
-                  failwith "shard_scaling: clients got different answers")
-              rest;
-            d
-        | [] -> assert false
-      in
-      let lats = Array.concat (List.map fst results) in
-      Array.sort compare lats;
-      let pct p =
-        1e6 *. lats.(min (Array.length lats - 1) (p * Array.length lats / 100))
-      in
-      {
-        ss_shards = Smap.count map;
-        ss_queries = per_client * clients;
-        ss_qps = float_of_int (per_client * clients) /. elapsed;
-        ss_p50_us = pct 50;
-        ss_p99_us = pct 99;
-        ss_digest = digest;
-      }
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Server.stop rserver;
-        Array.iter (fun (s, _) -> Server.stop s) shard_servers)
-      (fun () ->
-        (* shard indexes are built once per deployment; best-of-3 timed
-           client phases damp scheduler noise *)
-        let runs = List.init 3 (fun _ -> one_run ()) in
-        List.fold_left
-          (fun acc r -> if r.ss_qps > acc.ss_qps then r else acc)
-          (List.hd runs) (List.tl runs))
+    let r = Loadgen.best_of 3 ~by:(fun (r : Loadgen.result) -> r.qps) run in
+    Loadgen.row [ ("shards", Int (Smap.count map)) ] r
   in
-  let rows = List.map one_deployment [ 1; 2; 4 ] in
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%d shard(s): %7.1f queries/s  p50 %8.1f us  p99 %8.1f us  (%d \
-         queries, canonical digest %s)\n"
-        r.ss_shards r.ss_qps r.ss_p50_us r.ss_p99_us r.ss_queries
-        (Digest.to_hex r.ss_digest))
-    rows;
-  rows
+  List.map deployment [ 1; 2; 4 ]
 
 (* --- machine-readable results ---------------------------------------------- *)
 
@@ -1843,71 +1468,6 @@ let write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~serve ~mixed
         ("ns_off", Float r.ck_ns_off);
       ]
   in
-  let sv_row r =
-    Obj
-      [
-        ("threads", Int r.sv_threads);
-        ("queries", Int r.sv_queries);
-        ("qps", Float r.sv_qps);
-        ("p50_us", Float r.sv_p50_us);
-        ("p99_us", Float r.sv_p99_us);
-        ("digest", Str (Digest.to_hex r.sv_digest));
-      ]
-  in
-  let mx_row r =
-    Obj
-      [
-        ("threads", Int r.mx_threads);
-        ("writers", Int r.mx_writers);
-        ("queries", Int r.mx_queries);
-        ("qps", Float r.mx_qps);
-        ("p50_us", Float r.mx_p50_us);
-        ("p99_us", Float r.mx_p99_us);
-        ("digest", Str (Digest.to_hex r.mx_digest));
-        ("commits", Int r.mx_commits);
-        ("commits_per_sec", Float r.mx_commits_per_sec);
-        ("fsyncs", Int r.mx_fsyncs);
-        ("fsyncs_per_commit", Float r.mx_fsyncs_per_commit);
-        ("groups", Int r.mx_groups);
-      ]
-  in
-  let tel_row r =
-    Obj
-      [
-        ("mode", Str r.tl_mode);
-        ("queries", Int r.tl_queries);
-        ("p50_us", Float r.tl_p50_us);
-        ("p99_us", Float r.tl_p99_us);
-        ("digest", Str (Digest.to_hex r.tl_digest));
-        ("slow_entries", Int r.tl_slow);
-      ]
-  in
-  let cr_row r =
-    Obj
-      [
-        ("mode", Str r.cr_mode);
-        ("queries", Int r.cr_queries);
-        ("ok", Int r.cr_ok);
-        ("typed_errors", Int r.cr_typed_errors);
-        ("failed", Int r.cr_failed);
-        ("retries", Int r.cr_retries);
-        ("faults", Int r.cr_faults);
-        ("worker_restarts", Int r.cr_worker_restarts);
-        ("success_rate", Float r.cr_success_rate);
-        ("digest", Str (Digest.to_hex r.cr_digest));
-      ]
-  in
-  let ss_row r =
-    Obj
-      [
-        ("shards", Int r.ss_shards);
-        ("queries", Int r.ss_queries);
-        ("qps", Float r.ss_qps);
-        ("p50_us", Float r.ss_p50_us);
-        ("p99_us", Float r.ss_p99_us);
-        ("digest", Str (Digest.to_hex r.ss_digest));
-      ]
-  in
   let bulk_obj =
     Obj
       [
@@ -1934,11 +1494,11 @@ let write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~serve ~mixed
         (* scaling assertions only make sense with real cores to scale
            onto; check_results keys its serve gate on this *)
         ("serve_cores", Int (Domain.recommended_domain_count ()));
-        ("serve_throughput", List (List.map sv_row serve));
-        ("serve_mixed", List (List.map mx_row mixed));
-        ("telemetry_overhead", List (List.map tel_row telemetry));
-        ("chaos_resilience", List (List.map cr_row chaos));
-        ("shard_scaling", List (List.map ss_row shard));
+        ("serve_throughput", List serve);
+        ("serve_mixed", List mixed);
+        ("telemetry_overhead", List telemetry);
+        ("chaos_resilience", List chaos);
+        ("shard_scaling", List shard);
         ("bulk_load", bulk_obj);
         ("metrics", Obs.Metrics.to_json Obs.Metrics.default);
       ]
@@ -1968,8 +1528,6 @@ let () =
   run_buffer_pool ();
   run_entry_layout ();
   if Sys.getenv_opt "UINDEX_BENCH_SKIP_TIMING" <> Some "1" then run_timing ();
-  (* wall-clock by nature, so not gated on SKIP_TIMING: its qps/p99 rows
-     and cross-thread digests are what check_results gates on *)
   let serve = run_serve_throughput e1 in
   (* telemetry must run before serve_mixed mutates e1's store: its digest
      is gated against serve_throughput's *)

@@ -104,6 +104,19 @@ let demo_cmd =
     (Cmd.info "demo" ~doc:"Example 1 database and the Section 3.3 queries.")
     Term.(const run $ const ())
 
+(* --- flags shared by several subcommands ---------------------------------- *)
+
+let n_arg ?(default = 12_000) () =
+  Arg.(value & opt int default & info [ "n" ] ~doc:"Number of vehicles.")
+
+let seed_arg ?(default = 1) () =
+  Arg.(value & opt int default & info [ "seed" ] ~doc:"Generator seed.")
+
+let page_size_arg ?(doc = "Page size in bytes.") ?docv () =
+  Arg.(value & opt int 1024 & info [ "page-size" ] ?docv ~doc)
+
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
+
 (* --- query --------------------------------------------------------------- *)
 
 (* shared by query/explain: size of the cross-query LRU buffer pool; 0
@@ -162,10 +175,8 @@ let query_cmd =
       o.Exec.entries_scanned;
     pool_report e.ch_color
   in
-  let n =
-    Arg.(value & opt int 12_000 & info [ "n" ] ~doc:"Number of vehicles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
+  let n = n_arg () in
+  let seed = seed_arg () in
   let cls =
     Arg.(value & opt string "Bus" & info [ "class" ] ~doc:"Class subtree to query.")
   in
@@ -241,8 +252,8 @@ let run_cmd =
                  contiguous range; candidates are generated lazily)"
         end
   in
-  let n = Arg.(value & opt int 12_000 & info [ "n" ] ~doc:"Number of vehicles.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
+  let n = n_arg () in
+  let seed = seed_arg () in
   let qstr =
     Arg.(
       required
@@ -319,8 +330,8 @@ let explain_cmd =
              range; candidates are generated lazily — use --analyze to see \
              what the scan actually does)"
   in
-  let n = Arg.(value & opt int 12_000 & info [ "n" ] ~doc:"Number of vehicles.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
+  let n = n_arg () in
+  let seed = seed_arg () in
   let qstr =
     Arg.(
       required
@@ -343,11 +354,7 @@ let explain_cmd =
              happened (per-descent page reads, entries, bindings) instead \
              of the static search tree.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"With $(b,--analyze): print the span tree as JSON.")
-  in
+  let json = json_arg "With $(b,--analyze): print the span tree as JSON." in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -605,13 +612,9 @@ let stats_cmd =
             stats_multi specs json)
     | None -> run_canned n_vehicles seed json
   in
-  let n =
-    Arg.(value & opt int 2_000 & info [ "n" ] ~doc:"Number of vehicles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Dump the registry as JSON.")
-  in
+  let n = n_arg ~default:2_000 () in
+  let seed = seed_arg () in
+  let json = json_arg "Dump the registry as JSON." in
   let connect =
     Arg.(
       value
@@ -675,13 +678,9 @@ let build_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Page file to create (truncated).")
   in
-  let n =
-    Arg.(value & opt int 12_000 & info [ "n" ] ~doc:"Number of vehicles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
-  let page_size =
-    Arg.(value & opt int 1024 & info [ "page-size" ] ~doc:"Page size in bytes.")
-  in
+  let n = n_arg () in
+  let seed = seed_arg () in
+  let page_size = page_size_arg () in
   let sync_each =
     Arg.(
       value & flag
@@ -737,13 +736,9 @@ let bulk_build_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Page file to create (truncated).")
   in
-  let n =
-    Arg.(value & opt int 12_000 & info [ "n" ] ~doc:"Number of vehicles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
-  let page_size =
-    Arg.(value & opt int 1024 & info [ "page-size" ] ~doc:"Page size in bytes.")
-  in
+  let n = n_arg () in
+  let seed = seed_arg () in
+  let page_size = page_size_arg () in
   let fill =
     Arg.(
       value & opt float 0.9
@@ -883,11 +878,7 @@ let shard_split_cmd =
              shard in range order — what $(b,serve --shard-map) routes \
              to.")
   in
-  let page_size =
-    Arg.(
-      value & opt int 1024
-      & info [ "page-size" ] ~docv:"BYTES" ~doc:"Shard page size.")
-  in
+  let page_size = page_size_arg ~doc:"Shard page size." ~docv:"BYTES" () in
   let fill =
     Arg.(
       value & opt float 0.9
@@ -1029,13 +1020,9 @@ let check_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Page file written by $(b,build).")
   in
-  let n =
-    Arg.(value & opt int 12_000 & info [ "n" ] ~doc:"Number of vehicles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the report as JSON.")
-  in
+  let n = n_arg () in
+  let seed = seed_arg () in
+  let json = json_arg "Print the report as JSON." in
   let query =
     Arg.(
       value
@@ -1091,13 +1078,9 @@ let salvage_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Damaged page file to replace.")
   in
-  let n =
-    Arg.(value & opt int 12_000 & info [ "n" ] ~doc:"Number of vehicles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
-  let page_size =
-    Arg.(value & opt int 1024 & info [ "page-size" ] ~doc:"Page size in bytes.")
-  in
+  let n = n_arg () in
+  let seed = seed_arg () in
+  let page_size = page_size_arg () in
   let out =
     Arg.(
       value
@@ -1107,9 +1090,7 @@ let salvage_cmd =
             "Write the rebuilt index to $(docv) instead of atomically \
              replacing FILE.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the report as JSON.")
-  in
+  let json = json_arg "Print the report as JSON." in
   Cmd.v
     (Cmd.info "salvage"
        ~doc:
@@ -1207,10 +1188,8 @@ let table1_cmd =
     let e = Dg.exp1 ~n_vehicles ~seed () in
     print_string (Ex.render_table1 (Ex.table1 e))
   in
-  let n =
-    Arg.(value & opt int 12_000 & info [ "n" ] ~doc:"Number of vehicles.")
-  in
-  let seed = Arg.(value & opt int 20260706 & info [ "seed" ] ~doc:"Seed.") in
+  let n = n_arg () in
+  let seed = seed_arg ~default:20260706 () in
   Cmd.v
     (Cmd.info "bench-table1" ~doc:"Regenerate Table 1 (visited nodes per query).")
     Term.(const run $ n $ seed)
@@ -1506,10 +1485,8 @@ let serve_cmd =
     | _ -> ());
     Option.iter Storage.Pager.close file_pager
   in
-  let n =
-    Arg.(value & opt int 12_000 & info [ "n" ] ~doc:"Number of vehicles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
+  let n = n_arg () in
+  let seed = seed_arg () in
   let workers =
     Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Worker domains.")
   in
@@ -1877,10 +1854,8 @@ let supervise_cmd =
       & info [ "file" ] ~docv:"FILE"
           ~doc:"Page file the supervised server serves (and recovers).")
   in
-  let n =
-    Arg.(value & opt int 12_000 & info [ "n" ] ~doc:"Number of vehicles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
+  let n = n_arg () in
+  let seed = seed_arg () in
   let socket =
     Arg.(
       value

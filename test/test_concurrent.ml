@@ -469,6 +469,38 @@ let test_snapshot_group_boundaries () =
       Alcotest.(check int) "all bursts visible at the end" (bursts * g)
         (List.length (Db.session_query s idx q).Exec.bindings))
 
+(* Four writer domains doing synchronous commits under a 2 ms group
+   window: a leader waits for trailing committers and flushes them all
+   with one pair of fsyncs, so the journal issues fewer fsyncs — and
+   fewer groups — than there are commits. *)
+let test_group_commit_amortizes () =
+  with_file_db ~seed:24 @@ fun db _idx b ->
+  Db.set_group_window db 0.002;
+  let metric name =
+    Option.value ~default:0 (Obs.Metrics.find Obs.Metrics.default name)
+  in
+  let fsyncs0 = metric "journal.fsyncs" in
+  let groups0 = metric "journal.group_commits" in
+  let writers = 4 and per_writer = 25 in
+  List.init writers (fun w ->
+      Domain.spawn (fun () ->
+          for k = 1 to per_writer do
+            ignore
+              (Db.insert db ~cls:b.vehicle
+                 [ ("color", Value.Str (Printf.sprintf "gc-%d-%d" w k)) ]);
+            ignore (Db.commit db)
+          done))
+  |> List.iter Domain.join;
+  let commits = writers * per_writer in
+  let fsyncs = metric "journal.fsyncs" - fsyncs0 in
+  let groups = metric "journal.group_commits" - groups0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d fsyncs < %d commits" fsyncs commits)
+    true (fsyncs < commits);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d groups < %d commits" groups commits)
+    true (groups < commits)
+
 let () =
   Alcotest.run "concurrent"
     [
@@ -495,5 +527,7 @@ let () =
             test_watermark_monotone;
           Alcotest.test_case "snapshots pin group boundaries" `Quick
             test_snapshot_group_boundaries;
+          Alcotest.test_case "group commit amortizes fsyncs" `Quick
+            test_group_commit_amortizes;
         ] );
     ]

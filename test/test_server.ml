@@ -434,6 +434,45 @@ let test_slow_ring_eviction () =
   Alcotest.(check (option int)) "capacity 0 admits nothing" (Some 0)
     (Json.to_int (member_exn "slow log" "count" (Service.slow_log_json dark)))
 
+(* The bench's served mix through two services over one db: dark
+   (tracing off, slow log disabled) and tracing every request into a
+   threshold-0 slow log.  Telemetry only observes: every reply is
+   byte-identical, and the traced service's slow ring saw the traffic. *)
+let test_telemetry_reply_bytes () =
+  let e = Dg.exp1 ~n_vehicles:300 ~seed:3 () in
+  let db = Db.create e.store in
+  Db.attach_index db e.ch_color;
+  Db.attach_index db e.path_age;
+  let service tracing slow_threshold_ns slow_capacity =
+    Service.create
+      ~telemetry:
+        { Service.tracing; sample_every = 1; slow_threshold_ns; slow_capacity }
+      ~schema:e.ext.b.schema db
+  in
+  let dark = service false max_int 0 and traced = service true 0 64 in
+  let mix =
+    [
+      "query (Red, Bus*)";
+      "query (White, Vehicle*)";
+      "query-forward (Red, Bus*)";
+      "query ([50-60], Employee*, Company*, Vehicle*)";
+    ]
+  in
+  List.iter
+    (fun l ->
+      let d = Service.serve_line dark l in
+      Alcotest.(check bool) ("ok: " ^ l) true
+        (Protocol.response_is_ok (Json.of_string d));
+      Alcotest.(check string) ("byte-identical: " ^ l) d
+        (Service.serve_line traced l))
+    (mix @ mix);
+  let count svc =
+    Json.to_int (member_exn "slow log" "count" (Service.slow_log_json svc))
+  in
+  Alcotest.(check (option int)) "dark slow log empty" (Some 0) (count dark);
+  Alcotest.(check bool) "traced slow ring non-empty" true
+    (Option.value ~default:0 (count traced) > 0)
+
 let test_monotone_counters_under_commits () =
   (* two stats scrapes race a committing writer: every counter delta must
      still be >= 0 — a snapshot must never observe a counter mid-rollback
@@ -737,6 +776,8 @@ let () =
           Alcotest.test_case "trace id echo" `Quick test_trace_id_echo;
           Alcotest.test_case "slow ring eviction" `Quick
             test_slow_ring_eviction;
+          Alcotest.test_case "telemetry never changes reply bytes" `Quick
+            test_telemetry_reply_bytes;
           Alcotest.test_case "monotone counters under commits" `Quick
             test_monotone_counters_under_commits;
           Alcotest.test_case "page-read reconciliation" `Quick
