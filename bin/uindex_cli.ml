@@ -716,10 +716,10 @@ let bulk_build_cmd =
     let ch =
       Index.create_class_hierarchy pager b.enc ~root:b.vehicle ~attr:"color"
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now_ns () in
     Index.build ~fill ch e.store;
     Index.sync ch;
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = float_of_int (Obs.Clock.since_ns t0) /. 1e9 in
     let report = Btree.check_invariants (Index.tree ch) in
     Printf.printf
       "%s: %d entries bulk-loaded into %d pages (avg fill %.2f) in %.3fs (%d \
@@ -1940,7 +1940,7 @@ let top_cmd =
       incr tick;
       let s = Client.stats c in
       let h = Client.health c in
-      let now = Unix.gettimeofday () in
+      let now = float_of_int (Obs.Clock.now_ns ()) /. 1e9 in
       (* rates come from counter deltas between ticks; the first tick has
          no baseline and shows "-" *)
       let rate =
@@ -2031,7 +2031,7 @@ let top_cmd =
       incr tick;
       let ss = List.map Client.stats cs in
       let hs = List.map Client.health cs in
-      let now = Unix.gettimeofday () in
+      let now = float_of_int (Obs.Clock.now_ns ()) /. 1e9 in
       let merged = Obs.Metrics.merge_counters (List.map counters ss) in
       let cols = Array.of_list (List.map counters ss @ [ merged ]) in
       let ncols = Array.length cols in

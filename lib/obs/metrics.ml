@@ -111,8 +111,8 @@ let observe h v =
   Mutex.unlock h.h_lock
 
 let observe_span h f =
-  let t0 = Unix.gettimeofday () in
-  let finally () = observe h (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)) in
+  let t0 = Clock.now_ns () in
+  let finally () = observe h (Clock.since_ns t0) in
   Fun.protect ~finally f
 
 type histogram_summary = {

@@ -66,7 +66,7 @@ val observe : histogram -> int -> unit
 (** Negative observations clamp to 0. *)
 
 val observe_span : histogram -> (unit -> 'a) -> 'a
-(** Times the thunk with the monotonic clock and observes the elapsed
+(** Times the thunk on {!Clock.now_ns} and observes the elapsed
     nanoseconds. *)
 
 type histogram_summary = {

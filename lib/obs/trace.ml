@@ -13,12 +13,50 @@ let add_field sp k v =
   else sp.fields <- sp.fields @ [ (k, v) ]
 
 let add_child sp child = sp.children <- sp.children @ [ child ]
+let add_children sp spans = sp.children <- sp.children @ spans
 
 let field sp k = List.assoc_opt k sp.fields
 
 let rec total sp k =
   let own = match field sp k with Some v -> v | None -> 0 in
   List.fold_left (fun acc c -> acc + total c k) own sp.children
+
+(* --- bounded copies ------------------------------------------------------- *)
+
+let max_children = 64
+
+(* Adds every field of [sp]'s subtree into [acc] (an assoc list of refs in
+   first-seen order, reversed) and returns the number of spans visited. *)
+let rec fold_into acc sp =
+  List.iter
+    (fun (k, v) ->
+      match List.assoc_opt k !acc with
+      | Some r -> r := !r + v
+      | None -> acc := (k, ref v) :: !acc)
+    sp.fields;
+  List.fold_left (fun n c -> n + fold_into acc c) 1 sp.children
+
+let elided folded =
+  let acc = ref [] in
+  let n = List.fold_left (fun n sp -> n + fold_into acc sp) 0 folded in
+  span ~fields:(("spans", n) :: List.rev_map (fun (k, r) -> (k, !r)) !acc) "elided"
+
+(* Top-down: the folded tail of an over-wide node is summed once and never
+   recursed into, and only the kept prefix is compacted further, so every
+   span is visited once.  Nodes with nothing to fold come back physically
+   unchanged. *)
+let rec compact sp =
+  let rec keep i = function
+    | [] -> []
+    | rest when i = max_children - 1 && List.compare_length_with rest 1 > 0 ->
+        [ elided rest ]
+    | c :: rest -> compact c :: keep (i + 1) rest
+  in
+  let children = keep 0 sp.children in
+  if List.compare_lengths children sp.children = 0
+     && List.for_all2 ( == ) children sp.children
+  then sp
+  else { sp with children }
 
 (* --- sinks -------------------------------------------------------------- *)
 

@@ -35,9 +35,9 @@ type t = {
 (* interruptible sleep: waits [dur] unless [stop] fires first; stdlib
    condvars have no timed wait, so poll in small slices *)
 let sleep t dur =
-  let deadline = Unix.gettimeofday () +. dur in
+  let deadline = Obs.Clock.now_ns () + int_of_float (dur *. 1e9) in
   let rec wait () =
-    let left = deadline -. Unix.gettimeofday () in
+    let left = float_of_int (deadline - Obs.Clock.now_ns ()) /. 1e9 in
     if left > 0. && not (Atomic.get t.stopping) then begin
       Unix.sleepf (min left 0.05);
       wait ()

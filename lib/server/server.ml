@@ -46,7 +46,7 @@ let default_config addr =
     restart_budget = 8;
   }
 
-type conn = { fd : Unix.file_descr; enqueued_at : float }
+type conn = { fd : Unix.file_descr; enqueued_ns : int (* Obs.Clock *) }
 
 (* what a worker serves requests through: the plain query service, or
    any other request pipeline with the same line-in/payload-out contract
@@ -121,7 +121,7 @@ let enqueue t fd =
   Mutex.lock t.qlock;
   let full = Queue.length t.queue >= t.config.backlog in
   if not full then begin
-    Queue.push { fd; enqueued_at = Unix.gettimeofday () } t.queue;
+    Queue.push { fd; enqueued_ns = Obs.Clock.now_ns () } t.queue;
     Obs.Metrics.set g_queue_depth (Queue.length t.queue);
     Condition.signal t.qcond
   end;
@@ -169,7 +169,8 @@ let serve_conn t conn =
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
     Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout
   end;
-  if timeout > 0. && Unix.gettimeofday () -. conn.enqueued_at > timeout then begin
+  let waited_ns = Obs.Clock.since_ns conn.enqueued_ns in
+  if timeout > 0. && float_of_int waited_ns > timeout *. 1e9 then begin
     (* went stale waiting in the accept queue: tell the client, not limbo *)
     send_quietly fd (Protocol.error ~detail:"queued past deadline" Protocol.Timeout);
     close_quietly fd
@@ -177,11 +178,7 @@ let serve_conn t conn =
   else begin
     (* the accept-queue wait belongs to the connection's first request;
        subsequent requests on the same connection waited zero *)
-    let queued_ns =
-      ref
-        (int_of_float
-           ((Unix.gettimeofday () -. conn.enqueued_at) *. 1e9))
-    in
+    let queued_ns = ref waited_ns in
     let rec loop () =
       match Chaos.read_frame chaos fd with
       | Protocol.Eof | Protocol.Truncated -> close_quietly fd

@@ -71,7 +71,8 @@ type slow_entry = {
   se_line : string;
   se_dur_ns : int;
   se_reads : int;
-  se_span : Trace.span option;  (* None when the request was not traced *)
+  se_span : Trace.span option;
+      (* compacted; None when the request was not traced *)
 }
 
 type t = {
@@ -253,8 +254,6 @@ let health_response t =
 let slow_response ?limit t =
   Protocol.ok (("type", Json.Str "slow_queries") :: slow_log_fields ?limit t)
 
-let ns_since t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
-
 let query_response ?root t ~algo text =
   match Qparse.parse t.schema text with
   | exception Qparse.Parse_error msg ->
@@ -268,10 +267,10 @@ let query_response ?root t ~algo text =
               (Printf.sprintf "no index serves arity-%d queries" arity)
             Protocol.Unroutable
       | Some idx ->
-          let pin0 = Unix.gettimeofday () in
+          let pin0 = Obs.Clock.now_ns () in
           let s = Db.open_session t.db in
           Fun.protect ~finally:(fun () -> Db.close_session s) @@ fun () ->
-          let pin_ns = ns_since pin0 in
+          let pin_ns = Obs.Clock.since_ns pin0 in
           (* pinning itself reads pages: each snapshot view's Btree.attach
              walks the leftmost path to recover the tree height, before
              the executor's stats baseline.  Charge those reads to the
@@ -286,7 +285,7 @@ let query_response ?root t ~algo text =
                     .Storage.Stats.reads)
               0 (Db.session_indexes s)
           in
-          let exec0 = Unix.gettimeofday () in
+          let exec0 = Obs.Clock.now_ns () in
           let out, children =
             match root with
             | None -> (Db.session_query ~algo s idx q, [])
@@ -294,7 +293,7 @@ let query_response ?root t ~algo text =
                 Trace.with_collector (fun () ->
                     Db.session_query ~algo s idx q)
           in
-          let exec_ns = ns_since exec0 in
+          let exec_ns = Obs.Clock.since_ns exec0 in
           Metrics.observe h_pin pin_ns;
           Metrics.observe h_exec exec_ns;
           (match root with
@@ -303,7 +302,7 @@ let query_response ?root t ~algo text =
               Trace.add_field sp "page_reads" pin_reads;
               Trace.add_field sp "exec_ns" exec_ns;
               Trace.add_field sp "pool_hits" out.pool_hits;
-              List.iter (Trace.add_child sp) children
+              Trace.add_children sp children
           | None -> ());
           Protocol.ok
             [
@@ -361,7 +360,8 @@ let attach_trace_id id = function
    every request — including parse failures, which are logged spanless. *)
 let serve_core ?(queued_ns = 0) ?deadline ~line t parsed =
   Metrics.incr requests;
-  let t0 = Unix.gettimeofday () in
+  let at = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   let w0 = Gc.minor_words () in
   if queued_ns > 0 then Metrics.observe h_queue_wait queued_ns;
   let seq = Atomic.fetch_and_add t.seq 1 in
@@ -390,13 +390,13 @@ let serve_core ?(queued_ns = 0) ?deadline ~line t parsed =
     | Some id -> attach_trace_id id resp
     | None -> resp
   in
-  let render0 = Unix.gettimeofday () in
+  let render0 = Obs.Clock.now_ns () in
   let payload = Json.to_string resp in
-  let render_ns = ns_since render0 in
+  let render_ns = Obs.Clock.since_ns render0 in
   let bytes_out = String.length payload in
   Metrics.observe h_render render_ns;
   Metrics.observe h_bytes bytes_out;
-  let dur_ns = ns_since t0 in
+  let dur_ns = Obs.Clock.since_ns t0 in
   Metrics.observe request_ns dur_ns;
   (match root with
   | Some sp ->
@@ -423,11 +423,11 @@ let serve_core ?(queued_ns = 0) ?deadline ~line t parsed =
       {
         se_seq = seq;
         se_trace = trace_id;
-        se_at = t0;
+        se_at = at;
         se_line = line;
         se_dur_ns = dur_ns;
         se_reads;
-        se_span = root;
+        se_span = Option.map Trace.compact root;
       }
   end;
   if not (Protocol.response_is_ok resp) then Metrics.incr request_errors;

@@ -18,7 +18,12 @@
     under an {!Obs.Trace} root span whose children are the executor's
     plan/descent spans; requests at or above the slow threshold are
     admitted to a bounded ring — the slow-query log — drainable with the
-    [slow-queries] admin request or {!slow_log_json}.  Telemetry never
+    [slow-queries] admin request or {!slow_log_json}.  The ring keeps an
+    {!Obs.Trace.compact}ed copy of each span tree (at most 64 children
+    per node, the rest summed into one [elided] span), so an entry's
+    size is bounded however many descents its query ran, and its span
+    totals still equal the request's.  Stage durations are read on
+    {!Obs.Clock}; only the entry's [at] timestamp is wall-clock.  Telemetry never
     changes response bytes: a server-assigned trace id stays internal,
     and only a client-propagated id is echoed back.
 

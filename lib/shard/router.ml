@@ -75,7 +75,6 @@ let map t = t.map
 let requests_per_shard t = Array.map Atomic.get t.per_shard
 let route_query t q = Planner.route t.map t.enc q
 
-let ns_since t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
 let hex_id = Printf.sprintf "%x"
 
 let attach_trace_id id = function
@@ -154,7 +153,7 @@ let shard_failure_reply t client_id ~contacted ~lost =
   match client_id with Some id -> attach_trace_id id resp | None -> resp
 
 let merge_replies t client_id ~targets replies =
-  let m0 = Unix.gettimeofday () in
+  let m0 = Obs.Clock.now_ns () in
   let parsed =
     List.map2
       (fun i r ->
@@ -231,7 +230,7 @@ let merge_replies t client_id ~targets replies =
       | Some id -> attach_trace_id id resp
       | None -> resp
     in
-    Metrics.observe h_merge_ns (ns_since m0);
+    Metrics.observe h_merge_ns (Obs.Clock.since_ns m0);
     Some resp
   end
 
@@ -341,7 +340,7 @@ let slow_response =
 
 let serve_line ?(queued_ns = 0) ?deadline t line =
   Metrics.incr c_requests;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   if queued_ns > 0 then Metrics.observe h_queue_wait queued_ns;
   let answer =
     match Protocol.parse_line line with
@@ -376,7 +375,7 @@ let serve_line ?(queued_ns = 0) ?deadline t line =
   let payload =
     match answer with `Raw payload -> payload | `Doc doc -> Json.to_string doc
   in
-  Metrics.observe h_request_ns (ns_since t0);
+  Metrics.observe h_request_ns (Obs.Clock.since_ns t0);
   let is_error =
     match answer with
     | `Doc doc -> not (Protocol.response_is_ok doc)

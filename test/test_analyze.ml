@@ -156,6 +156,54 @@ let test_global_sink_emission () =
         (Trace.total sp "page_reads")
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
+(* Tracing cost is linear in the span count: one span allocates O(1)
+   words and a query's segment spans are attached in one append, so the
+   traced-minus-dark allocation per span stays flat however many descents
+   the parallel algorithm runs.  A quadratic attach (appending each
+   segment to the end of the child list) allocates words proportional to
+   the segments already attached, hundreds per span at this size. *)
+let test_traced_alloc_linear () =
+  (* the [small] generator with twice the distinct keys: [small] has too
+     few (value, class) runs for 300 segments *)
+  let d =
+    Dg.exp2
+      {
+        (Dg.default_exp2 ~n_classes:12 ~distinct_keys:80) with
+        n_objects = 5_000;
+        seed = 8;
+      }
+  in
+  (* every other class over the whole value range: each value's entries
+     alternate between wanted and unwanted class runs, so the parallel
+     algorithm re-descends at every gap *)
+  let q =
+    q_of ~lo:0 ~hi:79
+      ~sets:
+        (List.filteri (fun i _ -> i mod 2 = 0) (Array.to_list d.Dg.classes))
+  in
+  let dark () = Exec.run ~algo:`Parallel d.uindex q in
+  let traced () = Trace.with_collector dark in
+  let words f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let spans =
+    match snd (traced ()) with
+    | [ sp ] ->
+        let rec count (sp : Trace.span) =
+          List.fold_left (fun n c -> n + count c) 1 sp.Trace.children
+        in
+        count sp
+    | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
+  in
+  Alcotest.(check bool) "at least 300 spans" true (spans >= 300);
+  let per = (words traced -. words dark) /. float_of_int spans in
+  if per > 64. then
+    Alcotest.failf "tracing allocates %.1f minor words per span (want <= 64)"
+      per
+
 (* satellite: Stats.diff gives per-query isolation without resets — interleaved
    queries and repeated runs never contaminate each other's counts *)
 let test_per_query_isolation () =
@@ -301,6 +349,8 @@ let () =
           Alcotest.test_case "span shape" `Quick test_span_shape;
           Alcotest.test_case "global sink emission" `Quick
             test_global_sink_emission;
+          Alcotest.test_case "traced allocation is linear in spans" `Quick
+            test_traced_alloc_linear;
         ] );
       ( "accounting",
         [

@@ -1,5 +1,5 @@
 (* Unit tests for the observability layer: the JSON codec, the metrics
-   registry, and the tracing spans/sinks. *)
+   registry, the monotonic clock, and the tracing spans/sinks/compaction. *)
 
 module Json = Obs.Json
 module Metrics = Obs.Metrics
@@ -174,6 +174,20 @@ let test_metrics_export () =
         Alcotest.failf "missing %S in:\n%s" needle table)
     [ "pager.reads"; "exec.ns"; "[pager]"; "[exec]" ]
 
+(* --- clock --------------------------------------------------------------- *)
+
+let test_clock_monotonic () =
+  let prev = ref (Obs.Clock.now_ns ()) in
+  for _ = 1 to 100_000 do
+    let t = Obs.Clock.now_ns () in
+    if t < !prev then Alcotest.failf "clock went back: %d after %d" t !prev;
+    prev := t
+  done;
+  let t0 = Obs.Clock.now_ns () in
+  Unix.sleepf 0.002;
+  let dt = Obs.Clock.since_ns t0 in
+  if dt < 2_000_000 then Alcotest.failf "2 ms sleep measured as %d ns" dt
+
 (* --- tracing ------------------------------------------------------------- *)
 
 let test_span_tree () =
@@ -193,6 +207,108 @@ let test_span_tree () =
   match Json.member "children" j with
   | Some (Json.List [ _; _ ]) -> ()
   | _ -> Alcotest.fail "json children"
+
+(* --- slow-log compaction --------------------------------------------------- *)
+
+let rec max_width (sp : Trace.span) =
+  List.fold_left
+    (fun m c -> max m (max_width c))
+    (List.length sp.Trace.children) sp.Trace.children
+
+let rec size (sp : Trace.span) =
+  List.fold_left (fun n c -> n + size c) 1 sp.Trace.children
+
+let rec field_names (sp : Trace.span) =
+  List.sort_uniq compare
+    (List.map fst sp.Trace.fields
+    @ List.concat_map field_names sp.Trace.children)
+
+(* a seeded random tree: up to [width] children per node, [depth] levels,
+   each span carrying a random subset of three fields *)
+let random_tree rng ~width ~depth =
+  let rec go d =
+    let fields =
+      List.filter_map
+        (fun k ->
+          if Random.State.bool rng then Some (k, Random.State.int rng 1000)
+          else None)
+        [ "page_reads"; "entries"; "accepted" ]
+    in
+    let sp = Trace.span ~fields (if d = 0 then "query" else "descent") in
+    if d < depth then
+      Trace.add_children sp
+        (List.init (Random.State.int rng (width + 1)) (fun _ -> go (d + 1)));
+    sp
+  in
+  go 0
+
+let test_compact_within_bound () =
+  let root = Trace.span ~fields:[ ("page_reads", 1) ] "query" in
+  Trace.add_children root
+    (List.init Trace.max_children (fun i ->
+         let c = Trace.span ~fields:[ ("page_reads", i) ] "descent" in
+         Trace.add_child c (Trace.span "leaf");
+         c));
+  let c = Trace.compact root in
+  Alcotest.(check bool) "same tree back" true (c == root)
+
+let test_compact_folds_tail () =
+  let n = 200 in
+  let root = Trace.span "query" in
+  Trace.add_child root (Trace.span "plan");
+  Trace.add_children root
+    (List.init n (fun i ->
+         let c =
+           Trace.span ~fields:[ ("page_reads", i); ("entries", 2 * i) ] "descent"
+         in
+         (* every child has one grandchild, so folded subtrees count twice *)
+         Trace.add_child c (Trace.span ~fields:[ ("entries", 1) ] "inner");
+         c));
+  let c = Trace.compact root in
+  Alcotest.(check int) "bounded width" Trace.max_children (max_width c);
+  let kept = Trace.max_children - 1 in
+  Alcotest.(check bool) "first children kept in order" true
+    (List.filteri (fun i _ -> i < kept) c.Trace.children
+    = List.filteri (fun i _ -> i < kept) root.Trace.children);
+  let last = List.nth c.Trace.children kept in
+  Alcotest.(check string) "tail elided" "elided" last.Trace.name;
+  (* the plan span plus [n] descents, of which [kept - 1] survive *)
+  let folded_children = n + 1 - kept in
+  Alcotest.(check (option int)) "elided.spans counts folded subtrees"
+    (Some (2 * folded_children)) (Trace.field last "spans");
+  Alcotest.(check int) "spans folded away"
+    (size root - size c + 1) (2 * folded_children);
+  List.iter
+    (fun k ->
+      Alcotest.(check int) ("total " ^ k) (Trace.total root k)
+        (Trace.total c k))
+    [ "page_reads"; "entries" ];
+  Alcotest.(check bool) "idempotent" true (Trace.compact c == c)
+
+let test_compact_random_trees () =
+  let rng = Random.State.make [| 15 |] in
+  for _ = 1 to 100 do
+    let sp = random_tree rng ~width:150 ~depth:2 in
+    let c = Trace.compact sp in
+    if max_width c > Trace.max_children then
+      Alcotest.failf "width %d after compact" (max_width c);
+    List.iter
+      (fun k ->
+        Alcotest.(check int) ("total " ^ k) (Trace.total sp k)
+          (Trace.total c k))
+      (field_names sp);
+    (* each elided span stands for the spans it replaced *)
+    let rec n_elided (s : Trace.span) =
+      List.fold_left
+        (fun n c -> n + n_elided c)
+        (if s.Trace.name = "elided" then 1 else 0)
+        s.Trace.children
+    in
+    Alcotest.(check int) "spans conserved" (size sp)
+      (size c - n_elided c + Trace.total c "spans");
+    let cc = Trace.compact c in
+    Alcotest.(check bool) "idempotent" true (cc == c)
+  done
 
 let test_sinks () =
   Alcotest.(check bool) "null disabled" false (Trace.enabled Trace.null);
@@ -333,6 +449,8 @@ let () =
             test_counters_json_delta;
           Alcotest.test_case "export" `Quick test_metrics_export;
         ] );
+      ( "clock",
+        [ Alcotest.test_case "never decreases" `Quick test_clock_monotonic ] );
       ( "trace",
         [
           Alcotest.test_case "span trees" `Quick test_span_tree;
@@ -341,6 +459,12 @@ let () =
             test_domain_isolated_collectors;
           Alcotest.test_case "shared global collector" `Quick
             test_shared_global_collector;
+          Alcotest.test_case "compact: within bound" `Quick
+            test_compact_within_bound;
+          Alcotest.test_case "compact: folds the tail" `Quick
+            test_compact_folds_tail;
+          Alcotest.test_case "compact: random trees" `Quick
+            test_compact_random_trees;
         ] );
       ( "ring",
         [

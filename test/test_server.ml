@@ -473,6 +473,70 @@ let test_telemetry_reply_bytes () =
   Alcotest.(check bool) "traced slow ring non-empty" true
     (Option.value ~default:0 (count traced) > 0)
 
+(* A many-descent path query (168 parallel-algorithm segments on this
+   store) through a threshold-0 slow log: the retained span tree is
+   compacted to at most 64 children per node, yet still sums to every
+   pager read the request issued (session pin plus descents), and the
+   reply is byte-identical to a dark service's. *)
+let test_slow_log_compacts_wide_trees () =
+  let e = Dg.exp1 ~n_vehicles:300 ~seed:3 () in
+  let db = Db.create e.store in
+  Db.attach_index db e.ch_color;
+  Db.attach_index db e.path_age;
+  let service tracing slow_threshold_ns slow_capacity =
+    Service.create
+      ~telemetry:
+        { Service.tracing; sample_every = 1; slow_threshold_ns; slow_capacity }
+      ~schema:e.ext.b.schema db
+  in
+  let dark = service false max_int 0 and traced = service true 0 4 in
+  let line = "query ([20-60], Employee*, AutoCompany*, Truck*)" in
+  let reads () =
+    Option.value ~default:0
+      (Obs.Metrics.find Obs.Metrics.default "pager.reads")
+  in
+  let expected = Service.serve_line dark line in
+  let r0 = reads () in
+  let got = Service.serve_line traced line in
+  let request_reads = reads () - r0 in
+  Alcotest.(check string) "byte-identical reply" expected got;
+  let entry =
+    match member_exn "slow log" "entries" (Service.slow_log_json traced) with
+    | Json.List [ en ] -> en
+    | _ -> Alcotest.fail "expected one slow-log entry"
+  in
+  let span = member_exn "slow entry" "span" entry in
+  let children j =
+    match Json.member "children" j with
+    | Some (Json.List l) -> l
+    | _ -> []
+  in
+  let rec fold f acc j = List.fold_left (fold f) (f acc j) (children j) in
+  let int_field k j =
+    Option.value ~default:0 (Option.bind (Json.member k j) Json.to_int)
+  in
+  let named name j = Json.member "name" j = Some (Json.Str name) in
+  (* the folded spans are leaves: the tail of the segments and [merge] *)
+  let descents =
+    fold
+      (fun n j ->
+        if named "descent" j then n + 1
+        else if named "elided" j then n + int_field "spans" j
+        else n)
+      0 span
+  in
+  Alcotest.(check bool) "query ran more than 64 descents" true (descents > 64);
+  Alcotest.(check int) "at most 64 children per node" Obs.Trace.max_children
+    (fold (fun m j -> max m (List.length (children j))) 0 span);
+  Alcotest.(check bool) "tail elided" true
+    (fold (fun b j -> b || named "elided" j) false span);
+  Alcotest.(check bool) "request read pages" true (request_reads > 0);
+  Alcotest.(check int) "compacted span total = request's pager reads"
+    request_reads
+    (fold (fun n j -> n + int_field "page_reads" j) 0 span);
+  Alcotest.(check int) "entry page_reads = request's pager reads"
+    request_reads (int_field "page_reads" entry)
+
 let test_monotone_counters_under_commits () =
   (* two stats scrapes race a committing writer: every counter delta must
      still be >= 0 — a snapshot must never observe a counter mid-rollback
@@ -778,6 +842,8 @@ let () =
             test_slow_ring_eviction;
           Alcotest.test_case "telemetry never changes reply bytes" `Quick
             test_telemetry_reply_bytes;
+          Alcotest.test_case "slow log compacts wide span trees" `Quick
+            test_slow_log_compacts_wide_trees;
           Alcotest.test_case "monotone counters under commits" `Quick
             test_monotone_counters_under_commits;
           Alcotest.test_case "page-read reconciliation" `Quick
