@@ -242,14 +242,8 @@ let run_cmd =
           o.Exec.bindings;
         if List.length o.Exec.bindings > 10 then Printf.printf "  ...\n";
         if explain then begin
-          match Exec.explain idx q with
-          | Some visits ->
-              print_endline "\nsearch tree (the paper's Fig. 3):";
-              Format.printf "%a" Exec.pp_explain visits
-          | None ->
-              print_endline
-                "\n(no static search tree: the value predicate is a \
-                 contiguous range; candidates are generated lazily)"
+          print_endline "\nsearch tree (the paper's Fig. 3):";
+          Format.printf "%a" Exec.pp_explain (Exec.explain idx q)
         end
   in
   let n = n_arg () in
@@ -273,7 +267,9 @@ let run_cmd =
     Arg.(
       value & flag
       & info [ "explain" ]
-          ~doc:"Print the search tree the parallel algorithm builds (Fig. 3).")
+          ~doc:
+            "Print the search tree the parallel algorithm builds (Fig. 3): \
+             every page a dry run of its walk touches.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a textual query (Section 3.4 syntax).")
@@ -319,16 +315,10 @@ let explain_cmd =
         pool_report idx
       end
     end
-    else
-      match Exec.explain idx q with
-      | Some visits ->
-          print_endline "search tree (the paper's Fig. 3):";
-          Format.printf "%a" Exec.pp_explain visits
-      | None ->
-          print_endline
-            "(no static search tree: the value predicate is a contiguous \
-             range; candidates are generated lazily — use --analyze to see \
-             what the scan actually does)"
+    else begin
+      print_endline "search tree (the paper's Fig. 3):";
+      Format.printf "%a" Exec.pp_explain (Exec.explain idx q)
+    end
   in
   let n = n_arg () in
   let seed = seed_arg () in
@@ -352,13 +342,14 @@ let explain_cmd =
           ~doc:
             "Execute the query and print the span tree of what actually \
              happened (per-descent page reads, entries, bindings) instead \
-             of the static search tree.")
+             of the search tree its dry run touches.")
   in
   let json = json_arg "With $(b,--analyze): print the span tree as JSON." in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
-         "Show the search tree for a query (Fig. 3), or EXPLAIN ANALYZE it \
+         "Show the search tree for a query (Fig. 3), one line per page a \
+          dry run of the parallel algorithm touches, or EXPLAIN ANALYZE it \
           with $(b,--analyze).  With $(b,--cache-pages), the pool is warmed \
           by one untraced run first so the analyzed run shows steady-state \
           hits.")

@@ -957,9 +957,6 @@ let mem t ?read key =
   Obs.Metrics.incr m_descents;
   descend t read key mem_at t.root 0
 
-let make_entry read (l : Node.leaf) i =
-  { key = l.lkeys.(i); value = (fun () -> resolve_value read l.lvals.(i)) }
-
 (* --- scanner ------------------------------------------------------------ *)
 
 module Scanner = struct
@@ -1162,101 +1159,6 @@ let scan_range t ~read ~lo ~hi f =
     | Some _ | None -> ()
   in
   go (Scanner.seek sc lo)
-
-(* --- multi-interval pruned descent -------------------------------------- *)
-
-let normalize_intervals ivs =
-  let ivs =
-    List.filter (fun (lo, hi) -> String.compare lo hi < 0) ivs
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let rec merge = function
-    | (l1, h1) :: (l2, h2) :: rest when String.compare l2 h1 <= 0 ->
-        merge ((l1, if String.compare h1 h2 >= 0 then h1 else h2) :: rest)
-    | iv :: rest -> iv :: merge rest
-    | [] -> []
-  in
-  merge ivs
-
-let scan_intervals t ~read ivs f =
-  let ivs = Array.of_list (normalize_intervals ivs) in
-  if Array.length ivs > 0 then begin
-    (* does any interval intersect the child range (clo, chi)? bounds are
-       options; [None] means unbounded *)
-    let intersects clo chi =
-      Array.exists
-        (fun (l, h) ->
-          (match chi with None -> true | Some c -> String.compare l c < 0)
-          && match clo with None -> true | Some c -> String.compare h c > 0)
-        ivs
-    in
-    let rec visit id level clo chi =
-      visit_node level;
-      match load read id with
-      | Node.Leaf l ->
-          let iv = ref 0 in
-          Array.iteri
-            (fun i k ->
-              while
-                !iv < Array.length ivs && String.compare (snd ivs.(!iv)) k <= 0
-              do
-                incr iv
-              done;
-              if !iv < Array.length ivs && String.compare (fst ivs.(!iv)) k <= 0
-              then f (make_entry read l i))
-            l.lkeys
-      | Node.Internal n ->
-          let nk = Array.length n.ikeys in
-          for i = 0 to nk do
-            let lo = if i = 0 then clo else Some n.ikeys.(i - 1) in
-            let hi = if i = nk then chi else Some n.ikeys.(i) in
-            if intersects lo hi then visit n.children.(i) (level + 1) lo hi
-          done
-    in
-    visit t.root 0 None None
-  end
-
-type visit = { depth : int; page : int; is_leaf : bool; matched : int }
-
-let trace_intervals t ~read ivs =
-  let ivs = Array.of_list (normalize_intervals ivs) in
-  let out = ref [] in
-  if Array.length ivs > 0 then begin
-    let intersects clo chi =
-      Array.exists
-        (fun (l, h) ->
-          (match chi with None -> true | Some c -> String.compare l c < 0)
-          && match clo with None -> true | Some c -> String.compare h c > 0)
-        ivs
-    in
-    let rec visit id depth clo chi =
-      visit_node depth;
-      match load read id with
-      | Node.Leaf l ->
-          let iv = ref 0 and matched = ref 0 in
-          Array.iter
-            (fun k ->
-              while
-                !iv < Array.length ivs && String.compare (snd ivs.(!iv)) k <= 0
-              do
-                incr iv
-              done;
-              if !iv < Array.length ivs && String.compare (fst ivs.(!iv)) k <= 0
-              then incr matched)
-            l.lkeys;
-          out := { depth; page = id; is_leaf = true; matched = !matched } :: !out
-      | Node.Internal n ->
-          out := { depth; page = id; is_leaf = false; matched = 0 } :: !out;
-          let nk = Array.length n.ikeys in
-          for i = 0 to nk do
-            let lo = if i = 0 then clo else Some n.ikeys.(i - 1) in
-            let hi = if i = nk then chi else Some n.ikeys.(i) in
-            if intersects lo hi then visit n.children.(i) (depth + 1) lo hi
-          done
-    in
-    visit t.root 0 None None
-  end;
-  List.rev !out
 
 (* --- introspection ------------------------------------------------------- *)
 

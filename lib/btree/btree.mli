@@ -149,38 +149,18 @@ val scan_range :
     traversal.  Every leaf between the bounds is read — the naive
     algorithm of Section 3.3. *)
 
-val scan_intervals :
-  t ->
-  read:(int -> Bytes.t) ->
-  (string * string) list ->
-  (entry -> unit) ->
-  unit
-(** [scan_intervals t ~read ivs f] applies [f] to every entry whose key
-    falls in one of the half-open intervals [ivs].  The tree is descended
-    once, visiting only nodes whose key range intersects the interval set —
-    the pruned descent at the heart of the paper's parallel retrieval
-    algorithm (Algorithm 1).  Intervals are normalized (sorted, merged)
-    internally. *)
-
-type visit = {
-  depth : int;  (** 0 at the root *)
-  page : int;
-  is_leaf : bool;
-  matched : int;  (** entries inside the interval set (leaves only) *)
-}
-
-val trace_intervals :
-  t -> read:(int -> Bytes.t) -> (string * string) list -> visit list
-(** The nodes a {!scan_intervals} descent would visit, in visit order —
-    the paper's dynamically-constructed search tree (Fig. 3), for
-    explain-style tooling. *)
-
 (** {1 Positioned scans}
 
     A scanner supports the paper's skip-scan: sequential advance plus
-    re-seek to an arbitrary key.  It keeps no pages of its own between
-    seeks: give it a {!Storage.Pager.Cache} reader and revisited pages
-    are free, give it {!raw_read} and every re-seek is counted. *)
+    re-seek to an arbitrary key.  It is the only way the library walks a
+    set of key intervals: both retrieval algorithms, their explain dry
+    run and the grouped layout's queries all run on it (see
+    [Uindex.Exec]), seeking to each interval or skip target and
+    advancing within it.  It keeps no pages of its own between seeks:
+    give it a {!Storage.Pager.Cache} reader and revisited pages are
+    free, give it {!raw_read} and every re-seek is counted.  Every page
+    it reads comes from [read], so a recording reader sees exactly the
+    pages a walk touches. *)
 
 module Scanner : sig
   type tree := t

@@ -81,18 +81,33 @@ let remove_index t idx =
   with_writer t @@ fun () ->
   t.indexes <- List.filter (fun i -> i != idx) t.indexes
 
+(* [(old - now, now - old)] by one merge over the sorted key sets: a
+   mid-path object can sit on thousands of chains, so the diff must not
+   be quadratic *)
+let key_diff old now =
+  let rec go stale fresh old now =
+    match (old, now) with
+    | [], _ -> (List.rev stale, List.rev_append fresh now)
+    | _, [] -> (List.rev_append stale old, List.rev fresh)
+    | o :: old', n :: now' ->
+        let c = String.compare o n in
+        if c = 0 then go stale fresh old' now'
+        else if c < 0 then go (o :: stale) fresh old' now
+        else go stale (n :: fresh) old now'
+  in
+  go [] [] old now
+
 (* Objects whose index entries can change when [oid]'s attributes change:
    [oid] itself is enough, because every entry involving [oid] contains it
    as a component and [Index.entry_keys] enumerates chains through every
    position. *)
 let reindex_around t f oid =
-  let old_keys = List.map (fun idx -> Index.entry_keys idx t.store oid) t.indexes in
+  let keys idx = List.sort_uniq String.compare (Index.entry_keys idx t.store oid) in
+  let old_keys = List.map keys t.indexes in
   f ();
   List.iter2
     (fun idx old ->
-      let now = Index.entry_keys idx t.store oid in
-      let stale = List.filter (fun k -> not (List.mem k now)) old in
-      let fresh = List.filter (fun k -> not (List.mem k old)) now in
+      let stale, fresh = key_diff old (keys idx) in
       Log.debug (fun m ->
           m "reindex oid %d: -%d +%d entries" oid (List.length stale)
             (List.length fresh));

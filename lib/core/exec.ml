@@ -182,96 +182,73 @@ let with_scanner tree read f =
   in
   Fun.protect ~finally:(fun () -> slot := Some sc) (fun () -> f sc)
 
-(* --- the two algorithms ------------------------------------------------- *)
+(* --- the interval walk ----------------------------------------------------- *)
 
-let forward_impl ?trace idx query =
-  let plan =
-    Plan.compile ~enc:(Index.encoding idx) ~ty:(Index.attr_ty idx) query
-  in
-  plan_span trace plan;
-  let tree = Index.tree idx in
-  with_read_count tree (fun () ->
-      match Plan.bracket plan with
-      | None -> ([], 0)
-      | Some (lo, hi) ->
-          let seg = seg_make trace (Pager.stats (Btree.pager tree)) in
-          with_scanner tree (Btree.raw_read tree) @@ fun sc ->
-          let below_hi key =
-            match hi with
-            | Some h -> String.compare key h < 0
-            | None -> true
-          in
-          (* the forward algorithm never skips; it scans on, but it must
-             still deduplicate partial-path matches: a binding is emitted
-             only when it differs from the previous one *)
-          let rec go acc n prev = function
-            | Some (e : Btree.entry) when below_hi e.key -> (
-                match Plan.classify plan e.key with
-                | Plan.Accept { d; arity; _ } ->
-                    seg_entry seg ~accepted:true;
-                    let b = binding_of d arity in
-                    let acc = if Some b = prev then acc else b :: acc in
-                    go acc (n + 1) (Some b) (Btree.Scanner.next sc)
-                | Plan.Reject _ ->
-                    seg_entry seg ~accepted:false;
-                    go acc (n + 1) prev (Btree.Scanner.next sc))
-            | Some _ | None -> (acc, n)
-          in
-          seg_open seg "descent";
-          let first = Btree.Scanner.seek sc lo in
-          seg_open seg "scan";
-          let r = go [] 0 None first in
-          seg_finish seg;
-          merge_span trace r)
+let below upper key =
+  match upper with Some h -> String.compare key h < 0 | None -> true
 
-let parallel_impl ?trace idx query =
-  let plan =
-    Plan.compile ~enc:(Index.encoding idx) ~ty:(Index.attr_ty idx) query
-  in
-  plan_span trace plan;
-  let tree = Index.tree idx in
-  with_read_count tree (fun () ->
+(* The one loop that walks a plan's interval set: one descent to
+   [Plan.lower], then classify every entry below [Plan.upper].  With
+   [skip] it is Algorithm 1 — a [Seek] opens a new descent segment, a
+   [Stop] ends the walk; without it, the forward scan of Section 3.3
+   treats both as [Advance], so it reads every leaf of the bracket and
+   must drop the adjacent duplicate bindings a partial-path query
+   produces (the skips would have jumped past them).  The page source
+   is [read]'s business: a per-query [Pager.Cache] makes revisits free,
+   [Btree.raw_read] counts every one. *)
+let scan ?trace ~read ~skip tree plan =
+  match Plan.lower plan with
+  | None -> ([], 0)
+  | Some lo ->
       let seg = seg_make trace (Pager.stats (Btree.pager tree)) in
-      let cache = Btree.cached_read tree in
-      let read = Pager.Cache.read cache in
       with_scanner tree read @@ fun sc ->
       let upper = Plan.upper plan in
-      let below_hi key =
-        match upper with
-        | Some h -> String.compare key h < 0
-        | None -> true
-      in
-      let rec go acc n cur =
-        match cur with
-        | Some (e : Btree.entry) when below_hi e.key -> (
-            let continue acc n = function
-              | Plan.Seek k ->
-                  (* skip targets are always strictly beyond [e.key] *)
-                  seg_open seg "descent";
-                  go acc n (Btree.Scanner.seek sc k)
-              | Plan.Advance -> go acc n (Btree.Scanner.next sc)
-              | Plan.Stop -> (acc, n)
-            in
+      let rec go acc n prev = function
+        | Some (e : Btree.entry) when below upper e.key -> (
             match Plan.classify plan e.key with
             | Plan.Accept { d; arity; next } ->
                 seg_entry seg ~accepted:true;
-                continue (binding_of d arity :: acc) (n + 1) next
+                let b = binding_of d arity in
+                if skip then step (b :: acc) (n + 1) prev next
+                else
+                  let sb = Some b in
+                  if sb = prev then step acc (n + 1) prev next
+                  else step (b :: acc) (n + 1) sb next
             | Plan.Reject next ->
                 seg_entry seg ~accepted:false;
-                continue acc (n + 1) next)
+                step acc (n + 1) prev next)
         | Some _ | None -> (acc, n)
+      and step acc n prev = function
+        | Plan.Seek k when skip ->
+            (* skip targets are always strictly beyond the current key *)
+            seg_open seg "descent";
+            go acc n prev (Btree.Scanner.seek sc k)
+        | Plan.Stop when skip -> (acc, n)
+        | Plan.Seek _ | Plan.Stop | Plan.Advance ->
+            go acc n prev (Btree.Scanner.next sc)
       in
-      match Plan.lower plan with
-      | None -> ([], 0)
-      | Some lo ->
-          seg_open seg "descent";
-          let r = go [] 0 (Btree.Scanner.seek sc lo) in
-          seg_finish seg;
-          merge_span trace r)
+      seg_open seg "descent";
+      let first = Btree.Scanner.seek sc lo in
+      if not skip then seg_open seg "scan";
+      let r = go [] 0 None first in
+      seg_finish seg;
+      merge_span trace r
+
+let compile idx query =
+  Plan.compile ~enc:(Index.encoding idx) ~ty:(Index.attr_ty idx) query
+
+let impl ?trace algo idx query =
+  let plan = compile idx query in
+  plan_span trace plan;
+  let tree = Index.tree idx in
+  let read, skip =
+    match algo with
+    | `Forward -> (Btree.raw_read tree, false)
+    | `Parallel -> (Pager.Cache.read (Btree.cached_read tree), true)
+  in
+  with_read_count tree (fun () -> scan ?trace ~read ~skip tree plan)
 
 let algo_name = function `Forward -> "forward" | `Parallel -> "parallel"
-
-let impl = function `Forward -> forward_impl | `Parallel -> parallel_impl
 
 let m_queries =
   Obs.Metrics.counter ~subsystem:"exec" ~help:"queries executed" "queries"
@@ -317,7 +294,7 @@ let run ~algo idx query =
   | None -> record (impl algo idx query)
   | Some sink ->
       let sp = Trace.span (algo_name algo) in
-      let o = impl algo ~trace:sp idx query in
+      let o = impl ~trace:sp algo idx query in
       finish_root sp o;
       Trace.emit sink sp;
       record o
@@ -329,38 +306,53 @@ let analyze ~algo idx query =
   with_alloc_accounting @@ fun () ->
   let sp = Trace.span (algo_name algo) in
   let undecodable0 = Plan.undecodable_entries () in
-  let o = impl algo ~trace:sp idx query in
+  let o = impl ~trace:sp algo idx query in
   finish_root sp o;
   (if o.pool_hits > 0 then Trace.add_field sp "pool_hits_total" o.pool_hits);
   let undecodable = Plan.undecodable_entries () - undecodable0 in
   if undecodable > 0 then Trace.add_field sp "undecodable_entries" undecodable;
   (record o, sp)
 
+type visit = { depth : int; page : int; is_leaf : bool }
+
+(* A dry run of the parallel walk whose reader records every page the
+   first time it is touched.  Depth follows from the order of touches:
+   every descent starts at the root, so a page is the root (0), a leaf
+   ([height - 1]) or the child of the page touched just before it. *)
 let explain idx query =
-  let plan =
-    Plan.compile ~enc:(Index.encoding idx) ~ty:(Index.attr_ty idx) query
+  let plan = compile idx query in
+  let tree = Index.tree idx in
+  let stats = Pager.stats (Btree.pager tree) in
+  let reads0 = stats.Stats.reads in
+  (* explain must not perturb measurements: read the pager directly
+     (never the shared pool, whose LRU state and hit counters a dry run
+     must not disturb) and roll the read counter back after *)
+  let cache = Pager.Cache.create (Btree.pager tree) in
+  let root = Btree.root tree and leaf_depth = Btree.height tree - 1 in
+  let seen = Hashtbl.create 64 in
+  let visits = ref [] and depth = ref 0 in
+  let read id =
+    let b = Pager.Cache.read cache id in
+    let is_leaf =
+      try Btree.Node.is_leaf_page b with Invalid_argument _ -> false
+    in
+    depth := if id = root then 0 else if is_leaf then leaf_depth else !depth + 1;
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.add seen id ();
+      visits := { depth = !depth; page = id; is_leaf } :: !visits
+    end;
+    b
   in
-  match Plan.intervals plan with
-  | None -> None
-  | Some ivs ->
-      let tree = Index.tree idx in
-      let stats = Pager.stats (Btree.pager tree) in
-      let before = Stats.snapshot stats in
-      (* explain must not perturb measurements: read the pager directly
-         (never the shared pool, whose LRU state and hit counters a dry
-         run must not disturb) and roll the read counter back after *)
-      let read = Pager.Cache.read (Pager.Cache.create (Btree.pager tree)) in
-      let visits = Btree.trace_intervals tree ~read ivs in
-      stats.Stats.reads <- before.Stats.reads;
-      Some visits
+  Fun.protect
+    ~finally:(fun () -> stats.Stats.reads <- reads0)
+    (fun () -> ignore (scan ~read ~skip:true tree plan));
+  List.rev !visits
 
 let pp_explain ppf visits =
   List.iter
-    (fun (v : Btree.visit) ->
-      Format.fprintf ppf "%s%s page %d%s@."
-        (String.make (2 * v.Btree.depth) ' ')
-        (if v.Btree.is_leaf then "leaf" else "node")
-        v.Btree.page
-        (if v.Btree.is_leaf then Printf.sprintf " (%d matching entries)" v.Btree.matched
-         else ""))
+    (fun v ->
+      Format.fprintf ppf "%s%s page %d@."
+        (String.make (2 * v.depth) ' ')
+        (if v.is_leaf then "leaf" else "node")
+        v.page)
     visits

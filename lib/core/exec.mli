@@ -1,14 +1,23 @@
-(** Query execution: the two retrieval algorithms of the paper.
+(** Query execution: the two retrieval algorithms of the paper, run by one
+    loop.
+
+    Both algorithms walk the plan's key bracket [[Plan.lower, Plan.upper)]
+    with one {!Btree.Scanner}, classifying every entry they land on.  They
+    differ only in the page source and in whether they follow the plan's
+    skip targets:
 
     {!forward} is the baseline of Section 3.3: one B-tree descent to the
     first possibly-relevant entry, then a sequential leaf scan to the last
-    one, filtering as it goes.  Every page in between is read.
+    one, filtering as it goes.  Every page in between is read, and every
+    page access is counted.
 
     {!parallel} is Algorithm 1 ("parallel scanning of the index"): it
     follows the plan's candidate positions, seeking across irrelevant runs
     instead of scanning them, and it serves repeated page visits from a
     per-query cache — the paper's "utilize any page which is already in
-    memory".  Page reads therefore count {e distinct} pages only. *)
+    memory".  Page reads therefore count {e distinct} pages only.
+
+    {!explain} is a dry run of the same parallel walk. *)
 
 module Schema := Oodb_schema.Schema
 
@@ -60,14 +69,21 @@ val analyze :
     decode during the run, [undecodable_entries].  Render with
     {!Obs.Trace.pp}. *)
 
-val explain : Index.t -> Query.t -> Btree.visit list option
-(** The search tree the parallel algorithm builds for an enumerable query
-    (the paper's Fig. 3): every B-tree node the pruned descent visits,
-    with depth and per-leaf match counts.  [None] when the query's value
-    predicate is a contiguous range (candidates are generated lazily and
-    no static tree exists).  Reads go through a throwaway cache straight
-    to the pager — never the shared pool — and do not disturb the
-    pager's statistics or the pool's LRU state. *)
+type visit = {
+  depth : int;  (** 0 at the root, [Btree.height - 1] at the leaves *)
+  page : int;
+  is_leaf : bool;
+}
 
-val pp_explain : Format.formatter -> Btree.visit list -> unit
-(** Renders the search tree with one line per node, indented by depth. *)
+val explain : Index.t -> Query.t -> visit list
+(** The search tree the parallel algorithm builds (the paper's Fig. 3):
+    every B-tree page its walk touches, once each, in first-touch order,
+    with its depth.  It is a dry run of the loop behind {!parallel}, for
+    enumerable and range predicates alike, so the number of visits equals
+    the query's uncached [page_reads].  Reads go through a throwaway cache
+    straight to the pager — never the shared pool — and the pager's read
+    counter is rolled back afterwards, so neither the statistics nor the
+    pool's LRU state are disturbed. *)
+
+val pp_explain : Format.formatter -> visit list -> unit
+(** Renders the search tree with one line per page, indented by depth. *)

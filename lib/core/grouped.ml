@@ -122,16 +122,33 @@ let query t (q : Query.t) =
           (decode_oids (e.value ()))
     | Some _ | None -> ()
   in
+  (* one scanner over a per-query page cache, as the single-value
+     layout's parallel walk: seek to each interval's start, scan to its
+     end *)
   let plan = Plan.compile ~enc:t.enc ~ty:t.ty q in
-  (match Plan.intervals plan with
-  | Some ivs ->
-      Btree.scan_intervals t.tree ~read:(Btree.raw_read t.tree) ivs consider
-  | None -> (
-      match Plan.bracket plan with
-      | None -> ()
-      | Some (lo, hi) ->
-          let hi = match hi with Some h -> h | None -> "\xff\xff\xff\xff\xff\xff\xff\xff\xff" in
-          Btree.scan_range t.tree ~read:(Btree.raw_read t.tree) ~lo ~hi consider));
+  let ivs =
+    match (Plan.intervals plan, Plan.bracket plan) with
+    | Some ivs, _ -> List.map (fun (lo, hi) -> (lo, Some hi)) ivs
+    | None, Some iv -> [ iv ]
+    | None, None -> []
+  in
+  let sc =
+    Btree.Scanner.create t.tree
+      ~read:(Pager.Cache.read (Btree.cached_read t.tree))
+  in
+  List.iter
+    (fun (lo, hi) ->
+      let rec walk = function
+        | Some (e : Btree.entry)
+          when match hi with
+               | Some h -> String.compare e.key h < 0
+               | None -> true ->
+            consider e;
+            walk (Btree.Scanner.next sc)
+        | Some _ | None -> ()
+      in
+      walk (Btree.Scanner.seek sc lo))
+    ivs;
   let reads = (Stats.diff ~before ~after:(Stats.snapshot stats)).Stats.reads in
   (List.rev !out, reads)
 

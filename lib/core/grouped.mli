@@ -41,8 +41,10 @@ val query :
   t -> Query.t -> (Schema.class_id * int) list * int
 (** [(results, page_reads)] for a single-component query (the value
     predicate and class pattern of a {!Query.class_hierarchy} query; the
-    slot restricts the OID list).  Uses the pruned multi-interval descent
-    when the value predicate is enumerable, and a bracket scan
-    otherwise. *)
+    slot restricts the OID list).  Walks the plan's key intervals (or,
+    for a contiguous value range, its one bracket) with a single
+    {!Btree.Scanner} over a per-query page cache, so [page_reads] counts
+    distinct pages, as {!Exec.parallel} does for the single-value
+    layout. *)
 
 val entry_count : t -> int

@@ -31,14 +31,16 @@ val upper : t -> string option
 (** Exclusive upper bound of all admissible keys; [None] = unbounded. *)
 
 val bracket : t -> (string * string option) option
-(** [(lower, upper)] for the naive forward scan. *)
+(** [(lower, upper)]: the one key interval that holds every admissible
+    key — the span both retrieval algorithms walk. *)
 
 val intervals : t -> (string * string) list option
 (** The finite set of admissible key intervals — one per (value, code
     interval) pair — when the value spec is enumerable ([V_eq]/[V_in]);
     [None] for contiguous ranges, whose candidates are generated lazily
-    during the scan.  Feeds {!Btree.trace_intervals} for explain
-    output. *)
+    during the scan.  Sorted and disjoint.  The grouped layout's query
+    seeks to each; the executor reports their count in its [plan]
+    span. *)
 
 val next_candidate : t -> string -> string option
 (** Smallest admissible position [>=] the given byte string.  The result

@@ -52,7 +52,7 @@ type conn = { fd : Unix.file_descr; enqueued_ns : int (* Obs.Clock *) }
    any other request pipeline with the same line-in/payload-out contract
    (e.g. a shard router) *)
 type handler = {
-  serve : queued_ns:int -> deadline:float option -> string -> string;
+  serve : queued_ns:int -> deadline:int option -> string -> string;
   on_stop : unit -> unit;
 }
 
@@ -194,7 +194,8 @@ let serve_conn t conn =
              domain really dies and supervision has to earn its keep *)
           Chaos.maybe_crash chaos;
           let deadline =
-            if timeout > 0. then Some (Unix.gettimeofday () +. timeout)
+            if timeout > 0. then
+              Some (Obs.Clock.now_ns () + int_of_float (timeout *. 1e9))
             else None
           in
           let wait = !queued_ns in

@@ -52,10 +52,10 @@ val default_config : addr -> config
 type t
 
 type handler = {
-  serve : queued_ns:int -> deadline:float option -> string -> string;
+  serve : queued_ns:int -> deadline:int option -> string -> string;
       (** one request line in, one JSON reply out.  [queued_ns] is the
           time the connection waited in the accept queue; [deadline] is
-          an absolute [Unix.gettimeofday] cutoff (or [None]). *)
+          an absolute {!Obs.Clock.now_ns} cutoff (or [None]). *)
   on_stop : unit -> unit;
       (** called once after a graceful {!stop} has drained the workers —
           the place to sync a database or flush downstream state. *)

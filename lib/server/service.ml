@@ -317,7 +317,7 @@ let query_response ?root t ~algo text =
 let dispatch ?deadline ?root t (req : Protocol.request) =
   let expired =
     match deadline with
-    | Some d -> Unix.gettimeofday () > d
+    | Some d -> Obs.Clock.now_ns () > d
     | None -> false
   in
   if expired then

@@ -77,19 +77,20 @@ val create :
 val db : t -> Uindex.Db.t
 val telemetry : t -> telemetry
 
-val handle : ?deadline:float -> t -> Protocol.request -> Obs.Json.t
+val handle : ?deadline:int -> t -> Protocol.request -> Obs.Json.t
 (** Executes one request and returns the response document.  [?deadline]
-    is an absolute [Unix.gettimeofday] instant; a request that starts
-    after its deadline gets a [timeout] error instead of running.  Never
+    is an absolute {!Obs.Clock.now_ns} instant, so a wall-clock step can
+    neither fire it early nor postpone it; a request that starts after
+    its deadline gets a [timeout] error instead of running.  Never
     raises: execution failures become [internal] error responses.
     Observes the [server.requests], [server.request_errors] and
     [server.request_ns] instruments in {!Obs.Metrics.default}. *)
 
-val handle_line : ?deadline:float -> t -> string -> Obs.Json.t
+val handle_line : ?deadline:int -> t -> string -> Obs.Json.t
 (** {!Protocol.parse_line} then {!handle}; unparseable request lines
     become [bad_request] error responses. *)
 
-val serve_line : ?queued_ns:int -> ?deadline:float -> t -> string -> string
+val serve_line : ?queued_ns:int -> ?deadline:int -> t -> string -> string
 (** What the server's workers call: {!handle_line} plus rendering, so
     render time and payload bytes are measured and traced as part of the
     request.  [?queued_ns] is how long the connection waited in the

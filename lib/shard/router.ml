@@ -348,7 +348,7 @@ let serve_line ?(queued_ns = 0) ?deadline t line =
     | Ok (client_id, req) -> (
         let expired =
           match deadline with
-          | Some d -> Unix.gettimeofday () > d
+          | Some d -> Obs.Clock.now_ns () > d
           | None -> false
         in
         if expired then

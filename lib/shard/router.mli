@@ -73,7 +73,7 @@ val respond : ?trace_id:int -> t -> Uindex.Query.t -> string
     no code interval at all ([P_union []], which has no textual form)
     gets its canonical empty reply without contacting any shard. *)
 
-val serve_line : ?queued_ns:int -> ?deadline:float -> t -> string -> string
+val serve_line : ?queued_ns:int -> ?deadline:int -> t -> string -> string
 (** The router's request pipeline — same contract as
     {!Uindex_server.Service.serve_line}, feeding the same [server.*]
     instruments plus [shard.fanout] (shards contacted per query),

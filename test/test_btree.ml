@@ -189,37 +189,6 @@ let test_scan_range () =
     (List.init 10 (fun i -> Printf.sprintf "%03d" (10 + i)))
     (List.rev !got)
 
-let test_scan_intervals () =
-  let t = mk ~max_entries:4 () in
-  for i = 0 to 199 do
-    Btree.insert t ~key:(Printf.sprintf "%03d" i) ~value:""
-  done;
-  let collect ivs =
-    let got = ref [] in
-    Btree.scan_intervals t ~read:(Btree.raw_read t) ivs (fun e ->
-        got := e.Btree.key :: !got);
-    List.rev !got
-  in
-  Alcotest.(check (list string))
-    "two intervals"
-    [ "005"; "006"; "150" ]
-    (collect [ ("005", "007"); ("150", "151") ]);
-  Alcotest.(check (list string)) "overlap merged" [ "010"; "011"; "012" ]
-    (collect [ ("010", "012"); ("011", "013") ]);
-  Alcotest.(check (list string)) "empty interval dropped" []
-    (collect [ ("050", "050") ]);
-  (* pruning: disjoint narrow intervals must read far fewer pages than the
-     bracketing range *)
-  let stats = Storage.Pager.stats (Btree.pager t) in
-  Storage.Stats.reset stats;
-  ignore (collect [ ("000", "002"); ("198", "200") ]);
-  let pruned = stats.Storage.Stats.reads in
-  Storage.Stats.reset stats;
-  ignore (collect [ ("000", "200") ]);
-  let full = stats.Storage.Stats.reads in
-  if pruned * 3 > full then
-    Alcotest.failf "no pruning: %d vs %d pages" pruned full
-
 let test_scanner_seek_next () =
   let t = mk ~max_entries:4 () in
   for i = 0 to 49 do
@@ -439,24 +408,6 @@ let prop_sync_reattach =
           Storage.Pager.close pager;
           same))
 
-let prop_random_interval =
-  QCheck.Test.make ~count:50 ~name:"scan_intervals = filtered iteration"
-    QCheck.(pair (list (int_bound 999)) (list (pair (int_bound 999) (int_bound 999))))
-    (fun (keys, ivs) ->
-      let t = mk ~page_size:128 () in
-      let enc i = Printf.sprintf "%04d" i in
-      List.iter (fun k -> Btree.insert t ~key:(enc k) ~value:"") keys;
-      let ivs = List.map (fun (a, b) -> (enc (min a b), enc (max a b))) ivs in
-      let got = ref [] in
-      Btree.scan_intervals t ~read:(Btree.raw_read t) ivs (fun e ->
-          got := e.Btree.key :: !got);
-      let want =
-        List.sort_uniq compare keys |> List.map enc
-        |> List.filter (fun k ->
-               List.exists (fun (lo, hi) -> lo <= k && k < hi) ivs)
-      in
-      List.rev !got = want)
-
 (* failure injection: decoding an arbitrary (corrupted) page must either
    produce a node or raise Invalid_argument — never crash or hang *)
 let prop_decode_garbage =
@@ -533,7 +484,6 @@ let qsuite =
     [
       prop_model;
       prop_sync_reattach;
-      prop_random_interval;
       prop_batch_equals_sequential;
       prop_decode_garbage;
     ]
@@ -574,7 +524,6 @@ let () =
       ( "scans",
         [
           Alcotest.test_case "range" `Quick test_scan_range;
-          Alcotest.test_case "intervals & pruning" `Quick test_scan_intervals;
           Alcotest.test_case "scanner seek/next" `Quick test_scanner_seek_next;
         ] );
       ("soak", [ Alcotest.test_case "interleaved workload" `Slow test_soak ]);

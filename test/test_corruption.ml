@@ -368,11 +368,16 @@ let test_damaged_leaf damage () =
   for i = 0 to 99 do
     Btree.insert t ~key:(Printf.sprintf "k%03d" i) ~value:(string_of_int i)
   done;
-  let leaves =
-    List.filter_map
-      (fun (v : Btree.visit) -> if v.is_leaf then Some v.page else None)
-      (Btree.trace_intervals t ~read:(Btree.raw_read t) [ ("", "\xff") ])
-  in
+  (* the leaves in key order: record the leaf pages a full iteration
+     reads as it walks the leaf chain *)
+  let leaves = ref [] in
+  Btree.iter t
+    ~read:(fun id ->
+      let b = Pager.read p id in
+      if Btree.Node.is_leaf_page b then leaves := id :: !leaves;
+      b)
+    ignore;
+  let leaves = List.rev !leaves in
   let prev, leaf =
     match leaves with
     | a :: b :: _ :: _ -> (a, b)

@@ -156,47 +156,55 @@ let test_compression_stats () =
 
 let test_explain () =
   let d = Lazy.force small in
-  let sets = [ d.classes.(2); d.classes.(5) ] in
-  let q =
-    Query.class_hierarchy
-      ~value:(V_in [ Value.Int 7; Value.Int 21 ])
-      (Qg.union_of_classes sets)
+  let idx = d.uindex in
+  let tree = Index.tree idx in
+  let stats = Pager.stats (Btree.pager tree) in
+  let height = Btree.height tree in
+  let sets = Qg.union_of_classes [ d.classes.(2); d.classes.(5) ] in
+  let explains label q =
+    (* the dry run touches exactly the pages the real walk reads *)
+    let uncached = (Exec.parallel idx q).Exec.page_reads in
+    List.iter
+      (fun pool ->
+        let label = Printf.sprintf "%s, pool %d" label pool in
+        Index.set_cache_pages idx pool;
+        ignore (Exec.parallel idx q);
+        let before = Stats.snapshot stats in
+        let visits = Exec.explain idx q in
+        let after = Stats.snapshot stats in
+        Alcotest.(check int) (label ^ ": visits = page reads") uncached
+          (List.length visits);
+        (match visits with
+        | v :: _ ->
+            Alcotest.(check int) (label ^ ": root first") (Btree.root tree)
+              v.Exec.page;
+            Alcotest.(check int) (label ^ ": root at depth 0") 0 v.Exec.depth
+        | [] -> Alcotest.fail (label ^ ": no visits"));
+        List.iter
+          (fun (v : Exec.visit) ->
+            if v.is_leaf then
+              Alcotest.(check int) (label ^ ": leaves at height - 1")
+                (height - 1) v.depth
+            else if v.depth >= height - 1 then
+              Alcotest.failf "%s: node %d at depth %d" label v.page v.depth)
+          visits;
+        let pages = List.map (fun (v : Exec.visit) -> v.page) visits in
+        Alcotest.(check int) (label ^ ": each page once") (List.length pages)
+          (List.length (List.sort_uniq compare pages));
+        (* explain must not disturb accounting or the pool *)
+        Alcotest.(check (list int))
+          (label ^ ": reads, pool hits and misses unchanged")
+          [ before.reads; before.pool_hits; before.pool_misses ]
+          [ after.reads; after.pool_hits; after.pool_misses ])
+      [ 0; 256 ];
+    Index.set_cache_pages idx 0
   in
-  (match Exec.explain d.uindex q with
-  | None -> Alcotest.fail "enumerable query should explain"
-  | Some visits ->
-      (* the search tree's matched entries equal the query's results *)
-      let matched =
-        List.fold_left (fun a (v : Btree.visit) -> a + v.Btree.matched) 0 visits
-      in
-      let o = Exec.parallel d.uindex q in
-      Alcotest.(check int) "matches = results" (List.length o.Exec.bindings)
-        matched;
-      (* root first, depths consistent *)
-      (match visits with
-      | v :: _ -> Alcotest.(check int) "starts at root" 0 v.Btree.depth
-      | [] -> Alcotest.fail "no visits");
-      List.iter
-        (fun (v : Btree.visit) ->
-          if v.Btree.is_leaf then
-            Alcotest.(check int)
-              "leaves at tree height"
-              (Btree.height (Index.tree d.uindex) - 1)
-              v.Btree.depth)
-        visits;
-      (* explain must not disturb accounting *)
-      let stats = Pager.stats (Btree.pager (Index.tree d.uindex)) in
-      let before = Stats.snapshot stats in
-      ignore (Exec.explain d.uindex q);
-      Alcotest.(check int) "no reads counted" before.Stats.reads
-        (Stats.snapshot stats).Stats.reads);
-  (* contiguous ranges have no static search tree *)
-  let q =
-    Query.class_hierarchy
-      ~value:(V_range (Some (Value.Int 0), Some (Value.Int 10)))
-      (Qg.union_of_classes sets)
-  in
-  Alcotest.(check bool) "range explains to None" true (Exec.explain d.uindex q = None)
+  explains "enumerable"
+    (Query.class_hierarchy ~value:(V_in [ Value.Int 7; Value.Int 21 ]) sets);
+  explains "range"
+    (Query.class_hierarchy
+       ~value:(V_range (Some (Value.Int 0), Some (Value.Int 10)))
+       sets)
 
 let test_buffer_pool_reuse () =
   (* repeated identical queries through an LRU pool approach 100% hits *)

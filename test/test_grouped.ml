@@ -67,14 +67,21 @@ let test_agrees_with_single () =
     d.entries;
   Btree.check (Grouped.tree g);
   let rng = Rng.create 9 in
-  for _ = 1 to 30 do
+  for _ = 1 to 45 do
     let k = 1 + Rng.int rng 10 in
     let sets = Qg.pick_sets rng Qg.Random ~classes:d.classes ~k in
     let lo = Rng.int rng 30 in
     let hi = min 29 (lo + Rng.int rng 6) in
     let value =
-      if Rng.bool rng then Query.V_eq (Value.Int lo)
-      else Query.V_range (Some (Value.Int (min lo hi)), Some (Value.Int (max lo hi)))
+      match Rng.int rng 3 with
+      | 0 -> Query.V_eq (Value.Int lo)
+      | 1 ->
+          Query.V_range (Some (Value.Int (min lo hi)), Some (Value.Int (max lo hi)))
+      | _ ->
+          (* 2-4 distinct values: several disjoint key intervals in one
+             query *)
+          Query.V_in
+            (List.init (2 + Rng.int rng 3) (fun i -> Value.Int ((lo + (7 * i)) mod 30)))
     in
     let q = Query.class_hierarchy ~value (Qg.union_of_classes sets) in
     let single =

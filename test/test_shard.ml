@@ -462,6 +462,30 @@ let test_unanimous_error_passthrough () =
   Alcotest.(check bool) "is unroutable, not shard_failure" true
     (Protocol.response_error_kind via = Some "unroutable")
 
+(* Deadlines are instants on the monotonic clock: a past one times the
+   request out before it runs, a future one lets it answer — through the
+   service and through the router alike. *)
+let test_monotonic_deadlines () =
+  let f = make_fleet ~n_vehicles:300 () in
+  let line = "query (Red, Bus*)" in
+  let past = Obs.Clock.now_ns () - 1 in
+  let future = Obs.Clock.now_ns () + 10_000_000_000 in
+  let kind doc = Protocol.response_error_kind doc in
+  Alcotest.(check (option string)) "service: past deadline times out"
+    (Some "timeout")
+    (kind (Service.handle_line ~deadline:past f.unsharded line));
+  Alcotest.(check (option string)) "router: past deadline times out"
+    (Some "timeout")
+    (kind (Json.of_string (Router.serve_line ~deadline:past f.router line)));
+  let direct = Service.handle_line ~deadline:future f.unsharded line in
+  Alcotest.(check (option string)) "service: future deadline answers" None
+    (kind direct);
+  let via = Json.of_string (Router.serve_line ~deadline:future f.router line) in
+  Alcotest.(check (option string)) "router: future deadline answers" None
+    (kind via);
+  Alcotest.(check (option int)) "same answer" (Json.to_int (member_exn "count" direct))
+    (Json.to_int (member_exn "count" via))
+
 let () =
   Alcotest.run "shard"
     [
@@ -486,5 +510,7 @@ let () =
           Alcotest.test_case "partial failure" `Quick test_partial_failure;
           Alcotest.test_case "unanimous error" `Quick
             test_unanimous_error_passthrough;
+          Alcotest.test_case "monotonic deadlines" `Quick
+            test_monotonic_deadlines;
         ] );
     ]

@@ -3,6 +3,7 @@
    checks. *)
 
 module Ps = Workload.Paper_schema
+module Dg = Workload.Datagen
 module Value = Objstore.Value
 module Store = Objstore.Store
 module Query = Uindex.Query
@@ -266,6 +267,52 @@ let test_db_maintenance () =
   Db.check db;
   let q61 = default_path_query b ~value:(V_eq (Int 61)) in
   check_oids "v2 gone" [ ex.v3; ex.v4; ex.v6 ] (Exec.parallel path q61)
+
+(* A president change on a company behind thousands of path entries:
+   the reindexing diff must touch exactly the keys a naive [List.mem]
+   diff of the before/after entry keys names. *)
+let test_reindex_wide_company () =
+  let e = Dg.exp1 ~n_vehicles:4_500 ~n_companies:2 ~n_employees:20 ~seed:5 () in
+  let b = e.ext.b in
+  let db = Db.create e.store in
+  Db.attach_index db e.ch_color;
+  Db.attach_index db e.path_age;
+  let company =
+    List.hd (Store.extent e.store ~deep:true b.company)
+  in
+  let keys () = Index.entry_keys e.path_age e.store company in
+  let old_keys = keys () in
+  if List.length old_keys < 2_000 then
+    Alcotest.failf "company has only %d path entries" (List.length old_keys);
+  let contents () =
+    let l = ref [] in
+    Btree.iter (Index.tree e.path_age) (fun en -> l := en.Btree.key :: !l);
+    List.rev !l
+  in
+  let before = contents () in
+  let president =
+    match Store.attr e.store company "president" with
+    | Value.Ref p -> p
+    | _ -> Alcotest.fail "company without a president"
+  in
+  let other =
+    List.find
+      (fun emp ->
+        emp <> president
+        && Store.attr e.store emp "age" <> Store.attr e.store president "age")
+      (Store.extent e.store ~deep:true b.employee)
+  in
+  Db.set_attr db company "president" (Value.Ref other);
+  Db.check db;
+  let new_keys = keys () in
+  let after = contents () in
+  let minus a b = List.sort compare (List.filter (fun k -> not (List.mem k b)) a) in
+  Alcotest.(check (list string)) "deleted = List.mem reference"
+    (minus old_keys new_keys) (minus before after);
+  Alcotest.(check (list string)) "inserted = List.mem reference"
+    (minus new_keys old_keys) (minus after before);
+  Alcotest.(check bool) "the change moved entries" true
+    (minus old_keys new_keys <> [])
 
 let test_remove_index () =
   let b = Ps.base () in
@@ -670,6 +717,8 @@ let () =
         [
           Alcotest.test_case "db stays in sync" `Quick test_db_maintenance;
           Alcotest.test_case "remove index" `Quick test_remove_index;
+          Alcotest.test_case "reindex a wide company" `Quick
+            test_reindex_wide_company;
           Alcotest.test_case "multi-value refs" `Quick test_multi_value_refs;
         ] );
     ]
