@@ -3,19 +3,22 @@ module Bu = Storage.Bytes_util
 module Pager = Storage.Pager
 
 (* Process-wide instruments (see Obs.Metrics).  [node_visits] counts the
-   paper's "visited nodes" — every node touched during a descent or
-   pruned scan, whether or not the page read was absorbed by a cache. *)
+   paper's "visited nodes" — every node a descent reads on its way down,
+   whether or not the page read was absorbed by a cache: [height] per
+   root descent, and for a finger seek only the nodes below the
+   ancestor it climbs to. *)
 let m_descents =
   Obs.Metrics.counter ~subsystem:"btree" ~help:"root-to-leaf descents"
     "descents"
 
+let m_finger_seeks =
+  Obs.Metrics.counter ~subsystem:"btree"
+    ~help:"scanner seeks served from the held root-to-leaf path"
+    "finger_seeks"
+
 let m_node_visits =
   Obs.Metrics.counter ~subsystem:"btree"
-    ~help:"nodes visited during lookups and scans" "node_visits"
-
-let h_visit_level =
-  Obs.Metrics.histogram ~subsystem:"btree"
-    ~help:"tree level (root = 0) of each node visit" "visit_level"
+    ~help:"nodes read by descents during lookups and seeks" "node_visits"
 
 let m_fc_saved =
   Obs.Metrics.counter ~subsystem:"btree"
@@ -24,10 +27,6 @@ let m_fc_saved =
 let m_splits =
   Obs.Metrics.counter ~subsystem:"btree"
     ~help:"node splits (each extra node produced)" "splits"
-
-let visit_node level =
-  Obs.Metrics.incr m_node_visits;
-  Obs.Metrics.observe h_visit_level level
 
 type config = {
   max_entries : int option;
@@ -921,14 +920,14 @@ type entry = { key : string; value : unit -> string }
    corruption report names its page.  [read = None] reads the tree's own
    page source: a top-level recursion over an option, rather than a
    [raw_read t] closure, keeps a warm-pool point lookup allocation-free. *)
-let rec descend t read key at_leaf id level =
-  visit_node level;
+let rec descend t read key at_leaf id =
+  Obs.Metrics.incr m_node_visits;
   let b = match read with None -> raw_read t id | Some r -> r id in
   match Node.is_leaf_page b with
   | true -> at_leaf t read key id b
   | false -> (
       match Node.child_in_place b key with
-      | c -> descend t read key at_leaf c (level + 1)
+      | c -> descend t read key at_leaf c
       | exception (Invalid_argument d | Failure d) -> corrupt id d)
   | exception (Invalid_argument d | Failure d) -> corrupt id d
 
@@ -951,11 +950,11 @@ let mem_at _ _ key id b =
 
 let find t ?read key =
   Obs.Metrics.incr m_descents;
-  descend t read key find_at t.root 0
+  descend t read key find_at t.root
 
 let mem t ?read key =
   Obs.Metrics.incr m_descents;
-  descend t read key mem_at t.root 0
+  descend t read key mem_at t.root
 
 (* --- scanner ------------------------------------------------------------ *)
 
@@ -965,10 +964,16 @@ module Scanner = struct
   (* The cursor walks the encoded leaf page directly, reconstructing
      only the key under the cursor into the reusable [keybuf] scratch —
      entries a scan skips past are never materialized, and values only
-     on [entry.value ()].  Pages come from [read] alone: a re-seek
-     re-reads its internal pages unless [read] is a
-     {!Storage.Pager.Cache} reader, which is how the parallel algorithm
-     gets its per-query page dedup.  All mutable state is recycled by
+     on [entry.value ()].  Pages come from [read] alone.
+
+     A seek forward of the cursor is a finger seek: the scanner holds
+     the root-to-leaf path of its current leaf (each internal page, its
+     id and the child slot taken) and climbs only as far as it must.
+     The path is [valid] only while every page on it was fetched through
+     [read] since the last [reset] and it is the path a root descent to
+     the current leaf takes, so a finger seek reads exactly the pages
+     below the ancestor it climbs to — the ones a root descent would
+     read there — and no others.  All mutable state is recycled by
      [reset], so a session can reuse one scanner (and its scratch)
      across queries. *)
   type t = {
@@ -983,6 +988,15 @@ module Scanner = struct
     mutable keybuf : Bytes.t;  (* cursor key bytes live in [0, keylen) *)
     mutable keylen : int;
     mutable live : bool;  (* the cursor holds an entry *)
+    (* the held path: level [l < depth] is the internal page on the
+       current leaf's root path at that level, its id, and the
+       [Node.child_search] result naming the child taken *)
+    mutable path_pages : Bytes.t array;
+    mutable path_ids : int array;
+    mutable path_slots : int array;
+    mutable depth : int;  (* the current leaf's level *)
+    mutable valid : bool;
+    mutable level : int;  (* level of the page last asked of [read] *)
   }
 
   let create tree ~read =
@@ -998,18 +1012,28 @@ module Scanner = struct
       keybuf = Bytes.create 64;
       keylen = 0;
       live = false;
+      path_pages = [||];
+      path_ids = [||];
+      path_slots = [||];
+      depth = 0;
+      valid = false;
+      level = 0;
     }
+
+  let level t = t.level
 
   (* Re-point a scanner at a (possibly different) tree, keeping its key
      scratch allocation.  Any mutation of the tree — or swapping the
      underlying view — invalidates a scanner's position; reset is the
-     reuse contract's only entry point. *)
+     reuse contract's only entry point.  It drops the held path. *)
   let reset t tree ~read =
     t.tree <- tree;
     t.read <- read;
     t.page <- Bytes.empty;
     t.pid <- -1;
-    t.live <- false
+    t.live <- false;
+    t.valid <- false;
+    Array.fill t.path_pages 0 (Array.length t.path_pages) Bytes.empty
 
   let reserve t len =
     if Bytes.length t.keybuf < len then begin
@@ -1048,11 +1072,46 @@ module Scanner = struct
     t.keylen <- p + slen;
     t.live <- true
 
+  let hold t level id b r =
+    let len = Array.length t.path_ids in
+    if level >= len then begin
+      let len' = max 8 (max (level + 1) (2 * len)) in
+      let grow a fill =
+        let a' = Array.make len' fill in
+        Array.blit a 0 a' 0 len;
+        a'
+      in
+      t.path_pages <- grow t.path_pages Bytes.empty;
+      t.path_ids <- grow t.path_ids (-1);
+      t.path_slots <- grow t.path_slots 0
+    end;
+    t.path_pages.(level) <- b;
+    t.path_ids.(level) <- id;
+    t.path_slots.(level) <- r
+
+  (* A leaf-chain step to page [id] keeps the path valid only when [id]
+     is the next child of the current leaf's parent; the held slot then
+     moves right by one. *)
+  let follows_parent t id =
+    t.valid && t.depth > 0
+    &&
+    let l = t.depth - 1 in
+    let b = t.path_pages.(l) in
+    match Node.next_child b t.path_slots.(l) with
+    | r when r >= 0 && Node.search_child b r = id ->
+        t.path_slots.(l) <- r;
+        true
+    | _ -> false
+    | exception (Invalid_argument _ | Failure _) -> false
+
   (* position at the first entry of the leaf-chain page [id], skipping
      empty leaves *)
   let rec first_entry t id =
     if id < 0 then t.live <- false
     else begin
+      let held = follows_parent t id in
+      t.valid <- false;
+      t.level <- t.depth;
       let b = t.read id in
       t.pid <- id;
       t.page <- b;
@@ -1062,6 +1121,7 @@ module Scanner = struct
           failwith "Btree: leaf chain hit internal node";
         t.n <- Node.entry_count b;
         t.next_leaf <- Node.leaf_next b;
+        t.valid <- held;
         if t.n > 0 then begin
           t.idx <- 0;
           t.off <- Node.header_size;
@@ -1075,16 +1135,18 @@ module Scanner = struct
       | exception (Invalid_argument d | Failure d) -> corrupt id d
     end
 
-  (* the [descend] continuation: put the cursor on the first entry
-     [>= key] of leaf page [b], or of a later leaf *)
-  let position t key id b =
+  (* the end of a descent: put the cursor on the first entry [>= key]
+     of leaf page [b] at [level], or of a later leaf *)
+  let position t key id b level =
     t.pid <- id;
     t.page <- b;
     t.keylen <- 0;
+    t.depth <- level;
     try
       let r = Node.leaf_search b key in
       t.n <- Node.entry_count b;
       t.next_leaf <- Node.leaf_next b;
+      t.valid <- true;
       let i = Node.search_index r in
       if i < t.n then begin
         t.idx <- i;
@@ -1093,6 +1155,81 @@ module Scanner = struct
       end
       else first_entry t t.next_leaf
     with Invalid_argument d | Failure d -> corrupt id d
+
+  (* Descend from page [id] at [level] to the leaf covering [key],
+     holding every internal page on the way: [descend]'s compare-in-place
+     steps, plus the child slot.  The path is invalid until the leaf is
+     reached. *)
+  let rec descend_from t key id level =
+    Obs.Metrics.incr m_node_visits;
+    t.valid <- false;
+    t.level <- level;
+    let b = t.read id in
+    match Node.is_leaf_page b with
+    | true -> position t key id b level
+    | false -> (
+        match
+          let r = Node.child_search b key in
+          hold t level id b r;
+          Node.search_child b r
+        with
+        | c -> descend_from t key c (level + 1)
+        | exception (Invalid_argument d | Failure d) -> corrupt id d)
+    | exception (Invalid_argument d | Failure d) -> corrupt id d
+
+  (* Climb the held path from level [l] to the lowest ancestor where
+     [key] goes to a child other than the last (or to the root), and
+     descend from that child.  [key] is above the cursor key, so it is
+     at or above that ancestor's lower bound, and below the separator
+     after the chosen child, so below its upper bound: a root descent
+     would pass through the same ancestor and choose the same child. *)
+  let rec climb t key l =
+    let b = t.path_pages.(l) in
+    match Node.child_search b key with
+    | r when l = 0 || Node.search_index r < Node.entry_count b -> (
+        t.path_slots.(l) <- r;
+        match Node.search_child b r with
+        | c -> descend_from t key c (l + 1)
+        | exception (Invalid_argument d | Failure d) -> corrupt t.path_ids.(l) d)
+    | _ -> climb t key (l - 1)
+    | exception (Invalid_argument d | Failure d) -> corrupt t.path_ids.(l) d
+
+  (* The finger seek; [false] leaves the scanner untouched for a root
+     descent.  It serves only a key strictly above the cursor key: one
+     on the current leaf is found by searching forward from the cursor
+     (no page touched), any other by [climb] — unless the leaf is the
+     root, which has nothing to climb to. *)
+  let finger t key =
+    let klen = String.length key in
+    let lim = if t.keylen < klen then t.keylen else klen in
+    let ml = Bu.match_len t.keybuf 0 key 0 lim in
+    let above =
+      if ml < lim then
+        Char.code (Bytes.unsafe_get t.keybuf ml)
+        < Char.code (String.unsafe_get key ml)
+      else t.keylen < klen
+    in
+    above
+    &&
+    match
+      Node.leaf_search_from t.page key
+        ~off:(Node.leaf_entry_end t.page t.off)
+        ~idx:(t.idx + 1) ~ml
+    with
+    | r when Node.search_index r < t.n -> (
+        Obs.Metrics.incr m_finger_seeks;
+        t.idx <- Node.search_index r;
+        t.off <- Node.search_off r;
+        try
+          set_cursor_from_probe t key;
+          true
+        with Invalid_argument d | Failure d -> corrupt t.pid d)
+    | _ when t.depth = 0 -> false
+    | _ ->
+        Obs.Metrics.incr m_finger_seeks;
+        climb t key (t.depth - 1);
+        true
+    | exception (Invalid_argument d | Failure d) -> corrupt t.pid d
 
   let peek t =
     if not t.live then None
@@ -1116,10 +1253,10 @@ module Scanner = struct
     end
 
   let seek t key =
-    Obs.Metrics.incr m_descents;
-    descend t.tree (Some t.read) key
-      (fun _ _ key id b -> position t key id b)
-      t.tree.root 0;
+    if not (t.live && t.valid && finger t key) then begin
+      Obs.Metrics.incr m_descents;
+      descend_from t key t.tree.root 0
+    end;
     peek t
 
   let next t =

@@ -156,11 +156,22 @@ val scan_range :
     set of key intervals: both retrieval algorithms, their explain dry
     run and the grouped layout's queries all run on it (see
     [Uindex.Exec]), seeking to each interval or skip target and
-    advancing within it.  It keeps no pages of its own between seeks:
-    give it a {!Storage.Pager.Cache} reader and revisited pages are
-    free, give it {!raw_read} and every re-seek is counted.  Every page
-    it reads comes from [read], so a recording reader sees exactly the
-    pages a walk touches. *)
+    advancing within it.
+
+    A seek to a key strictly above the cursor is a finger seek: the
+    scanner holds the root-to-leaf path of its current leaf (at most
+    [height - 1] internal pages, dropped by {!Scanner.reset}) and
+    searches the current leaf forward from the cursor, or climbs to the
+    lowest held ancestor whose range provably contains the key and
+    descends from there.  Any other seek descends from the root.  A
+    finger seek reads exactly the pages a root descent would read below
+    that ancestor; the pages above it were already read since the last
+    reset.  So under a {!Storage.Pager.Cache} reader a walk reads the
+    same distinct pages either way, and under {!raw_read} a finger seek
+    reads no more pages than a root descent.  The held path is no read
+    memo: it dedups no reads, and every page the scanner reads comes
+    from [read], so a recording reader sees exactly the pages a walk
+    touches. *)
 
 module Scanner : sig
   type tree := t
@@ -183,6 +194,12 @@ module Scanner : sig
 
   val next : t -> entry option
   (** Advance to the following entry. *)
+
+  val level : t -> int
+  (** The tree level (root = 0) of the page the scanner last asked its
+      [read] for: called from inside [read], it places the page being
+      read.  A leaf is at [height - 1], also when reached along the
+      leaf chain. *)
 end
 
 (** {1 Introspection (tests, experiments)} *)

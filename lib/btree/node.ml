@@ -226,12 +226,12 @@ let search_off r = r lsr 21
 let search_index r = (r lsr 1) land 0xFFFFF
 let search_exact r = r land 1 = 1
 
-let leaf_search b key =
+let leaf_search_from b key ~off ~idx ~ml =
   let n = Bu.get_u16 b 1 in
   let klen = String.length key in
-  let pos = ref header_size in
-  let idx = ref 0 in
-  let ml = ref 0 in
+  let pos = ref off in
+  let idx = ref idx in
+  let ml = ref ml in
   let exact = ref false in
   let stop = ref false in
   while (not !stop) && !idx < n do
@@ -273,15 +273,19 @@ let leaf_search b key =
   done;
   (!pos lsl 21) lor (!idx lsl 1) lor (if !exact then 1 else 0)
 
+let leaf_search b key = leaf_search_from b key ~off:header_size ~idx:0 ~ml:0
+
 (* Upper bound over an internal page's separators: the search advances
-   past separators [<=] the probe, keeping the page id to their right. *)
-let child_in_place b key =
+   past separators [<=] the probe.  The packed result names the child
+   slot it stops at (the count of separators passed) and the offset of
+   the separator right after that child; the child's page id is the u32
+   just before that separator, or the header's leftmost child. *)
+let child_search b key =
   let n = Bu.get_u16 b 1 in
   let klen = String.length key in
   let pos = ref header_size in
   let idx = ref 0 in
   let ml = ref 0 in
-  let child = ref (Bu.get_u32 b 3) in
   let stop = ref false in
   while (not !stop) && !idx < n do
     let p = Bu.get_u16 b !pos in
@@ -289,7 +293,6 @@ let child_in_place b key =
     let soff = !pos + 4 in
     check_suffix b soff slen;
     if p > !ml then begin
-      child := Bu.get_u32 b (soff + slen);
       pos := soff + slen + 4;
       incr idx
     end
@@ -301,7 +304,6 @@ let child_in_place b key =
         if Char.code (Bytes.unsafe_get b (soff + j)) < Char.code key.[p + j]
         then begin
           ml := p + j;
-          child := Bu.get_u32 b (soff + slen);
           pos := soff + slen + 4;
           incr idx
         end
@@ -309,14 +311,25 @@ let child_in_place b key =
       else if slen <= rem then begin
         (* separator <= probe (equal when slen = rem): go right of it *)
         ml := p + slen;
-        child := Bu.get_u32 b (soff + slen);
         pos := soff + slen + 4;
         incr idx
       end
       else stop := true
     end
   done;
-  !child
+  (!pos lsl 21) lor (!idx lsl 1)
+
+let search_child b r =
+  if search_index r = 0 then Bu.get_u32 b 3 else Bu.get_u32 b (search_off r - 4)
+
+let next_child b r =
+  if search_index r >= Bu.get_u16 b 1 then -1
+  else
+    let off = search_off r in
+    let next = off + 4 + Bu.get_u16 b (off + 2) + 4 in
+    (next lsl 21) lor ((search_index r + 1) lsl 1)
+
+let child_in_place b key = search_child b (child_search b key)
 
 let pp_key ppf k =
   String.iter

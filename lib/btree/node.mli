@@ -91,13 +91,35 @@ val leaf_search : Bytes.t -> string -> int
     and {!search_off} (that entry's byte offset in the page; the
     end-of-entries offset when the index equals {!entry_count}). *)
 
+val leaf_search_from : Bytes.t -> string -> off:int -> idx:int -> ml:int -> int
+(** {!leaf_search} resumed mid-page: the search starts at entry [idx],
+    at byte offset [off], given [ml], the length of the common prefix of
+    the probe and entry [idx - 1].  Sound only when entry [idx - 1] is
+    below the probe; the scanner uses it to search forward from its
+    cursor. *)
+
 val search_index : int -> int
 val search_exact : int -> bool
 val search_off : int -> int
 
+val child_search : Bytes.t -> string -> int
+(** The child slot a descent for the probe key must follow from an
+    internal page: upper bound over the separators, compared in place.
+    Packed like {!leaf_search}: {!search_index} is the slot (the number
+    of separators [<=] the probe, so {!entry_count} means the last
+    child) and {!search_off} the byte offset of the separator right
+    after that child. *)
+
+val search_child : Bytes.t -> int -> int
+(** The page id of the child a {!child_search} result names. *)
+
+val next_child : Bytes.t -> int -> int
+(** The {!child_search} result for the slot after the given one, or
+    [-1] when that was the last child. *)
+
 val child_in_place : Bytes.t -> string -> int
-(** The child page id a descent for the probe key must follow from an
-    internal page: upper bound over the separators, compared in place. *)
+(** [search_child b (child_search b key)]: the child page id to
+    follow. *)
 
 val entry_prefix : Bytes.t -> int -> int
 (** Stored prefix length of the entry at a byte offset. *)

@@ -194,14 +194,13 @@ let below upper key =
    treats both as [Advance], so it reads every leaf of the bracket and
    must drop the adjacent duplicate bindings a partial-path query
    produces (the skips would have jumped past them).  The page source
-   is [read]'s business: a per-query [Pager.Cache] makes revisits free,
-   [Btree.raw_read] counts every one. *)
-let scan ?trace ~read ~skip tree plan =
+   is the scanner's [read]: a per-query [Pager.Cache] makes revisits
+   free, [Btree.raw_read] counts every one. *)
+let scan ?trace ~skip sc tree plan =
   match Plan.lower plan with
   | None -> ([], 0)
   | Some lo ->
       let seg = seg_make trace (Pager.stats (Btree.pager tree)) in
-      with_scanner tree read @@ fun sc ->
       let upper = Plan.upper plan in
       let rec go acc n prev = function
         | Some (e : Btree.entry) when below upper e.key -> (
@@ -220,7 +219,8 @@ let scan ?trace ~read ~skip tree plan =
         | Some _ | None -> (acc, n)
       and step acc n prev = function
         | Plan.Seek k when skip ->
-            (* skip targets are always strictly beyond the current key *)
+            (* skip targets are always strictly beyond the current key,
+               so the scanner serves them as finger seeks *)
             seg_open seg "descent";
             go acc n prev (Btree.Scanner.seek sc k)
         | Plan.Stop when skip -> (acc, n)
@@ -246,7 +246,8 @@ let impl ?trace algo idx query =
     | `Forward -> (Btree.raw_read tree, false)
     | `Parallel -> (Pager.Cache.read (Btree.cached_read tree), true)
   in
-  with_read_count tree (fun () -> scan ?trace ~read ~skip tree plan)
+  with_read_count tree (fun () ->
+      with_scanner tree read (fun sc -> scan ?trace ~skip sc tree plan))
 
 let algo_name = function `Forward -> "forward" | `Parallel -> "parallel"
 
@@ -315,10 +316,10 @@ let analyze ~algo idx query =
 
 type visit = { depth : int; page : int; is_leaf : bool }
 
-(* A dry run of the parallel walk whose reader records every page the
-   first time it is touched.  Depth follows from the order of touches:
-   every descent starts at the root, so a page is the root (0), a leaf
-   ([height - 1]) or the child of the page touched just before it. *)
+(* A dry run of the parallel walk on its own scanner, whose reader
+   records every page the first time it is touched, at the level the
+   scanner reports for it.  (A finger seek starts below the root, so the
+   order of touches alone does not give depth.) *)
 let explain idx query =
   let plan = compile idx query in
   let tree = Index.tree idx in
@@ -328,24 +329,26 @@ let explain idx query =
      (never the shared pool, whose LRU state and hit counters a dry run
      must not disturb) and roll the read counter back after *)
   let cache = Pager.Cache.create (Btree.pager tree) in
-  let root = Btree.root tree and leaf_depth = Btree.height tree - 1 in
+  let scanner = ref None in
   let seen = Hashtbl.create 64 in
-  let visits = ref [] and depth = ref 0 in
+  let visits = ref [] in
   let read id =
     let b = Pager.Cache.read cache id in
-    let is_leaf =
-      try Btree.Node.is_leaf_page b with Invalid_argument _ -> false
-    in
-    depth := if id = root then 0 else if is_leaf then leaf_depth else !depth + 1;
     if not (Hashtbl.mem seen id) then begin
       Hashtbl.add seen id ();
-      visits := { depth = !depth; page = id; is_leaf } :: !visits
+      let depth = Option.fold ~none:0 ~some:Btree.Scanner.level !scanner in
+      let is_leaf =
+        try Btree.Node.is_leaf_page b with Invalid_argument _ -> false
+      in
+      visits := { depth; page = id; is_leaf } :: !visits
     end;
     b
   in
+  let sc = Btree.Scanner.create tree ~read in
+  scanner := Some sc;
   Fun.protect
     ~finally:(fun () -> stats.Stats.reads <- reads0)
-    (fun () -> ignore (scan ~read ~skip:true tree plan));
+    (fun () -> ignore (scan ~skip:true sc tree plan));
   List.rev !visits
 
 let pp_explain ppf visits =

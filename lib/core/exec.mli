@@ -78,7 +78,7 @@ type visit = {
 val explain : Index.t -> Query.t -> visit list
 (** The search tree the parallel algorithm builds (the paper's Fig. 3):
     every B-tree page its walk touches, once each, in first-touch order,
-    with its depth.  It is a dry run of the loop behind {!parallel}, for
+    with its depth as the scanner reports it ({!Btree.Scanner.level}).  It is a dry run of the loop behind {!parallel}, for
     enumerable and range predicates alike, so the number of visits equals
     the query's uncached [page_reads].  Reads go through a throwaway cache
     straight to the pager — never the shared pool — and the pager's read

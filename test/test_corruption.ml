@@ -358,7 +358,8 @@ let test_attach_corrupt_root () =
 
 (* A damaged non-root leaf must surface as typed corruption naming that
    leaf through every read entry point: the point lookups, a seek that
-   lands on it, and a cursor that walks onto it along the leaf chain.
+   lands on it from the root or by a finger climb from the previous
+   leaf, and a cursor that walks onto it along the leaf chain.
    [damage] builds the garbage page; it is written through the pager, so
    only the node layer can notice. *)
 let test_damaged_leaf damage () =
@@ -402,10 +403,24 @@ let test_damaged_leaf damage () =
   expect "mem" (fun () -> Btree.mem t inside);
   let sc = Btree.Scanner.create t ~read:(Btree.raw_read t) in
   expect "Scanner.seek" (fun () -> Btree.Scanner.seek sc inside);
-  Btree.Scanner.reset sc t ~read:(Btree.raw_read t);
-  (match Btree.Scanner.seek sc before with
-  | Some e -> Alcotest.(check string) "cursor on previous leaf" before e.key
-  | None -> Alcotest.fail "seek into the previous leaf found nothing");
+  let on_previous_leaf () =
+    Btree.Scanner.reset sc t ~read:(Btree.raw_read t);
+    match Btree.Scanner.seek sc before with
+    | Some e -> Alcotest.(check string) "cursor on previous leaf" before e.key
+    | None -> Alcotest.fail "seek into the previous leaf found nothing"
+  in
+  (* a finger seek from the previous leaf climbs its held path and
+     descends onto the damaged leaf *)
+  on_previous_leaf ();
+  let counter name =
+    Option.value ~default:0 (Obs.Metrics.find Obs.Metrics.default name)
+  in
+  let d0 = counter "btree.descents" and f0 = counter "btree.finger_seeks" in
+  expect "Scanner.seek (finger climb)" (fun () -> Btree.Scanner.seek sc inside);
+  Alcotest.(check (pair int int)) "served from the held path, no root descent"
+    (0, 1)
+    (counter "btree.descents" - d0, counter "btree.finger_seeks" - f0);
+  on_previous_leaf ();
   expect "Scanner.next" (fun () -> Btree.Scanner.next sc)
 
 let bad_kind_byte page_size = Bytes.make page_size '\007'

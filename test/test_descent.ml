@@ -8,8 +8,11 @@
      and off);
    - a tree-level differential test proving [find], [mem] and the
      scanner return byte-identical answers to an in-test reader built on
-     [Node.decode], AND issue identical page reads with no cache
-     attached, plus absolute descent accounting;
+     [Node.decode] that always descends from the root, AND fetch the
+     same distinct pages under a per-run [Pager.Cache] (no more pages
+     with no cache), plus absolute descent accounting;
+   - a property test over random trees: a scanner that finger-seeks
+     answers and reads like a fresh scanner per seek;
    - an allocation assertion: a warm-pool point lookup allocates
      (almost) nothing on the minor heap;
    - scanner-reuse regressions. *)
@@ -278,18 +281,20 @@ type reader = {
   next : unit -> (string * string) option;
 }
 
-let in_place t =
-  let sc = Btree.Scanner.create t ~read:(Btree.raw_read t) in
-  let kv = Option.map (fun (e : Btree.entry) -> (e.key, e.value ())) in
+let kv = Option.map (fun (e : Btree.entry) -> (e.key, e.value ()))
+
+(* the compare-in-place path: one scanner for the whole run, so every
+   seek forward of its cursor is a finger seek *)
+let in_place t read =
+  let sc = Btree.Scanner.create t ~read in
   {
-    find = (fun k -> Btree.find t k);
-    mem = (fun k -> Btree.mem t k);
+    find = (fun k -> Btree.find t ~read k);
+    mem = (fun k -> Btree.mem t ~read k);
     seek = (fun k -> kv (Btree.Scanner.seek sc k));
     next = (fun () -> kv (Btree.Scanner.next sc));
   }
 
-let oracle t =
-  let read = Btree.raw_read t in
+let oracle t read =
   let c = Oracle.cursor read in
   {
     find = Oracle.find t read;
@@ -298,14 +303,38 @@ let oracle t =
     next = (fun () -> Oracle.next c);
   }
 
+(* A page source for one run: the tree's own reads, recording every page
+   fetched, optionally under one per-run [Pager.Cache].  Returns the
+   reader and the sorted set of distinct pages fetched so far. *)
+let source t ~cached =
+  let pages = Hashtbl.create 64 in
+  let raw id =
+    Hashtbl.replace pages id ();
+    Btree.raw_read t id
+  in
+  let read =
+    if cached then Storage.Pager.Cache.read (Storage.Pager.Cache.of_read raw)
+    else raw
+  in
+  (read, fun () -> List.sort compare (Hashtbl.fold (fun id () l -> id :: l) pages []))
+
+type answers = {
+  finds : string option list;
+  mems : bool list;
+  scanned : (string * string) list;
+  lookup_reads : int;  (* pager reads issued by the finds and mems *)
+  reads : int;  (* pager reads of the whole run *)
+  seeks : int;
+}
+
 (* every probe through find and mem, short seek+next bursts, then one
-   full sweep of the leaf chain; returns the answers, the pager reads,
-   and the number of seeks issued *)
+   full sweep of the leaf chain *)
 let run t r =
   let stats = Storage.Pager.stats (Btree.pager t) in
   Storage.Stats.reset stats;
   let finds = List.map r.find tree_probes in
   let mems = List.map r.mem tree_probes in
+  let lookup_reads = stats.Storage.Stats.reads in
   let seeks = ref 0 in
   let scanned = ref [] in
   let note = Option.iter (fun kv -> scanned := kv :: !scanned) in
@@ -331,36 +360,242 @@ let run t r =
     | None -> ()
   in
   sweep ();
-  ((finds, mems, List.rev !scanned, stats.Storage.Stats.reads), !seeks)
+  {
+    finds;
+    mems;
+    scanned = List.rev !scanned;
+    lookup_reads;
+    reads = stats.Storage.Stats.reads;
+    seeks = !seeks;
+  }
 
-let test_differential () =
+let check_answers (o : answers) (f : answers) =
+  Alcotest.(check (list (option string))) "find answers" o.finds f.finds;
+  Alcotest.(check (list bool)) "mem answers" o.mems f.mems;
+  Alcotest.(check (list (pair string string))) "scanned entries" o.scanned
+    f.scanned
+
+(* Under one per-run [Pager.Cache] each — Algorithm 1's page source —
+   the finger-seeking scanner fetches exactly the distinct pages of the
+   oracle, which always descends from the root. *)
+let test_differential_cached () =
   let t = build_tree () in
-  let (f_finds, f_mems, f_scanned, f_reads), _ = run t (in_place t) in
-  let (o_finds, o_mems, o_scanned, o_reads), _ = run t (oracle t) in
-  Alcotest.(check (list (option string))) "find answers" o_finds f_finds;
-  Alcotest.(check (list bool)) "mem answers" o_mems f_mems;
-  Alcotest.(check (list (pair string string))) "scanned entries" o_scanned
-    f_scanned;
-  (* no cache anywhere: both readers must fetch exactly the same pages *)
-  Alcotest.(check int) "page reads identical" o_reads f_reads;
-  if f_reads = 0 then Alcotest.fail "differential run issued no reads"
+  let read, pages = source t ~cached:true in
+  let f = run t (in_place t read) in
+  let o_read, o_pages = source t ~cached:true in
+  let o = run t (oracle t o_read) in
+  check_answers o f;
+  Alcotest.(check (list int)) "distinct pages identical" (o_pages ()) (pages ());
+  Alcotest.(check int) "page reads identical" o.reads f.reads
 
-(* the paper's metrics in absolute terms: one descent per find, mem and
-   seek, each visiting exactly one node per level *)
+(* With no cache anywhere, find and mem fetch exactly the oracle's pages,
+   and a finger seek never fetches more than a root descent. *)
+let test_differential_uncached () =
+  let t = build_tree () in
+  let f = run t (in_place t (Btree.raw_read t)) in
+  let o = run t (oracle t (Btree.raw_read t)) in
+  check_answers o f;
+  Alcotest.(check int) "find/mem page reads identical" o.lookup_reads
+    f.lookup_reads;
+  if f.lookup_reads = 0 then Alcotest.fail "differential run issued no reads";
+  if f.reads >= o.reads then
+    Alcotest.failf "finger seeks read %d pages, root descents %d" f.reads
+      o.reads
+
+let counter name =
+  Option.value ~default:0 (Obs.Metrics.find Obs.Metrics.default name)
+
+(* The descent metrics in absolute terms.  Every find, mem and seek is
+   either a root descent or a finger seek; a root descent visits one node
+   per level, a finger seek only the nodes it reads below the ancestor it
+   climbs to. *)
 let test_differential_metrics () =
   let t = build_tree () in
-  let counter name =
-    Option.value ~default:0 (Obs.Metrics.find Obs.Metrics.default name)
-  in
-  let d0 = counter "btree.descents" and v0 = counter "btree.node_visits" in
-  let _, seeks = run t (in_place t) in
+  let d0 = counter "btree.descents" and f0 = counter "btree.finger_seeks" in
+  let r = run t (in_place t (Btree.raw_read t)) in
   let descents = counter "btree.descents" - d0 in
-  Alcotest.(check int) "descents = finds + mems + seeks"
-    ((2 * List.length tree_probes) + seeks)
-    descents;
-  Alcotest.(check int) "node visits = descents * height"
-    (descents * Btree.height t)
-    (counter "btree.node_visits" - v0)
+  let fingers = counter "btree.finger_seeks" - f0 in
+  Alcotest.(check int) "descents + finger seeks = finds + mems + seeks"
+    ((2 * List.length tree_probes) + r.seeks)
+    (descents + fingers);
+  if fingers = 0 then Alcotest.fail "no seek was served from the held path";
+  (* node visits: seeks to present keys, forward with a few steps back,
+     never step along the leaf chain and read no value, so every page
+     read is a node visit of a root descent or of a finger seek *)
+  let keys = ref [] in
+  Btree.iter t (fun e -> keys := e.key :: !keys);
+  let keys = Array.of_list (List.rev !keys) in
+  let reads = ref 0 in
+  let read id =
+    incr reads;
+    Btree.raw_read t id
+  in
+  let sc = Btree.Scanner.create t ~read in
+  let d0 = counter "btree.descents" and v0 = counter "btree.node_visits" in
+  let finger_reads = ref 0 in
+  Array.iteri
+    (fun i _ ->
+      let k = keys.((i * 7) mod Array.length keys) in
+      let f0 = counter "btree.finger_seeks" and r0 = !reads in
+      ignore (Btree.Scanner.seek sc k);
+      if counter "btree.finger_seeks" > f0 then
+        finger_reads := !finger_reads + (!reads - r0))
+    keys;
+  let descents = counter "btree.descents" - d0 in
+  let visits = counter "btree.node_visits" - v0 in
+  Alcotest.(check int) "node visits = pages read" !reads visits;
+  Alcotest.(check int) "node visits = descents * height + finger reads"
+    ((descents * Btree.height t) + !finger_reads)
+    visits
+
+(* --- finger seeks: property over random trees ------------------------------ *)
+
+(* A seek target, resolved against the cursor when the script runs:
+   [Fwd (j, tweak)] is the key [j] entries past the cursor, itself or a
+   neighbour of it; [Same] re-seeks the cursor key; [Back j] goes [j]
+   entries back; [Past] is beyond every key. *)
+type target = Fwd of int * int | Same | Back of int | Past | First
+type op = Seek of target | Next
+
+let op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map2 (fun j tw -> Seek (Fwd (j, tw))) (int_range 1 4) (int_bound 3));
+      (2, map2 (fun j tw -> Seek (Fwd (j, tw))) (int_range 5 200) (int_bound 3));
+      (1, return (Seek Same));
+      (1, map (fun j -> Seek (Back j)) (int_range 1 40));
+      (1, return (Seek Past));
+      (1, return (Seek First));
+      (5, return Next);
+    ]
+
+type tree_spec = {
+  fc : bool;
+  max_entries : int;
+  height : int;  (* insert until the tree is this tall (or 3,000 keys) *)
+  deletes : int;  (* percentage of keys deleted afterwards *)
+  seed : int;
+  ops : op list;
+}
+
+let spec_gen =
+  let open QCheck.Gen in
+  map
+    (fun ((fc, max_entries, height), (deletes, seed, ops)) ->
+      { fc; max_entries; height; deletes; seed; ops })
+    (pair
+       (triple bool (int_range 3 10) (int_range 1 5))
+       (triple
+          (frequency [ (2, return 0); (1, int_range 10 70) ])
+          int
+          (list_size (int_range 1 120) op_gen)))
+
+let print_spec s =
+  Printf.sprintf "fc=%b max_entries=%d height=%d deletes=%d%% seed=%d ops=%d"
+    s.fc s.max_entries s.height s.deletes s.seed (List.length s.ops)
+
+(* keys with heavy shared prefixes, prefix chains and a few long ones;
+   every 20th value spills to an overflow page.  At 4 KiB pages no node
+   reaches the byte limit, so [max_entries] alone shapes the tree.  The
+   trees are not run through [Btree.check]: after deletes among long
+   prefix-chain keys the delete path can leave an empty non-root leaf
+   (a known rebalancing defect, listed in ROADMAP.md), and a finger seek
+   must agree with a root descent on such a tree too. *)
+let build_random_tree s =
+  let rs = Random.State.make [| s.seed |] in
+  let t = mk ~page_size:4096 ~max_entries:s.max_entries ~front_coding:s.fc () in
+  let key () =
+    let small n = String.init n (fun _ -> Char.chr (97 + Random.State.int rs 3)) in
+    match Random.State.int rs 8 with
+    | 0 -> small (1 + Random.State.int rs 3) ^ String.make (1 + Random.State.int rs 200) 'q'
+    | 1 -> small (1 + Random.State.int rs 4) ^ string_of_int (Random.State.int rs 1000)
+    | _ -> small (1 + Random.State.int rs 10)
+  in
+  let inserted = ref [] in
+  let n = ref 0 in
+  while Btree.height t < s.height && !n < 3000 do
+    let k = key () in
+    let v =
+      if !n mod 20 = 19 then String.make 1500 'o' else Printf.sprintf "v%d" !n
+    in
+    Btree.insert t ~key:k ~value:v;
+    inserted := k :: !inserted;
+    incr n
+  done;
+  List.iter
+    (fun k -> if Random.State.int rs 100 < s.deletes then ignore (Btree.delete t k))
+    !inserted;
+  t
+
+(* Run the script twice over the tree: with one scanner (finger seeks)
+   and with a fresh scanner per seek (always a root descent), each over
+   its own per-run [Pager.Cache].  The answers and the distinct pages
+   fetched must agree. *)
+let prop_finger_seeks =
+  QCheck.Test.make ~count:200 ~name:"finger seek = fresh scanner per seek"
+    (QCheck.make ~print:print_spec spec_gen)
+    (fun s ->
+      let t = build_random_tree s in
+      let keys = ref [] in
+      Btree.iter t (fun e -> keys := e.key :: !keys);
+      let keys = Array.of_list (List.rev !keys) in
+      let nkeys = Array.length keys in
+      (* index of the first key >= k *)
+      let rank k =
+        let i = ref 0 in
+        while !i < nkeys && String.compare keys.(!i) k < 0 do incr i done;
+        !i
+      in
+      let resolve cur = function
+        | Fwd (j, tweak) -> (
+            let i = match cur with Some k -> rank k + j | None -> nkeys in
+            if i >= nkeys then "\xff\xff"
+            else
+              let k = keys.(i) in
+              match tweak with
+              | 0 -> k
+              | 1 -> k ^ "\x00"
+              | 2 -> String.sub k 0 (String.length k - 1)
+              | _ -> k ^ "zz")
+        | Same -> ( match cur with Some k -> k | None -> "")
+        | Back j -> (
+            match cur with
+            | Some k -> keys.(max 0 (rank k - j))
+            | None -> if nkeys = 0 then "" else keys.(max 0 (nkeys - j)))
+        | Past -> "\xff\xff"
+        | First -> ""
+      in
+      let play ~fresh =
+        let read, pages = source t ~cached:true in
+        let sc = ref (Btree.Scanner.create t ~read) in
+        let cur = ref None in
+        let out =
+          List.map
+            (fun op ->
+              let r =
+                match op with
+                | Next -> Btree.Scanner.next !sc
+                | Seek tg ->
+                    let k = resolve !cur tg in
+                    if fresh then sc := Btree.Scanner.create t ~read;
+                    Btree.Scanner.seek !sc k
+              in
+              cur := Option.map (fun (e : Btree.entry) -> e.key) r;
+              kv r)
+            s.ops
+        in
+        (out, pages ())
+      in
+      let f_out, f_pages = play ~fresh:false in
+      let o_out, o_pages = play ~fresh:true in
+      if f_out <> o_out then
+        QCheck.Test.fail_reportf "answers differ (height %d, %d keys)"
+          (Btree.height t) nkeys;
+      if f_pages <> o_pages then
+        QCheck.Test.fail_reportf "distinct pages differ: %d vs %d"
+          (List.length f_pages) (List.length o_pages);
+      true)
 
 (* --- allocation: warm-pool point lookups -------------------------------- *)
 
@@ -452,15 +687,21 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_leaf_search_matches_decode; prop_child_matches_decode ]
 
+let finger_suite = [ QCheck_alcotest.to_alcotest prop_finger_seeks ]
+
 let () =
   Alcotest.run "descent"
     [
       ("in-place search", qsuite);
       ( "differential",
         [
-          Alcotest.test_case "answers and page reads" `Quick test_differential;
+          Alcotest.test_case "answers and page reads" `Quick
+            test_differential_cached;
           Alcotest.test_case "descent metrics" `Quick test_differential_metrics;
+          Alcotest.test_case "uncached finger reads" `Quick
+            test_differential_uncached;
         ] );
+      ("finger seeks", finger_suite);
       ( "allocation",
         [ Alcotest.test_case "warm point lookup" `Quick test_warm_lookup_alloc ] );
       ( "scanner",
