@@ -1294,10 +1294,19 @@ let announce_and_wait server =
   done;
   print_endline "shutting down"
 
+(* SIGTERM drain dumps the slow-query log so the slowest requests of the
+   run survive the process (stderr keeps stdout scriptable) *)
+let dump_slow_log slow =
+  match Obs.Json.member "count" slow with
+  | Some (Obs.Json.Int n) when n > 0 ->
+      prerr_endline "slow-query log (newest first):";
+      prerr_endline (Obs.Json.to_multiline slow)
+  | _ -> ()
+
 (* serve --shard-map without --shard-id: the scatter-gather router.  No
    database of its own — every query fans out to the shards the planner
    cannot prune. *)
-let run_router mapfile addr workers backlog timeout chaos restart_budget =
+let run_router mapfile config telemetry =
   let map =
     match Smap.load mapfile with
     | map -> map
@@ -1319,30 +1328,37 @@ let run_router mapfile addr workers backlog timeout chaos restart_budget =
             exit 1)
       (Smap.shards map)
   in
+  let timeout = config.Server.request_timeout in
   let router =
     Router.create
       ~shard_timeout:(if timeout > 0. then timeout else 5.)
-      ~schema:b.schema ~enc:b.enc ~map ~backends ()
-  in
-  let config =
-    { (Server.default_config addr) with workers; backlog;
-      request_timeout = timeout; chaos; restart_budget }
+      ~telemetry ~schema:b.schema ~enc:b.enc ~map ~backends ()
   in
   let server = Server.start_handler (Router.handler router) config in
   announce_and_wait server;
-  Server.stop server
+  Server.stop server;
+  dump_slow_log (Router.slow_log_json ~limit:16 router)
 
 let serve_cmd =
   let run n_vehicles seed addr workers backlog timeout file churn group_window
       slow_ms slow_log trace_sample no_tracing chaos_spec scrub_every
       restart_budget shard_map shard_id =
     let chaos = parse_chaos_or_die chaos_spec in
+    let config = { (Server.default_config addr) with workers; backlog;
+                   request_timeout = timeout; chaos; restart_budget } in
+    let telemetry =
+      {
+        Service.tracing = not no_tracing;
+        sample_every = max 1 trace_sample;
+        slow_threshold_ns = int_of_float (slow_ms *. 1e6);
+        slow_capacity = max 0 slow_log;
+      }
+    in
     match (shard_map, shard_id) with
     | None, Some _ ->
         Printf.eprintf "uindex-cli: --shard-id requires --shard-map\n";
         exit 1
-    | Some mapfile, None ->
-        run_router mapfile addr workers backlog timeout chaos restart_budget
+    | Some mapfile, None -> run_router mapfile config telemetry
     | shard_role ->
     let shard =
       match shard_role with
@@ -1414,14 +1430,6 @@ let serve_cmd =
               Some pager)
     in
     Uindex.Db.set_group_window db group_window;
-    let telemetry =
-      {
-        Service.tracing = not no_tracing;
-        sample_every = max 1 trace_sample;
-        slow_threshold_ns = int_of_float (slow_ms *. 1e6);
-        slow_capacity = max 0 slow_log;
-      }
-    in
     let shard_info =
       Option.map
         (fun (map, k) ->
@@ -1431,8 +1439,6 @@ let serve_cmd =
         shard
     in
     let svc = Service.create ~telemetry ?shard_info ~schema:b.schema db in
-    let config = { (Server.default_config addr) with workers; backlog;
-                   request_timeout = timeout; chaos; restart_budget } in
     let server = Server.start svc config in
     let scrub =
       if scrub_every > 0. then
@@ -1466,14 +1472,7 @@ let serve_cmd =
     if churn > 0 then Printf.printf "churn writers committed %d times\n" commits;
     Option.iter Scrub.stop scrub;
     Server.stop server;
-    (* SIGTERM drain dumps the slow-query log so the slowest requests of
-       the run survive the process (stderr keeps stdout scriptable) *)
-    let slow = Service.slow_log_json ~limit:16 svc in
-    (match Obs.Json.member "count" slow with
-    | Some (Obs.Json.Int n) when n > 0 ->
-        prerr_endline "slow-query log (newest first):";
-        prerr_endline (Obs.Json.to_multiline slow)
-    | _ -> ());
+    dump_slow_log (Service.slow_log_json ~limit:16 svc);
     Option.iter Storage.Pager.close file_pager
   in
   let n = n_arg () in
@@ -1738,7 +1737,7 @@ let client_cmd =
 (* --- supervise: crash -> recover -> re-serve, automatically ----------------- *)
 
 let supervise_cmd =
-  let run file n seed socket tcp workers chaos scrub_every churn group_window
+  let run file n seed addr workers chaos scrub_every churn group_window
       timeout max_restarts =
     if not (Sys.file_exists file) then begin
       Printf.eprintf "uindex-cli: no such file: %s\n" file;
@@ -1770,9 +1769,10 @@ let supervise_cmd =
            "--group-window"; Printf.sprintf "%g" group_window;
            "--timeout"; Printf.sprintf "%g" timeout;
          ]
-        @ (match tcp with
-          | Some spec -> [ "--tcp"; spec ]
-          | None -> [ "--socket"; socket ])
+        @ (match addr with
+          | Server.Tcp (host, port) ->
+              [ "--tcp"; Printf.sprintf "%s:%d" host port ]
+          | Server.Unix_sock path -> [ "--socket"; path ])
         @ (match chaos with Some c -> [ "--chaos"; c ] | None -> [])
         @ (if scrub_every > 0. then
              [ "--scrub-every"; Printf.sprintf "%g" scrub_every ]
@@ -1847,19 +1847,6 @@ let supervise_cmd =
   in
   let n = n_arg () in
   let seed = seed_arg () in
-  let socket =
-    Arg.(
-      value
-      & opt string "uindex.sock"
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:"Unix-domain socket path (ignored with $(b,--tcp)).")
-  in
-  let tcp =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tcp" ] ~docv:"HOST:PORT" ~doc:"Listen on TCP instead.")
-  in
   let workers =
     Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Worker domains.")
   in
@@ -1911,7 +1898,7 @@ let supervise_cmd =
           drain.  Exits 2 if the recovered file is corrupt, 1 when the \
           restart budget is exhausted.")
     Term.(
-      const run $ file $ n $ seed $ socket $ tcp $ workers $ chaos
+      const run $ file $ n $ seed $ addr_args $ workers $ chaos
       $ scrub_every $ churn $ group_window $ timeout $ max_restarts)
 
 (* --- top: a refreshing live dashboard over the admin protocol -------------- *)

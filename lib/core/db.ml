@@ -8,7 +8,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type t = {
   store : Store.t;
   mutable indexes : Index.t list;
-  mutable cache_pages : int;  (* 0 = uncached, the paper's accounting *)
   writer : Mutex.t;
       (* serializes every mutation (and session pinning, so a session
          never pins a half-applied commit) *)
@@ -21,8 +20,7 @@ let with_writer t f =
   Mutex.lock t.writer;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.writer) f
 
-let create ?(cache_pages = 0) store =
-  if cache_pages < 0 then invalid_arg "Db.create: negative cache_pages";
+let create store =
   (* the coordinator's flush function closes over the db record we are
      about to build; break the cycle with a forward cell *)
   let cell = ref None in
@@ -42,7 +40,6 @@ let create ?(cache_pages = 0) store =
     {
       store;
       indexes = [];
-      cache_pages;
       writer = Mutex.create ();
       gc = Storage.Group_commit.create ~flush ();
     }
@@ -52,19 +49,7 @@ let create ?(cache_pages = 0) store =
 
 let store t = t.store
 let indexes t = t.indexes
-let cache_pages t = t.cache_pages
-
-let set_cache_pages t n =
-  if n < 0 then invalid_arg "Db.set_cache_pages: negative capacity";
-  with_writer t @@ fun () ->
-  t.cache_pages <- n;
-  List.iter (fun idx -> Index.set_cache_pages idx n) t.indexes
-
 let register ?(build = true) t idx =
-  (* pools are per-pager: each index gets its own, sized by the db-wide
-     knob, unless the caller attached one already *)
-  if t.cache_pages > 0 && Index.pool idx = None then
-    Index.set_cache_pages idx t.cache_pages;
   if build then Index.build idx t.store;
   Log.debug (fun m ->
       m "registered index (%d entries)" (Index.entry_count idx));

@@ -25,29 +25,17 @@ module Value := Objstore.Value
 
 type t
 
-val create : ?cache_pages:int -> Store.t -> t
-(** [?cache_pages] (default [0]) sizes the shared buffer pool attached
-    to every index registered with {!add_index}; [0] keeps all reads
-    uncached — the paper's exact page-read accounting. *)
+val create : Store.t -> t
 
 val store : t -> Store.t
 
 val add_index : t -> Index.t -> unit
-(** Registers the index (building it over the current store content).
-    If the database was created with [cache_pages > 0] and the index has
-    no pool yet, a shared pool of that many pages is attached first (one
-    pool per index: pools are tied to the index's pager). *)
+(** Registers the index (building it over the current store content). *)
 
 val attach_index : t -> Index.t -> unit
 (** Like {!add_index} but without rebuilding — for an index that already
     holds its entries, e.g. one re-opened from a page file with
     {!Index.attach_class_hierarchy}. *)
-
-val cache_pages : t -> int
-
-val set_cache_pages : t -> int -> unit
-(** Re-sizes the pool on every registered index (and future ones);
-    [0] detaches them all. *)
 
 val remove_index : t -> Index.t -> unit
 (** Stops maintaining the index; its pages are not reclaimed (drop the

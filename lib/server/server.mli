@@ -3,7 +3,7 @@
 
     One acceptor domain polls the listener and pushes connections onto a
     bounded queue; [workers] domains pop connections and serve requests
-    through {!Service.handle}.  Overflowing the queue gets the client a
+    through {!Service.serve_line}.  Overflowing the queue gets the client a
     typed [overloaded] reply instead of a hang; a connection that waited
     in the queue past the request timeout gets a [timeout] reply; socket
     reads and writes carry OS-level timeouts so a stalled peer can never

@@ -1,4 +1,5 @@
-(** Request dispatch: a {!Uindex.Db} behind the wire protocol.
+(** Request dispatch: a {!Uindex.Db} behind the wire protocol, and the
+    one request pipeline every front end serves through.
 
     A service routes each parsed query to the registered index whose
     {!Uindex.Index.arity} matches the query's component count — the same
@@ -10,22 +11,30 @@
     same query against the same snapshot are byte-identical regardless of
     which worker (or process) produced them.
 
-    {b Telemetry.}  Every request flows through one pipeline that feeds
+    {b One pipeline, two query answers.}  Parsing, the deadline check,
+    the admin requests ([ping], [quit], [stats], [health],
+    [slow-queries]), echoing the client trace id, per-request exception
+    containment, rendering, the [server.*] instruments and slow-log
+    admission live in {!serve_core}, once.  A front end supplies only its
+    {!query_answer} and its [health] fields: a service answers from its
+    own database, the shard router ([Uindex_shard.Router]) by fanning out.
+
+    {b Telemetry.}  Every request flows through the pipeline, which feeds
     per-stage histograms ([server.queue_wait_ns], [server.session_pin_ns],
     [server.exec_ns], [server.render_ns], [server.bytes_out],
     [server.request_ns]) in {!Obs.Metrics.default}.  When tracing is on,
     sampled requests (and every request carrying a client trace id) run
-    under an {!Obs.Trace} root span whose children are the executor's
-    plan/descent spans; requests at or above the slow threshold are
-    admitted to a bounded ring — the slow-query log — drainable with the
-    [slow-queries] admin request or {!slow_log_json}.  The ring keeps an
-    {!Obs.Trace.compact}ed copy of each span tree (at most 64 children
+    under an {!Obs.Trace} root span; a service hangs the executor's
+    plan/descent spans under it.  Requests at or above the slow threshold
+    are admitted to a bounded ring — the slow-query log — drainable with
+    the [slow-queries] admin request or {!slow_log_json}.  The ring keeps
+    an {!Obs.Trace.compact}ed copy of each span tree (at most 64 children
     per node, the rest summed into one [elided] span), so an entry's
     size is bounded however many descents its query ran, and its span
     totals still equal the request's.  Stage durations are read on
-    {!Obs.Clock}; only the entry's [at] timestamp is wall-clock.  Telemetry never
-    changes response bytes: a server-assigned trace id stays internal,
-    and only a client-propagated id is echoed back.
+    {!Obs.Clock}; only the entry's [at] timestamp is wall-clock.
+    Telemetry never changes response bytes: a server-assigned trace id
+    stays internal, and only a client-propagated id is echoed back.
 
     Page-read accounting is exact under tracing: the root span's own
     [page_reads] field carries the session-pin reads (every snapshot
@@ -33,9 +42,9 @@
     so summing span totals over a window of requests reconciles with
     the global [pager.reads] counter delta over the same window.
 
-    Handling is thread-safe: any number of threads may call {!handle} on
-    one service concurrently, and worker domains trace into domain-local
-    collectors.
+    Handling is thread-safe: any number of threads may call
+    {!serve_line} on one service concurrently, and worker domains trace
+    into domain-local collectors.
 
     {b Corruption containment.}  A request that trips
     [Storage_error.Corruption] (a page failed its checksum mid-query)
@@ -75,20 +84,21 @@ val create :
     holds. *)
 
 val db : t -> Uindex.Db.t
-val telemetry : t -> telemetry
 
-val handle : ?deadline:int -> t -> Protocol.request -> Obs.Json.t
-(** Executes one request and returns the response document.  [?deadline]
-    is an absolute {!Obs.Clock.now_ns} instant, so a wall-clock step can
-    neither fire it early nor postpone it; a request that starts after
-    its deadline gets a [timeout] error instead of running.  Never
-    raises: execution failures become [internal] error responses.
-    Observes the [server.requests], [server.request_errors] and
-    [server.request_ns] instruments in {!Obs.Metrics.default}. *)
+val serve :
+  ?queued_ns:int -> ?deadline:int -> t -> string -> Obs.Json.t * string
+(** {!serve_core} over this service's database: one request line in, the
+    response document and its rendered bytes out. *)
 
 val handle_line : ?deadline:int -> t -> string -> Obs.Json.t
-(** {!Protocol.parse_line} then {!handle}; unparseable request lines
-    become [bad_request] error responses. *)
+(** Executes one request line and returns the response document.
+    [?deadline] is an absolute {!Obs.Clock.now_ns} instant, so a
+    wall-clock step can neither fire it early nor postpone it; a request
+    that starts after its deadline gets a [timeout] error instead of
+    running.  Never raises: unparseable lines become [bad_request]
+    errors and execution failures [internal] ones.  Observes the
+    [server.requests], [server.request_errors] and [server.request_ns]
+    instruments in {!Obs.Metrics.default}. *)
 
 val serve_line : ?queued_ns:int -> ?deadline:int -> t -> string -> string
 (** What the server's workers call: {!handle_line} plus rendering, so
@@ -101,3 +111,50 @@ val slow_log_json : ?limit:int -> t -> Obs.Json.t
 (** Snapshot of the slow-query log, newest first — the same document
     the [slow-queries] admin request returns (sans envelope).  Used to
     dump the log when a drained server shuts down. *)
+
+(** {1 The request pipeline} *)
+
+type pipeline
+(** Per-front-end pipeline state: telemetry settings, the slow-query
+    ring, the request sequence counter and the start time. *)
+
+val pipeline :
+  ?telemetry:telemetry -> schema:Oodb_schema.Schema.t -> unit -> pipeline
+(** [?telemetry] defaults to {!default_telemetry}; [schema] parses query
+    text. *)
+
+type answer =
+  | Doc of Obs.Json.t
+      (** a response document; the pipeline echoes the client trace id
+          into it and renders it *)
+  | Rendered of Obs.Json.t * string
+      (** a document and the bytes another pipeline (a shard) already
+          rendered from it — trace id included; returned untouched *)
+
+type query_answer =
+  root:Obs.Trace.span option ->
+  line:string ->
+  deadline:int option ->
+  algo:[ `Parallel | `Forward ] ->
+  Uindex.Query.t ->
+  answer
+(** A front end's answer to a parsed query.  [root] is the request's
+    span when traced, to carry the answer's fields; [line] is the
+    request line as received.  An exception it raises becomes a typed
+    error reply ([data_corruption] or [internal]). *)
+
+val serve_core :
+  ?queued_ns:int ->
+  ?deadline:int ->
+  pipeline ->
+  health:(unit -> (string * Obs.Json.t) list) ->
+  answer:query_answer ->
+  string ->
+  Obs.Json.t * string
+(** The request pipeline: parses the line, checks the deadline, answers
+    the admin requests itself ([health] as the common vitals followed by
+    [health ()]'s fields), hands queries to [answer], and returns the
+    response document with its payload bytes. *)
+
+val pipeline_slow_log : ?limit:int -> pipeline -> Obs.Json.t
+(** {!slow_log_json} for any front end's pipeline. *)

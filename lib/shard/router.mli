@@ -1,10 +1,14 @@
 (** The scatter-gather query frontend.
 
     One router serves the same wire protocol as an unsharded
-    {!Uindex_server.Service}: it parses each query, asks {!Planner}
-    which shards the query's code intervals can touch, fans the request
-    out to exactly those shards — in-process services or remote
-    endpoints — and merges the replies.
+    {!Uindex_server.Service} through the same pipeline
+    ({!Uindex_server.Service.serve_core}): parsing, deadlines, the admin
+    requests, trace-id echo, error containment, rendering, the
+    [server.*] instruments and the slow-query log are the service's.
+    Only the query answer is the router's: it asks {!Planner} which
+    shards the query's code intervals can touch, fans the request out to
+    exactly those shards — in-process services or remote endpoints — and
+    merges the replies.
 
     {b Reply canonicalization.}  Every shard renders rows in the
     canonical sorted order ({!Uindex_server.Service}), and a COD-range
@@ -17,8 +21,16 @@
     except the cost fields — which is the byte-comparable answer.
 
     {b Single-shard bypass.}  A query routed to one shard is forwarded
-    verbatim and its reply bytes returned untouched: no parse, no merge,
-    no re-render.
+    verbatim and its reply bytes returned untouched: no merge, no
+    re-render.  An in-process shard hands over its reply document with
+    the bytes, so no reply from a [Local] backend is ever re-parsed; a
+    [Remote] reply is parsed once.
+
+    {b Telemetry.}  A traced request's root span carries [fanout]
+    (shards contacted), [merge_ns] on fan-outs, and [page_reads] equal
+    to the reply's summed [page_reads] — so a router slow-log entry
+    reports its reply's page reads.  The shards' own span trees stay in
+    the shards' pipelines.
 
     {b Partial failure.}  A shard that cannot be reached (after the
     client's retry policy is exhausted) or that replies with an error
@@ -46,6 +58,7 @@ type t
 val create :
   ?shard_timeout:float ->
   ?retry_policy:Client.retry_policy ->
+  ?telemetry:Service.telemetry ->
   schema:Schema.t ->
   enc:Encoding.t ->
   map:Shard_map.t ->
@@ -54,7 +67,9 @@ val create :
   t
 (** [backends] must have one entry per shard of [map].
     [?shard_timeout] (default 5 s) is the per-shard socket deadline on
-    remote fan-out requests. *)
+    remote fan-out requests.  [?telemetry] configures the router's own
+    pipeline exactly as {!Uindex_server.Service.create}'s does (default
+    {!Uindex_server.Service.default_telemetry}). *)
 
 val map : t -> Shard_map.t
 
@@ -67,17 +82,21 @@ val route_query : t -> Uindex.Query.t -> int list
 (** The shards {!Planner} would fan this query to (no request is
     sent). *)
 
-val respond : ?trace_id:int -> t -> Uindex.Query.t -> string
+val respond : t -> Uindex.Query.t -> string
 (** The reply for an already-parsed query — {!serve_line}'s query path
     without the wire parsing.  This is how a query whose pattern admits
     no code interval at all ([P_union []], which has no textual form)
     gets its canonical empty reply without contacting any shard. *)
 
 val serve_line : ?queued_ns:int -> ?deadline:int -> t -> string -> string
-(** The router's request pipeline — same contract as
-    {!Uindex_server.Service.serve_line}, feeding the same [server.*]
-    instruments plus [shard.fanout] (shards contacted per query),
-    [shard.pruned] (shard requests avoided) and [shard.merge_ns]. *)
+(** {!Uindex_server.Service.serve_core} applied to the router's query
+    answer — same contract as {!Uindex_server.Service.serve_line}, plus
+    the [shard.fanout] (shards contacted per query), [shard.pruned]
+    (shard requests avoided) and [shard.merge_ns] instruments. *)
+
+val slow_log_json : ?limit:int -> t -> Obs.Json.t
+(** The router's slow-query log, as {!Uindex_server.Service.slow_log_json}
+    renders a service's. *)
 
 val handler : t -> Server.handler
 (** Plug the router behind the socket server:

@@ -6,7 +6,9 @@
    per-shard request counters proving pruning is exact, not heuristic.
    Partial failure (a dead shard) must surface as a typed
    [shard_failure], and a unanimously unroutable query must pass the
-   shards' own error through untouched. *)
+   shards' own error through untouched.  The router serves through the
+   service's request pipeline, so trace-id echo and the slow-query log
+   behave exactly as on a plain server. *)
 
 module Dg = Workload.Datagen
 module Ps = Workload.Paper_schema
@@ -325,6 +327,15 @@ let test_router_all_shards () =
 let test_differential () =
   let f = make_fleet () in
   let schema = f.ext.Ps.b.Ps.schema in
+  (* a second, untraced router over the same shards: telemetry never
+     changes reply bytes, through the router either *)
+  let dark =
+    Router.create
+      ~telemetry:{ Service.default_telemetry with tracing = false }
+      ~schema ~enc:f.ext.Ps.b.Ps.enc ~map:f.map
+      ~backends:(Array.map (fun s -> Router.Local s) f.services)
+      ()
+  in
   let qs = query_mix f.ext in
   Alcotest.(check bool) "mix is large enough" true (List.length qs >= 500);
   let expected = Array.make (Smap.count f.map) 0 in
@@ -344,6 +355,10 @@ let test_differential () =
           | _ -> ()));
       let a = Service.serve_line f.unsharded line in
       let r = Router.serve_line f.router line in
+      Alcotest.(check string)
+        (Printf.sprintf "untraced reply for %s" text)
+        r
+        (Router.serve_line dark line);
       if Protocol.response_is_ok (Json.of_string a) then incr ok;
       Alcotest.(check string)
         (Printf.sprintf "reply for %s" text)
@@ -486,6 +501,118 @@ let test_monotonic_deadlines () =
   Alcotest.(check (option int)) "same answer" (Json.to_int (member_exn "count" direct))
     (Json.to_int (member_exn "count" via))
 
+let count_sub hay needle =
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length hay then acc
+    else go (i + 1) (if String.sub hay i n = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+(* A class pattern the router sends to exactly one shard. *)
+let single_shard_query f router =
+  let cs = Ps.vehicle_leaf_classes f.ext in
+  let rec pick k =
+    if k >= Array.length cs then Alcotest.fail "no single-shard class"
+    else
+      let q =
+        Query.class_hierarchy ~value:(Query.V_eq (Value.Str "Red"))
+          (Query.P_class cs.(k))
+      in
+      match Router.route_query router q with [ _ ] -> q | _ -> pick (k + 1)
+  in
+  pick 0
+
+(* Every reply kind a router produces — admin replies, a merged fan-out,
+   a shard_failure and a single shard's forwarded bytes — echoes the
+   client trace id exactly once. *)
+let test_router_trace_id_echo () =
+  let f = make_fleet ~n_vehicles:300 () in
+  let b = f.ext.Ps.b in
+  let dead =
+    Filename.concat (Filename.get_temp_dir_name ()) "uindex-no-such.sock"
+  in
+  let crippled =
+    Router.create
+      ~retry_policy:
+        { Client.default_retry_policy with attempts = 1; base_delay = 0.001 }
+      ~schema:b.Ps.schema ~enc:b.Ps.enc ~map:f.map
+      ~backends:
+        (Array.mapi
+           (fun i s -> if i = 1 then Router.Remote dead else Router.Local s)
+           f.services)
+      ()
+  in
+  let text q = Qparse.to_syntax b.Ps.schema q in
+  let spanning =
+    "query "
+    ^ text
+        (Query.class_hierarchy ~value:Query.V_any (Query.P_subtree b.Ps.vehicle))
+  in
+  let single = "query " ^ text (single_shard_query f f.router) in
+  List.iter
+    (fun (what, router, line, kind) ->
+      let reply = Router.serve_line router ("@beef " ^ line) in
+      let d = Json.of_string reply in
+      Alcotest.(check (option string)) (what ^ ": reply kind") (Some kind)
+        (match Protocol.response_error_kind d with
+        | Some k -> Some k
+        | None -> Option.bind (Json.member "type" d) Json.to_str);
+      Alcotest.(check int) (what ^ ": trace id echoed once") 1
+        (count_sub reply {|"trace_id":"beef"|}))
+    [
+      ("ping", f.router, "ping", "pong");
+      ("stats", f.router, "stats", "stats");
+      ("health", f.router, "health", "health");
+      ("merged fan-out", f.router, spanning, "rows");
+      ("shard failure", crippled, spanning, "shard_failure");
+      ("single shard", f.router, single, "rows");
+    ]
+
+(* A router with a threshold-0 slow log admits every query; each entry's
+   span carries the fan-out width, and each entry reports its reply's
+   page reads. *)
+let test_router_slow_log () =
+  let f = make_fleet ~n_vehicles:300 () in
+  let b = f.ext.Ps.b in
+  let router =
+    Router.create
+      ~telemetry:{ Service.default_telemetry with slow_threshold_ns = 0 }
+      ~schema:b.Ps.schema ~enc:b.Ps.enc ~map:f.map
+      ~backends:(Array.map (fun s -> Router.Local s) f.services)
+      ()
+  in
+  let fan_q =
+    Query.class_hierarchy ~value:Query.V_any (Query.P_subtree b.Ps.vehicle)
+  in
+  let line q = "query " ^ Qparse.to_syntax b.Ps.schema q in
+  let replies =
+    List.map
+      (fun q ->
+        let reply = Json.of_string (Router.serve_line router (line q)) in
+        Alcotest.(check bool) "answers" true (Protocol.response_is_ok reply);
+        (q, reply))
+      [ fan_q; single_shard_query f router ]
+  in
+  let log = Router.slow_log_json router in
+  Alcotest.(check (option int)) "both admitted" (Some 2)
+    (Json.to_int (member_exn "count" log));
+  let entries = Option.get (Json.to_list (member_exn "entries" log)) in
+  List.iter
+    (fun (q, reply) ->
+      let entry =
+        List.find
+          (fun e -> Json.to_str (member_exn "request" e) = Some (line q))
+          entries
+      in
+      Alcotest.(check (option int)) "entry page_reads = reply's"
+        (Json.to_int (member_exn "page_reads" reply))
+        (Json.to_int (member_exn "page_reads" entry));
+      Alcotest.(check (option int)) "span fanout = route width"
+        (Some (List.length (Router.route_query router q)))
+        (Json.to_int (member_exn "fanout" (member_exn "span" entry))))
+    replies
+
 let () =
   Alcotest.run "shard"
     [
@@ -512,5 +639,7 @@ let () =
             test_unanimous_error_passthrough;
           Alcotest.test_case "monotonic deadlines" `Quick
             test_monotonic_deadlines;
+          Alcotest.test_case "trace id echo" `Quick test_router_trace_id_echo;
+          Alcotest.test_case "slow log" `Quick test_router_slow_log;
         ] );
     ]
