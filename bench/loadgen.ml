@@ -35,8 +35,8 @@ type result = {
 }
 
 (* Monotonic nanoseconds: the only clock the serve sections read. *)
-let now () = Int64.to_int (Monotonic_clock.now ())
-let seconds_since t0 = float_of_int (now () - t0) /. 1e9
+let now = Obs.Clock.now_ns
+let seconds_since t0 = float_of_int (Obs.Clock.since_ns t0) /. 1e9
 
 (* Runs [f 0] .. [f (n-1)] on systhreads.  The returned function joins
    them all and re-raises the first exception any of them raised: one

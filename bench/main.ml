@@ -1225,7 +1225,7 @@ let run_chaos_resilience (e : Dg.exp1) =
     }
   in
   let retrying path _ =
-    let c = Client.retrying ~timeout:5. ~policy path in
+    let c = Client.retrying ~timeout:5. ~policy (Server.Unix_sock path) in
     {
       Loadgen.send = Client.retry_request_raw c;
       close = (fun () -> Client.retry_close c);
@@ -1403,7 +1403,10 @@ let run_shard_scaling (e : Dg.exp1) =
     @@ fun () ->
     let router =
       Router.create ~schema:b.schema ~enc:b.enc ~map
-        ~backends:(Array.map (fun (_, p) -> Router.Remote p) shard_servers)
+        ~backends:
+          (Array.map
+             (fun (_, p) -> Router.Remote (Server.Unix_sock p))
+             shard_servers)
         ()
     in
     serving ~workers:clients dir

@@ -355,7 +355,10 @@ let explain_cmd =
           hits.")
     Term.(const run $ n $ seed $ qstr $ algo $ analyze $ json $ cache_pages_arg)
 
-(* --- stats: canned workload + registry dump, or a live-server scrape ------- *)
+(* --- live views: stats --connect and top, over any number of endpoints ---- *)
+
+module Endpoint = Uindex_server.Endpoint
+module Client = Uindex_server.Client
 
 (* small JSON accessors shared by stats --connect and top *)
 let jmember k j = Obs.Json.member k j
@@ -373,171 +376,200 @@ let jfloat j k =
   | Some (Obs.Json.Int i) -> float_of_int i
   | _ -> 0.
 
-let connect_or_die spec =
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+      Printf.eprintf "uindex-cli: %s\n" msg;
+      exit 1
+
+(* a comma-separated --connect/--endpoints list, parsed once *)
+let endpoints_or_die spec =
+  List.map
+    (fun s -> or_die (Endpoint.of_string s))
+    (String.split_on_char ',' spec)
+
+let with_connections endpoints f =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  match Uindex_server.Client.connect_spec spec with
-  | c -> c
-  | exception Uindex_server.Client.Error f ->
-      Printf.eprintf "uindex-cli: cannot connect to %s: %s\n" spec
-        (Uindex_server.Client.failure_to_string f);
-      exit 1
+  let conns =
+    List.map
+      (fun ep ->
+        match Client.connect ep with
+        | c -> (ep, c)
+        | exception Client.Error f ->
+            Printf.eprintf "uindex-cli: cannot connect to %s: %s\n"
+              (Endpoint.to_string ep) (Client.failure_to_string f);
+            exit 1)
+      endpoints
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (_, c) -> Client.close c) conns)
+    (fun () -> f conns)
 
-(* a server that dies (or a chaos injector that cuts the connection)
-   mid-scrape is an error message and exit 1, not a backtrace *)
-let request_or_die f =
-  match f () with
-  | v -> v
-  | exception Uindex_server.Client.Error fl ->
+(* one scrape: every endpoint's stats and health snapshots.  A server
+   that dies (or a chaos injector that cuts the connection) mid-scrape is
+   an error message and exit 1, not a backtrace. *)
+type scrape = { name : string; stats : Obs.Json.t; health : Obs.Json.t }
+
+let scrape conns =
+  let one (ep, c) =
+    let stats = Client.stats c in
+    { name = Endpoint.to_string ep; stats; health = Client.health c }
+  in
+  match List.map one conns with
+  | snaps -> snaps
+  | exception Client.Error f ->
       Printf.eprintf "uindex-cli: server request failed: %s\n"
-        (Uindex_server.Client.failure_to_string fl);
+        (Client.failure_to_string f);
       exit 1
 
-let stats_remote spec json monotone_since =
-  let module Client = Uindex_server.Client in
-  let c = connect_or_die spec in
-  request_or_die @@ fun () ->
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  let s = Client.stats c in
-  let h = Client.health c in
-  let combined = Obs.Json.Obj [ ("stats", s); ("health", h) ] in
-  (* schema sanity: a live snapshot must carry a non-empty metrics object *)
-  (match jmember "metrics" s with
-  | Some (Obs.Json.Obj (_ :: _)) -> ()
-  | _ ->
-      Printf.eprintf "uindex-cli: stats reply carries no metrics snapshot\n";
-      exit 1);
-  let monotone_ok =
-    match monotone_since with
-    | None -> true
-    | Some file ->
-        let before =
-          try
-            Obs.Json.of_string
-              (In_channel.with_open_text file In_channel.input_all)
-          with
-          | Sys_error msg ->
-              Printf.eprintf "uindex-cli: %s\n" msg;
-              exit 1
-          | Obs.Json.Parse_error msg ->
-              Printf.eprintf "uindex-cli: %s: %s\n" file msg;
-              exit 1
-        in
-        let counters_of j =
-          jobj_or_empty (Option.bind (jmember "stats" j) (jmember "counters"))
-        in
+let counters sc = jobj_or_empty (jmember "counters" sc.stats)
+
+(* the figures both views print for each endpoint *)
+let endpoint_lines emit i sc =
+  let line fmt = Printf.ksprintf emit fmt in
+  let h = sc.health in
+  let sl = jobj_or_empty (jmember "slow_log" h) in
+  let gc = jobj_or_empty (jmember "gc" h) in
+  let lat = jobj_or_empty (jmember "request_latency" sc.stats) in
+  let alloc =
+    jobj_or_empty
+      (Option.bind (jmember "metrics" sc.stats)
+         (jmember "exec.alloc_per_query"))
+  in
+  line "[%d] %s: up %.1fs, %d workers, queue %d, %d sessions%s" i sc.name
+    (jfloat h "uptime_s") (jint h "workers") (jint h "queue_depth")
+    (jint h "active_sessions")
+    (match jmember "role" h with
+    | Some (Obs.Json.Str r) -> ", role " ^ r
+    | _ -> "");
+  line "    lsn: acked=%d durable=%d lag=%d" (jint h "acked_lsn")
+    (jint h "durable_lsn") (jint h "lsn_lag");
+  line "    slow log: %d/%d entries (threshold %.1f ms), tracing %s, gc \
+        minor-coll %d major-coll %d"
+    (jint sl "length") (jint sl "capacity")
+    (float_of_int (jint sl "threshold_ns") /. 1e6)
+    (match jmember "tracing" h with
+    | Some (Obs.Json.Bool true) -> "on"
+    | _ -> "off")
+    (jint gc "minor_collections") (jint gc "major_collections");
+  line "    request latency (µs): count=%d p50<=%d p90<=%d p99<=%d max=%d"
+    (jint lat "count") (jint lat "p50" / 1000) (jint lat "p90" / 1000)
+    (jint lat "p99" / 1000) (jint lat "max" / 1000);
+  line "    alloc/query (words): p50<=%d p99<=%d max=%d" (jint alloc "p50")
+    (jint alloc "p99") (jint alloc "max")
+
+(* one column per endpoint, plus [merged] (column [n]) when there are
+   several; [cell i] renders column [i] of a row *)
+let table emit n title rows =
+  let cols = List.init (if n > 1 then n + 1 else n) Fun.id in
+  let name i = if i = n then "merged" else Printf.sprintf "[%d]" i in
+  let cells f =
+    String.concat "" (List.map (fun i -> Printf.sprintf " %11s" (f i)) cols)
+  in
+  emit (Printf.sprintf "%-38s%s" title (cells name));
+  List.iter
+    (fun (label, cell) -> emit (Printf.sprintf "  %-36s%s" label (cells cell)))
+    rows
+
+(* every counter of every endpoint against the same endpoint's counters
+   in an earlier --json snapshot, matched by endpoint *)
+let monotone_since file snaps =
+  let before =
+    try Obs.Json.of_string (In_channel.with_open_text file In_channel.input_all)
+    with
+    | Sys_error msg ->
+        Printf.eprintf "uindex-cli: %s\n" msg;
+        exit 1
+    | Obs.Json.Parse_error msg ->
+        Printf.eprintf "uindex-cli: %s: %s\n" file msg;
+        exit 1
+  in
+  let earlier =
+    match jmember "endpoints" before with Some (Obs.Json.List l) -> l | _ -> []
+  in
+  let check sc =
+    match
+      List.find_opt
+        (fun e ->
+          Option.bind (jmember "endpoint" e) Obs.Json.to_str = Some sc.name)
+        earlier
+    with
+    | None ->
+        Printf.eprintf "uindex-cli: %s: no snapshot of %s\n" file sc.name;
+        false
+    | Some e ->
         let deltas =
           Obs.Metrics.delta
-            ~before:(counters_of before)
-            ~after:(jobj_or_empty (jmember "counters" s))
+            ~before:
+              (jobj_or_empty
+                 (Option.bind (jmember "stats" e) (jmember "counters")))
+            ~after:(counters sc)
         in
         let bad = List.filter (fun (_, d) -> d < 0) deltas in
         List.iter
           (fun (k, d) ->
-            Printf.eprintf "uindex-cli: counter %s went backwards by %d\n" k
-              (-d))
+            Printf.eprintf "uindex-cli: %s: counter %s went backwards by %d\n"
+              sc.name k (-d))
           bad;
         if bad = [] then
-          Printf.eprintf "counters monotone: %d counters, +%d events since snapshot\n"
-            (List.length deltas)
+          Printf.eprintf
+            "%s: counters monotone: %d counters, +%d events since snapshot\n"
+            sc.name (List.length deltas)
             (List.fold_left (fun a (_, d) -> a + d) 0 deltas);
         bad = []
   in
-  (if json then print_endline (Obs.Json.to_multiline combined)
+  List.for_all Fun.id (List.map check snaps)
+
+let stats_connect endpoints json since =
+  let snaps = with_connections endpoints scrape in
+  (* schema sanity: a live snapshot must carry a non-empty metrics object *)
+  List.iter
+    (fun sc ->
+      match jmember "metrics" sc.stats with
+      | Some (Obs.Json.Obj (_ :: _)) -> ()
+      | _ ->
+          Printf.eprintf
+            "uindex-cli: %s: stats reply carries no metrics snapshot\n"
+            sc.name;
+          exit 1)
+    snaps;
+  let monotone =
+    match since with None -> true | Some f -> monotone_since f snaps
+  in
+  let cols = List.map counters snaps in
+  let merged = Obs.Metrics.merge_counters cols in
+  (if json then
+     print_endline
+       (Obs.Json.to_multiline
+          (Obs.Json.Obj
+             [
+               ( "endpoints",
+                 Obs.Json.List
+                   (List.map
+                      (fun sc ->
+                        Obs.Json.Obj
+                          [
+                            ("endpoint", Obs.Json.Str sc.name);
+                            ("stats", sc.stats);
+                            ("health", sc.health);
+                          ])
+                      snaps) );
+               ("merged_counters", merged);
+             ]))
    else begin
-     Printf.printf "server %s: up %.1fs, %d workers, queue %d, %d sessions\n"
-       spec (jfloat h "uptime_s") (jint h "workers") (jint h "queue_depth")
-       (jint h "active_sessions");
-     Printf.printf "lsn: acked=%d durable=%d lag=%d\n" (jint h "acked_lsn")
-       (jint h "durable_lsn") (jint h "lsn_lag");
-     let sl = jobj_or_empty (jmember "slow_log" h) in
-     Printf.printf "slow log: %d/%d entries (threshold %.1f ms)\n"
-       (jint sl "length") (jint sl "capacity")
-       (float_of_int (jint sl "threshold_ns") /. 1e6);
-     let lat = jobj_or_empty (jmember "request_latency" s) in
-     Printf.printf
-       "request latency (µs): count=%d p50<=%d p90<=%d p99<=%d max=%d\n"
-       (jint lat "count") (jint lat "p50" / 1000) (jint lat "p90" / 1000)
-       (jint lat "p99" / 1000)
-       (jint lat "max" / 1000);
-     match jmember "counters" s with
-     | Some (Obs.Json.Obj kvs) ->
-         print_endline "counters:";
-         List.iter
-           (fun (k, v) ->
-             match v with
-             | Obs.Json.Int i -> Printf.printf "  %-40s %12d\n" k i
-             | _ -> ())
-           kvs
+     List.iteri (endpoint_lines print_endline) snaps;
+     let cols = Array.of_list (cols @ [ merged ]) in
+     match merged with
+     | Obs.Json.Obj kvs ->
+         table print_endline (List.length snaps) "counters:"
+           (List.map
+              (fun (k, _) -> (k, fun i -> string_of_int (jint cols.(i) k)))
+              kvs)
      | _ -> ()
    end);
-  if not monotone_ok then exit 1
+  if not monotone then exit 1
 
-(* several endpoints: one column per server plus the cluster total — the
-   view over a shard fleet (its servers plus the router) *)
-let stats_multi specs json =
-  let module Client = Uindex_server.Client in
-  let scrape spec =
-    let c = connect_or_die spec in
-    request_or_die @@ fun () ->
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    let s = Client.stats c in
-    let h = Client.health c in
-    (spec, s, h)
-  in
-  let snaps = List.map scrape specs in
-  let counters s = jobj_or_empty (jmember "counters" s) in
-  let merged =
-    Obs.Metrics.merge_counters (List.map (fun (_, s, _) -> counters s) snaps)
-  in
-  if json then
-    print_endline
-      (Obs.Json.to_multiline
-         (Obs.Json.Obj
-            [
-              ( "endpoints",
-                Obs.Json.List
-                  (List.map
-                     (fun (spec, s, h) ->
-                       Obs.Json.Obj
-                         [
-                           ("endpoint", Obs.Json.Str spec);
-                           ("stats", s);
-                           ("health", h);
-                         ])
-                     snaps) );
-              ("merged_counters", merged);
-            ]))
-  else begin
-    print_endline "endpoints:";
-    List.iteri
-      (fun i (spec, _, h) ->
-        Printf.printf
-          "  [%d] %s: up %.1fs, %d workers, queue %d, %d sessions%s\n" i spec
-          (jfloat h "uptime_s") (jint h "workers") (jint h "queue_depth")
-          (jint h "active_sessions")
-          (match jmember "role" h with
-          | Some (Obs.Json.Str r) -> ", role " ^ r
-          | _ -> ""))
-      snaps;
-    let cols = List.map (fun (_, s, _) -> counters s) snaps in
-    Printf.printf "%-40s" "counters:";
-    List.iteri (fun i _ -> Printf.printf " %11s" (Printf.sprintf "[%d]" i)) cols;
-    Printf.printf " %11s\n" "merged";
-    match merged with
-    | Obs.Json.Obj kvs ->
-        List.iter
-          (fun (k, v) ->
-            match v with
-            | Obs.Json.Int total ->
-                Printf.printf "  %-38s" k;
-                List.iter
-                  (fun c -> Printf.printf " %11d" (jint c k))
-                  cols;
-                Printf.printf " %11d\n" total
-            | _ -> ())
-          kvs
-    | _ -> ()
-  end
+(* --- stats: canned workload + registry dump, or a live-server scrape ----- *)
 
 let stats_cmd =
   let run_canned n_vehicles seed json =
@@ -591,16 +623,7 @@ let stats_cmd =
   in
   let run n_vehicles seed json connect monotone_since =
     match connect with
-    | Some spec -> (
-        match String.split_on_char ',' spec with
-        | [] | [ _ ] -> stats_remote spec json monotone_since
-        | specs ->
-            if monotone_since <> None then begin
-              Printf.eprintf
-                "uindex-cli: --monotone-since needs a single endpoint\n";
-              exit 1
-            end;
-            stats_multi specs json)
+    | Some spec -> stats_connect (endpoints_or_die spec) json monotone_since
     | None -> run_canned n_vehicles seed json
   in
   let n = n_arg ~default:2_000 () in
@@ -612,11 +635,12 @@ let stats_cmd =
       & opt (some string) None
       & info [ "connect" ] ~docv:"SPEC"
           ~doc:
-            "Scrape a live $(b,serve) instance instead of running the \
-             canned workload: $(i,SPEC) is HOST:PORT or a Unix socket \
-             path.  Prints the server's stats and health snapshots.  A \
-             comma-separated list scrapes every endpoint (a shard fleet) \
-             and renders per-endpoint columns plus the merged totals.")
+            "Scrape live $(b,serve) instances instead of running the \
+             canned workload: $(i,SPEC) is a comma-separated list of \
+             endpoints (HOST:PORT or a Unix socket path), e.g. a shard \
+             fleet and its router.  Prints each endpoint's health and \
+             latency figures and a counter table with one column per \
+             endpoint, plus the merged totals when there are several.")
   in
   let monotone_since =
     Arg.(
@@ -625,8 +649,9 @@ let stats_cmd =
       & info [ "monotone-since" ] ~docv:"FILE"
           ~doc:
             "With $(b,--connect): load a previous $(b,--json) snapshot \
-             from $(i,FILE) and fail (exit 1) unless every counter is \
-             monotone non-decreasing since then.")
+             from $(i,FILE) and fail (exit 1) unless every counter of \
+             every endpoint is monotone non-decreasing since the same \
+             endpoint's snapshot.")
   in
   Cmd.v
     (Cmd.info "stats"
@@ -778,11 +803,7 @@ let shard_split_cmd =
         "uindex-cli: only %d distinct classes to cut on; producing %d \
          shards instead of %d\n"
         n n shards;
-    let eps =
-      match endpoints with
-      | None -> []
-      | Some s -> String.split_on_char ',' s
-    in
+    let eps = Option.fold ~none:[] ~some:endpoints_or_die endpoints in
     if eps <> [] && List.length eps <> n then begin
       Printf.eprintf "uindex-cli: %d endpoints given for %d shards\n"
         (List.length eps) n;
@@ -824,7 +845,7 @@ let shard_split_cmd =
         Printf.printf "shard %d: %d entries -> %s%s\n" i
           (Index.entry_count idx) (file_of i)
           (match (Smap.get map i).Smap.endpoint with
-          | Some e -> " (" ^ e ^ ")"
+          | Some e -> " (" ^ Endpoint.to_string e ^ ")"
           | None -> ""))
       idxs;
     Array.iter (Option.iter Storage.Pager.close) pagers;
@@ -865,9 +886,9 @@ let shard_split_cmd =
       & opt (some string) None
       & info [ "endpoints" ] ~docv:"SPEC,SPEC,..."
           ~doc:
-            "Comma-separated connect specs recorded in the map, one per \
-             shard in range order — what $(b,serve --shard-map) routes \
-             to.")
+            "Comma-separated endpoints (HOST:PORT or a Unix socket path) \
+             recorded in the map, one per shard in range order — what \
+             $(b,serve --shard-map) routes to.")
   in
   let page_size = page_size_arg ~doc:"Shard page size." ~docv:"BYTES" () in
   let fill =
@@ -1230,7 +1251,6 @@ let shootout_cmd =
 
 module Server = Uindex_server.Server
 module Service = Uindex_server.Service
-module Client = Uindex_server.Client
 module Chaos = Uindex_server.Chaos
 module Scrub = Uindex_server.Scrub
 
@@ -1247,24 +1267,14 @@ let addr_args =
       value
       & opt (some string) None
       & info [ "tcp" ] ~docv:"HOST:PORT"
-          ~doc:"Listen/connect on TCP instead, e.g. 127.0.0.1:7771.")
+          ~doc:
+            "Listen/connect on TCP instead, e.g. 127.0.0.1:7771 (HOST is \
+             a numeric IPv4 address; empty means 127.0.0.1).")
   in
   let combine socket tcp =
     match tcp with
     | None -> Server.Unix_sock socket
-    | Some spec -> (
-        match String.rindex_opt spec ':' with
-        | Some i -> (
-            let host = String.sub spec 0 i in
-            let port = String.sub spec (i + 1) (String.length spec - i - 1) in
-            match int_of_string_opt port with
-            | Some p -> Server.Tcp (host, p)
-            | None ->
-                Printf.eprintf "uindex-cli: bad port in %S\n" spec;
-                exit 1)
-        | None ->
-            Printf.eprintf "uindex-cli: expected HOST:PORT, got %S\n" spec;
-            exit 1)
+    | Some spec -> or_die (Endpoint.tcp_of_string spec)
   in
   Term.(const combine $ socket $ tcp)
 
@@ -1284,11 +1294,8 @@ let announce_and_wait server =
   let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
   Sys.set_signal Sys.sigterm on_signal;
   Sys.set_signal Sys.sigint on_signal;
-  (match Server.bound_addr server with
-  | Unix.ADDR_UNIX p -> Printf.printf "listening on %s\n%!" p
-  | Unix.ADDR_INET (ip, port) ->
-      Printf.printf "listening on %s:%d\n%!" (Unix.string_of_inet_addr ip)
-        port);
+  Printf.printf "listening on %s\n%!"
+    (Endpoint.to_string (Server.bound_addr server));
   while not (Atomic.get stop) do
     try Unix.sleepf 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
@@ -1319,7 +1326,7 @@ let run_router mapfile config telemetry =
     Array.mapi
       (fun i (s : Smap.shard) ->
         match s.endpoint with
-        | Some ep -> Router.Remote ep
+        | Some endpoint -> Router.Remote endpoint
         | None ->
             Printf.eprintf
               "uindex-cli: shard %d carries no endpoint in %s (re-run \
@@ -1338,6 +1345,57 @@ let run_router mapfile config telemetry =
   announce_and_wait server;
   Server.stop server;
   dump_slow_log (Router.slow_log_json ~limit:16 router)
+
+(* serve's terms that supervise forwards to its child *)
+
+let workers_arg =
+  Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Worker domains.")
+
+let timeout_arg =
+  Arg.(
+    value & opt float 5.
+    & info [ "timeout" ] ~docv:"SECONDS"
+        ~doc:"Per-request deadline and socket timeout; 0 disables.")
+
+let churn_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "churn" ] ~docv:"N"
+        ~doc:
+          "Run $(i,N) in-process writer threads that insert and commit \
+           continuously while the server runs (group-commit exercise; \
+           the written values never match benchmark queries).")
+
+let group_window_arg =
+  Arg.(
+    value & opt float 0.002
+    & info [ "group-window" ] ~docv:"SECONDS"
+        ~doc:
+          "Group-commit window: how long a commit leader waits for \
+           followers before flushing; 0 flushes immediately.")
+
+let chaos_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "chaos" ] ~docv:"SPEC"
+        ~doc:
+          "Arm the seeded fault injector on every connection.  \
+           $(docv) is comma-separated key=value pairs: $(b,seed=N), \
+           probabilities $(b,reset), $(b,partial), $(b,truncate), \
+           $(b,delay), $(b,slow-read), $(b,crash) in [0,1], and \
+           $(b,delay-ms=MS).  Example: \
+           seed=7,reset=0.05,partial=0.1,delay=0.2,delay-ms=3.")
+
+let scrub_every_arg =
+  Arg.(
+    value & opt float 0.
+    & info [ "scrub-every" ] ~docv:"SECONDS"
+        ~doc:
+          "Run the online background scrub this often: each pass \
+           re-verifies every serving index against a pinned snapshot \
+           (IO-throttled) and quarantines any damage it finds.  0 \
+           disables the scrub.")
 
 let serve_cmd =
   let run n_vehicles seed addr workers backlog timeout file churn group_window
@@ -1477,20 +1535,11 @@ let serve_cmd =
   in
   let n = n_arg () in
   let seed = seed_arg () in
-  let workers =
-    Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Worker domains.")
-  in
   let backlog =
     Arg.(
       value & opt int 64
       & info [ "backlog" ]
           ~doc:"Queued connections before shedding with an overloaded reply.")
-  in
-  let timeout =
-    Arg.(
-      value & opt float 5.
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Per-request deadline and socket timeout; 0 disables.")
   in
   let file =
     Arg.(
@@ -1501,23 +1550,6 @@ let serve_cmd =
             "Serve the class-hierarchy index from this page file (written \
              by $(b,build) with the same $(b,-n)/$(b,--seed)) instead of \
              the in-memory one.")
-  in
-  let churn =
-    Arg.(
-      value & opt int 0
-      & info [ "churn" ] ~docv:"N"
-          ~doc:
-            "Run $(i,N) in-process writer threads that insert and commit \
-             continuously while the server runs (group-commit exercise; \
-             the written values never match benchmark queries).")
-  in
-  let group_window =
-    Arg.(
-      value & opt float 0.002
-      & info [ "group-window" ] ~docv:"SECONDS"
-          ~doc:
-            "Group-commit window: how long a commit leader waits for \
-             followers before flushing; 0 flushes immediately.")
   in
   let slow_ms =
     Arg.(
@@ -1551,29 +1583,6 @@ let serve_cmd =
             "Disable per-request span capture (per-stage histograms and \
              the slow-query log stay on; slow entries just carry no \
              span).")
-  in
-  let chaos =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos" ] ~docv:"SPEC"
-          ~doc:
-            "Arm the seeded fault injector on every connection.  \
-             $(docv) is comma-separated key=value pairs: $(b,seed=N), \
-             probabilities $(b,reset), $(b,partial), $(b,truncate), \
-             $(b,delay), $(b,slow-read), $(b,crash) in [0,1], and \
-             $(b,delay-ms=MS).  Example: \
-             seed=7,reset=0.05,partial=0.1,delay=0.2,delay-ms=3.")
-  in
-  let scrub_every =
-    Arg.(
-      value & opt float 0.
-      & info [ "scrub-every" ] ~docv:"SECONDS"
-          ~doc:
-            "Run the online background scrub this often: each pass \
-             re-verifies every serving index against a pinned snapshot \
-             (IO-throttled) and quarantines any damage it finds.  0 \
-             disables the scrub.")
   in
   let restart_budget =
     Arg.(
@@ -1614,9 +1623,9 @@ let serve_cmd =
           process becomes a scatter-gather router (or, with \
           $(b,--shard-id), one shard of the fleet).")
     Term.(
-      const run $ n $ seed $ addr_args $ workers $ backlog $ timeout $ file
-      $ churn $ group_window $ slow_ms $ slow_log $ trace_sample
-      $ no_tracing $ chaos $ scrub_every
+      const run $ n $ seed $ addr_args $ workers_arg $ backlog $ timeout_arg
+      $ file $ churn_arg $ group_window_arg $ slow_ms $ slow_log
+      $ trace_sample $ no_tracing $ chaos_arg $ scrub_every_arg
       $ restart_budget $ shard_map $ shard_id)
 
 let client_cmd =
@@ -1633,54 +1642,35 @@ let client_cmd =
       | _ -> incr failures
       | exception Obs.Json.Parse_error _ -> incr failures
     in
-    let sockaddr =
-      match addr with
-      | Server.Unix_sock path -> Unix.ADDR_UNIX path
-      | Server.Tcp (host, port) ->
-          Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
+    (* one loop over a send chosen once: with --retry, transport
+       failures and retryable replies are retried with seeded backoff on
+       a reconnecting handle; without, every request goes exactly once
+       over one connection.  Typed errors print and count either way. *)
+    let send, close =
+      if retry > 0 then
+        let policy =
+          { Client.default_retry_policy with attempts = retry; retry_seed }
+        in
+        let r = Client.retrying ~timeout ~policy addr in
+        (Client.retry_request_raw r, fun () -> Client.retry_close r)
+      else
+        match Client.connect ~timeout addr with
+        | c -> (Client.request_raw c, fun () -> Client.close c)
+        | exception Client.Error f ->
+            Printf.eprintf "uindex-cli: cannot connect: %s\n"
+              (Client.failure_to_string f);
+            exit 1
     in
-    (if retry > 0 then begin
-       (* reconnecting path: transport failures and retryable replies
-          are retried with seeded backoff; typed errors print and count *)
-       let policy =
-         { Client.default_retry_policy with attempts = retry; retry_seed }
-       in
-       let r = Client.retrying_addr ~timeout ~policy sockaddr in
-       Fun.protect
-         ~finally:(fun () -> Client.retry_close r)
-         (fun () ->
-           List.iter
-             (fun line ->
-               match Client.retry_request_raw r line with
-               | raw -> note_reply raw
-               | exception Client.Error f ->
-                   Printf.printf "(request failed: %s)\n"
-                     (Client.failure_to_string f);
-                   incr failures)
-             requests)
-     end
-     else begin
-       let c =
-         match Client.connect_addr ~timeout sockaddr with
-         | c -> c
-         | exception Client.Error f ->
-             Printf.eprintf "uindex-cli: cannot connect: %s\n"
-               (Client.failure_to_string f);
-             exit 1
-       in
-       Fun.protect
-         ~finally:(fun () -> Client.close c)
-         (fun () ->
-           List.iter
-             (fun line ->
-               match Client.request_raw c line with
-               | raw -> note_reply raw
-               | exception Client.Error f ->
-                   Printf.printf "(request failed: %s)\n"
-                     (Client.failure_to_string f);
-                   incr failures)
-             requests)
-     end);
+    Fun.protect ~finally:close (fun () ->
+        List.iter
+          (fun line ->
+            match send line with
+            | raw -> note_reply raw
+            | exception Client.Error f ->
+                Printf.printf "(request failed: %s)\n"
+                  (Client.failure_to_string f);
+                incr failures)
+          requests);
     if !failures > 0 then exit 1
   in
   let requests =
@@ -1768,11 +1758,11 @@ let supervise_cmd =
            "--workers"; string_of_int workers;
            "--group-window"; Printf.sprintf "%g" group_window;
            "--timeout"; Printf.sprintf "%g" timeout;
+           (match addr with
+           | Server.Tcp _ -> "--tcp"
+           | Server.Unix_sock _ -> "--socket");
+           Endpoint.to_string addr;
          ]
-        @ (match addr with
-          | Server.Tcp (host, port) ->
-              [ "--tcp"; Printf.sprintf "%s:%d" host port ]
-          | Server.Unix_sock path -> [ "--socket"; path ])
         @ (match chaos with Some c -> [ "--chaos"; c ] | None -> [])
         @ (if scrub_every > 0. then
              [ "--scrub-every"; Printf.sprintf "%g" scrub_every ]
@@ -1847,39 +1837,6 @@ let supervise_cmd =
   in
   let n = n_arg () in
   let seed = seed_arg () in
-  let workers =
-    Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Worker domains.")
-  in
-  let chaos =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos" ] ~docv:"SPEC"
-          ~doc:"Forwarded to $(b,serve --chaos).")
-  in
-  let scrub_every =
-    Arg.(
-      value & opt float 0.
-      & info [ "scrub-every" ] ~docv:"SECONDS"
-          ~doc:"Forwarded to $(b,serve --scrub-every).")
-  in
-  let churn =
-    Arg.(
-      value & opt int 0
-      & info [ "churn" ] ~docv:"N" ~doc:"Forwarded to $(b,serve --churn).")
-  in
-  let group_window =
-    Arg.(
-      value & opt float 0.002
-      & info [ "group-window" ] ~docv:"SECONDS"
-          ~doc:"Forwarded to $(b,serve --group-window).")
-  in
-  let timeout =
-    Arg.(
-      value & opt float 5.
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Forwarded to $(b,serve --timeout).")
-  in
   let max_restarts =
     Arg.(
       value & opt int 3
@@ -1895,184 +1852,77 @@ let supervise_cmd =
           (a signal or a non-zero status), run journal recovery on the \
           page file and start a fresh server, up to $(b,--max-restarts) \
           times.  SIGTERM/SIGINT forward to the child for a graceful \
-          drain.  Exits 2 if the recovered file is corrupt, 1 when the \
-          restart budget is exhausted.")
+          drain.  The address, $(b,-n)/$(b,--seed), $(b,--workers), \
+          $(b,--timeout), $(b,--chaos), $(b,--scrub-every), \
+          $(b,--churn) and $(b,--group-window) are passed to the child \
+          $(b,serve) as given.  Exits 2 if the recovered file is \
+          corrupt, 1 when the restart budget is exhausted.")
     Term.(
-      const run $ file $ n $ seed $ addr_args $ workers $ chaos
-      $ scrub_every $ churn $ group_window $ timeout $ max_restarts)
+      const run $ file $ n $ seed $ addr_args $ workers_arg $ chaos_arg
+      $ scrub_every_arg $ churn_arg $ group_window_arg $ timeout_arg
+      $ max_restarts)
 
 (* --- top: a refreshing live dashboard over the admin protocol -------------- *)
 
 let top_cmd =
-  let run_single spec interval iterations raw =
-    let c = connect_or_die spec in
-    request_or_die @@ fun () ->
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let run spec interval iterations raw =
+    with_connections (endpoints_or_die spec) @@ fun conns ->
+    let n = List.length conns in
     let prev = ref None in
     let tick = ref 0 in
-    let counters j = jobj_or_empty (jmember "counters" j) in
-    let summary s name =
-      jobj_or_empty (Option.bind (jmember "metrics" s) (jmember name))
-    in
     let rec loop () =
       incr tick;
-      let s = Client.stats c in
-      let h = Client.health c in
+      let snaps = scrape conns in
       let now = float_of_int (Obs.Clock.now_ns ()) /. 1e9 in
+      let cs = List.map counters snaps in
+      let cols = Array.of_list (cs @ [ Obs.Metrics.merge_counters cs ]) in
       (* rates come from counter deltas between ticks; the first tick has
          no baseline and shows "-" *)
       let rate =
         match !prev with
-        | None -> fun _ -> None
-        | Some (s0, t0) ->
-            let dt = max 1e-6 (now -. t0) in
-            let deltas =
-              Obs.Metrics.delta ~before:(counters s0) ~after:(counters s)
-            in
-            fun key ->
-              Option.map
-                (fun d -> float_of_int d /. dt)
-                (List.assoc_opt key deltas)
-      in
-      let fmt_rate = function
-        | None -> "       -"
-        | Some r -> Printf.sprintf "%8.1f" r
-      in
-      let buf = Buffer.create 1024 in
-      let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-      line "uindex top — %s   uptime %.1fs   tick %d (every %.1fs)" spec
-        (jfloat h "uptime_s") !tick interval;
-      line "workers %d   queue %d   sessions %d   lsn acked=%d durable=%d lag=%d"
-        (jint h "workers") (jint h "queue_depth") (jint h "active_sessions")
-        (jint h "acked_lsn") (jint h "durable_lsn") (jint h "lsn_lag");
-      let sl = jobj_or_empty (jmember "slow_log" h) in
-      let gc = jobj_or_empty (jmember "gc" h) in
-      line "slow-log %d/%d (threshold %.1f ms)   tracing %s   gc minor-coll %d major-coll %d"
-        (jint sl "length") (jint sl "capacity")
-        (float_of_int (jint sl "threshold_ns") /. 1e6)
-        (match jmember "tracing" h with
-        | Some (Obs.Json.Bool true) -> "on"
-        | _ -> "off")
-        (jint gc "minor_collections")
-        (jint gc "major_collections");
-      line "";
-      let lat = summary s "server.request_ns" in
-      line "latency (cumulative µs): p50<=%d p90<=%d p99<=%d max=%d over %d requests"
-        (jint lat "p50" / 1000) (jint lat "p90" / 1000)
-        (jint lat "p99" / 1000) (jint lat "max" / 1000) (jint lat "count");
-      let alloc = summary s "exec.alloc_per_query" in
-      line "alloc/query (words): p50<=%d p99<=%d max=%d" (jint alloc "p50")
-        (jint alloc "p99") (jint alloc "max");
-      line "";
-      line "                 rate/s";
-      line "qps         %s" (fmt_rate (rate "server.requests"));
-      line "errors      %s" (fmt_rate (rate "server.request_errors"));
-      line "slow        %s" (fmt_rate (rate "server.slow_queries"));
-      let hits = rate "buffer_pool.hits" and misses = rate "buffer_pool.misses" in
-      let hit_pct =
-        match (hits, misses) with
-        | Some hi, Some mi when hi +. mi > 0. ->
-            Printf.sprintf "%5.1f%%" (100. *. hi /. (hi +. mi))
-        | _ -> "    -"
-      in
-      line "page reads  %s   pool hit %s" (fmt_rate (rate "pager.reads")) hit_pct;
-      line "fsyncs      %s   commits %s" (fmt_rate (rate "journal.fsyncs"))
-        (fmt_rate (rate "journal.commits"));
-      (* a router also shows its fan-out economy *)
-      if jmember "shard.forwarded" (counters s) <> None then
-        line "forwarded   %s   pruned %s   shard-fail %s"
-          (fmt_rate (rate "shard.forwarded"))
-          (fmt_rate (rate "shard.pruned"))
-          (fmt_rate (rate "shard.failures"));
-      if not raw then print_string "\027[2J\027[H";
-      print_string (Buffer.contents buf);
-      flush stdout;
-      prev := Some (s, now);
-      if iterations = 0 || !tick < iterations then begin
-        (try Unix.sleepf interval
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        loop ()
-      end
-    in
-    loop ()
-  in
-  (* several endpoints: a rate table, one column per server plus the
-     cluster total *)
-  let run_multi specs interval iterations raw =
-    let cs = List.map connect_or_die specs in
-    request_or_die @@ fun () ->
-    Fun.protect ~finally:(fun () -> List.iter Client.close cs) @@ fun () ->
-    let counters j = jobj_or_empty (jmember "counters" j) in
-    let prev = ref None in
-    let tick = ref 0 in
-    let rec loop () =
-      incr tick;
-      let ss = List.map Client.stats cs in
-      let hs = List.map Client.health cs in
-      let now = float_of_int (Obs.Clock.now_ns ()) /. 1e9 in
-      let merged = Obs.Metrics.merge_counters (List.map counters ss) in
-      let cols = Array.of_list (List.map counters ss @ [ merged ]) in
-      let ncols = Array.length cols in
-      let rate =
-        match !prev with
-        | Some (cols0, t0) when Array.length cols0 = ncols ->
+        | None -> fun _ _ -> None
+        | Some (cols0, t0) ->
             let dt = max 1e-6 (now -. t0) in
             fun i key ->
               Some (float_of_int (jint cols.(i) key - jint cols0.(i) key) /. dt)
-        | _ -> fun _ _ -> None
       in
-      let fmt_rate = function
-        | None -> "        -"
-        | Some r -> Printf.sprintf "%9.1f" r
+      let per_s key i =
+        match rate i key with None -> "-" | Some r -> Printf.sprintf "%.1f" r
+      in
+      let pool_hit i =
+        match (rate i "buffer_pool.hits", rate i "buffer_pool.misses") with
+        | Some h, Some m when h +. m > 0. ->
+            Printf.sprintf "%.1f%%" (100. *. h /. (h +. m))
+        | _ -> "-"
       in
       let buf = Buffer.create 1024 in
-      let line fmt =
-        Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt
-      in
-      line "uindex top — %d endpoints   tick %d (every %.1fs)"
-        (List.length specs) !tick interval;
-      List.iteri
-        (fun i (spec, h) ->
-          line "  [%d] %-28s up %8.1fs   workers %2d   queue %2d   sessions %2d%s"
-            i spec (jfloat h "uptime_s") (jint h "workers")
-            (jint h "queue_depth")
-            (jint h "active_sessions")
-            (match jmember "role" h with
-            | Some (Obs.Json.Str r) -> "   role " ^ r
-            | _ -> ""))
-        (List.combine specs hs);
-      line "";
-      let header = Buffer.create 80 in
-      Buffer.add_string header (Printf.sprintf "%-12s" "rate/s");
-      for i = 0 to ncols - 2 do
-        Buffer.add_string header
-          (Printf.sprintf " %9s" (Printf.sprintf "[%d]" i))
-      done;
-      Buffer.add_string header (Printf.sprintf " %9s" "merged");
-      line "%s" (Buffer.contents header);
-      let row label key =
-        let b = Buffer.create 80 in
-        Buffer.add_string b (Printf.sprintf "%-12s" label);
-        for i = 0 to ncols - 1 do
-          Buffer.add_string b (Printf.sprintf " %s" (fmt_rate (rate i key)))
-        done;
-        line "%s" (Buffer.contents b)
-      in
-      row "qps" "server.requests";
-      row "errors" "server.request_errors";
-      row "slow" "server.slow_queries";
-      row "page reads" "pager.reads";
-      row "fsyncs" "journal.fsyncs";
-      row "commits" "journal.commits";
-      if
-        Array.exists
-          (fun c -> jmember "shard.forwarded" c <> None)
-          cols
-      then begin
-        row "forwarded" "shard.forwarded";
-        row "pruned" "shard.pruned";
-        row "shard-fail" "shard.failures"
-      end;
+      let emit s = Buffer.add_string buf (s ^ "\n") in
+      emit
+        (Printf.sprintf "uindex top — %d endpoint%s   tick %d (every %.1fs)" n
+           (if n = 1 then "" else "s")
+           !tick interval);
+      List.iteri (endpoint_lines emit) snaps;
+      emit "";
+      table emit n "rate/s"
+        ([
+           ("qps", per_s "server.requests");
+           ("errors", per_s "server.request_errors");
+           ("slow", per_s "server.slow_queries");
+           ("page reads", per_s "pager.reads");
+           ("pool hit", pool_hit);
+           ("fsyncs", per_s "journal.fsyncs");
+           ("commits", per_s "journal.commits");
+         ]
+        (* a router also shows its fan-out economy *)
+        @
+        if Array.exists (fun c -> jmember "shard.forwarded" c <> None) cols
+        then
+          [
+            ("forwarded", per_s "shard.forwarded");
+            ("pruned", per_s "shard.pruned");
+            ("shard-fail", per_s "shard.failures");
+          ]
+        else []);
       if not raw then print_string "\027[2J\027[H";
       print_string (Buffer.contents buf);
       flush stdout;
@@ -2085,21 +1935,17 @@ let top_cmd =
     in
     loop ()
   in
-  let run spec interval iterations raw =
-    match String.split_on_char ',' spec with
-    | [] | [ _ ] -> run_single spec interval iterations raw
-    | specs -> run_multi specs interval iterations raw
-  in
   let connect =
     Arg.(
       required
       & opt (some string) None
       & info [ "connect" ] ~docv:"SPEC"
           ~doc:
-            "Server endpoint: HOST:PORT or a Unix socket path.  A \
-             comma-separated list polls every endpoint (a shard fleet) \
-             and renders per-endpoint rate columns plus the merged \
-             total.")
+            "Comma-separated server endpoints (HOST:PORT or a Unix \
+             socket path), e.g. a shard fleet and its router.  Renders \
+             each endpoint's figures and a rate table with one column \
+             per endpoint, plus the merged total when there are \
+             several.")
   in
   let interval =
     Arg.(
@@ -2123,7 +1969,7 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Poll a running $(b,serve) instance over the admin protocol and \
+         "Poll running $(b,serve) instances over the admin protocol and \
           render a refreshing dashboard: qps, latency percentiles, cache \
           hit rate, fsync and commit rates, allocation per query, queue \
           and slow-log occupancy.")

@@ -50,50 +50,24 @@ let apply_timeout fd timeout =
     Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout
   end
 
-let connecting ?(timeout = default_timeout) domain addr =
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+let connect ?(timeout = default_timeout) endpoint =
+  let fail detail = raise (Error (Connect_failed detail)) in
+  let addr =
+    try Endpoint.to_sockaddr endpoint with Invalid_argument msg -> fail msg
+  in
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   (match Unix.connect fd addr with
   | () -> ()
   | exception e ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      let detail =
-        match e with
+      fail
+        (match e with
         | Unix.Unix_error (err, _, _) -> Unix.error_message err
-        | e -> Printexc.to_string e
-      in
-      raise (Error (Connect_failed detail)));
+        | e -> Printexc.to_string e));
   apply_timeout fd timeout;
   { fd }
 
-let connect_unix ?timeout path =
-  connecting ?timeout Unix.PF_UNIX (Unix.ADDR_UNIX path)
-
-let connect_tcp ?timeout host port =
-  connecting ?timeout Unix.PF_INET
-    (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-
-let connect_addr ?timeout = function
-  | Unix.ADDR_UNIX path -> connect_unix ?timeout path
-  | Unix.ADDR_INET (ip, port) ->
-      connect_tcp ?timeout (Unix.string_of_inet_addr ip) port
-
-(* "HOST:PORT" when the suffix after the last ':' is a port number,
-   otherwise a Unix socket path — covers paths containing ':' too *)
-let parse_spec spec =
-  match String.rindex_opt spec ':' with
-  | Some i when not (String.contains spec '/') -> (
-      let host = String.sub spec 0 i
-      and port = String.sub spec (i + 1) (String.length spec - i - 1) in
-      match int_of_string_opt port with
-      | Some p when p > 0 && p < 65536 ->
-          `Tcp ((if host = "" then "127.0.0.1" else host), p)
-      | _ -> `Unix spec)
-  | _ -> `Unix spec
-
-let connect_spec ?timeout spec =
-  match parse_spec spec with
-  | `Tcp (host, port) -> connect_tcp ?timeout host port
-  | `Unix path -> connect_unix ?timeout path
+let connect_unix ?timeout path = connect ?timeout (Endpoint.Unix_sock path)
 
 (* every transport failure on the request path becomes a typed Error:
    expired socket deadlines read as Timed_out, stream death as Reset *)
@@ -180,20 +154,10 @@ type retrying = {
   mutable retries : int;
 }
 
-let retrying ?timeout ?(policy = default_retry_policy) spec =
+let retrying ?timeout ?(policy = default_retry_policy) endpoint =
   if policy.attempts < 1 then invalid_arg "Client.retrying: attempts < 1";
   {
-    connect = (fun () -> connect_spec ?timeout spec);
-    policy;
-    rng = Chaos.Rng.create policy.retry_seed;
-    conn = None;
-    retries = 0;
-  }
-
-let retrying_addr ?timeout ?(policy = default_retry_policy) addr =
-  if policy.attempts < 1 then invalid_arg "Client.retrying: attempts < 1";
-  {
-    connect = (fun () -> connect_addr ?timeout addr);
+    connect = (fun () -> connect ?timeout endpoint);
     policy;
     rng = Chaos.Rng.create policy.retry_seed;
     conn = None;
@@ -273,9 +237,3 @@ let retry_request_raw r line =
         again (failure_to_string f)
   in
   attempt 0
-
-let retry_request r line =
-  let raw = retry_request_raw r line in
-  match Json.of_string raw with
-  | j -> j
-  | exception _ -> raise (Error (Bad_frame "reply is not JSON"))

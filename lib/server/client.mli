@@ -1,6 +1,10 @@
 (** A blocking client for the wire protocol: one connection, one request
     in flight at a time.  Not thread-safe — one client per thread.
 
+    A server is named by an {!Endpoint.t}, parsed once by
+    {!Endpoint.of_string}; {!connect} and {!retrying} are the only
+    constructors.
+
     Every failure is typed ({!Error}); no bare [Failure] and no raw
     [Unix.Unix_error] escapes the request path.  Reads and writes carry
     OS-level deadlines ([SO_RCVTIMEO]/[SO_SNDTIMEO], mirroring the
@@ -31,22 +35,14 @@ val failure_to_string : failure -> string
 
 type t
 
+val connect : ?timeout:float -> Endpoint.t -> t
+(** The one connector.  [?timeout] (default 30 s, [0.] disables) sets
+    both socket deadlines.  Raises [Error (Connect_failed _)] on failure
+    — a refused or missing endpoint, or a [Tcp] host that is not a
+    numeric IPv4 address. *)
+
 val connect_unix : ?timeout:float -> string -> t
-val connect_tcp : ?timeout:float -> string -> int -> t
-
-val connect_addr : ?timeout:float -> Unix.sockaddr -> t
-(** Connects to whatever {!Server.bound_addr} returned.  [?timeout]
-    (default 30 s, [0.] disables) sets both socket deadlines; all
-    connectors raise [Error (Connect_failed _)] on failure. *)
-
-val parse_spec : string -> [ `Tcp of string * int | `Unix of string ]
-(** Classifies a [--connect] endpoint spec: ["HOST:PORT"] (an empty
-    host means 127.0.0.1) when the suffix after the last [':'] parses
-    as a port, otherwise a Unix socket path. *)
-
-val connect_spec : ?timeout:float -> string -> t
-(** {!parse_spec} then connect — what [uindex stats --connect] and
-    [uindex top --connect] use. *)
+(** [connect (Unix_sock path)]. *)
 
 val request_raw : t -> string -> string
 (** Sends one request line, returns the raw response payload —
@@ -85,12 +81,10 @@ type retrying
 (** A reconnecting handle: the endpoint, a policy, and the current
     connection (re-established on demand after a failure). *)
 
-val retrying : ?timeout:float -> ?policy:retry_policy -> string -> retrying
-(** Over a {!connect_spec} endpoint.  Connection is lazy: a server that
-    is briefly down (e.g. mid-[supervise] restart) only costs retries. *)
-
-val retrying_addr :
-  ?timeout:float -> ?policy:retry_policy -> Unix.sockaddr -> retrying
+val retrying :
+  ?timeout:float -> ?policy:retry_policy -> Endpoint.t -> retrying
+(** Over a {!connect} endpoint.  Connection is lazy: a server that is
+    briefly down (e.g. mid-[supervise] restart) only costs retries. *)
 
 val retry_request_raw : retrying -> string -> string
 (** Sends one request line, retrying with backoff on transport failures
@@ -102,8 +96,6 @@ val retry_request_raw : retrying -> string -> string
     inspects the envelope.  Raises [Error (Exhausted _)] when the
     policy runs out and [Error (Bad_frame _)] immediately on a
     malformed reply. *)
-
-val retry_request : retrying -> string -> Obs.Json.t
 
 val retry_count : retrying -> int
 (** Retries this handle has performed (for availability accounting). *)

@@ -88,8 +88,6 @@ type error_kind =
           refuses to return a silently partial row set *)
   | Internal
 
-val error_kind_name : error_kind -> string
-
 val ok : (string * Obs.Json.t) list -> Obs.Json.t
 (** [{"ok": true, <fields>}]. *)
 

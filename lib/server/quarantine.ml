@@ -68,14 +68,6 @@ let length () =
   Mutex.unlock lock;
   n
 
-let is_quarantined page =
-  Mutex.lock lock;
-  let q =
-    Hashtbl.fold (fun (p, _) _ acc -> acc || p = Some page) table false
-  in
-  Mutex.unlock lock;
-  q
-
 let entry_json e =
   Json.Obj
     [

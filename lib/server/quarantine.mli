@@ -35,7 +35,6 @@ val pages : unit -> int list
 (** Distinct quarantined page ids, ascending. *)
 
 val length : unit -> int
-val is_quarantined : int -> bool
 
 val summary_json : unit -> Obs.Json.t
 (** The [health] response's quarantine section: length, distinct pages,

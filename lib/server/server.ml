@@ -25,7 +25,7 @@ let g_budget_left =
   Obs.Metrics.gauge ~subsystem:"server"
     ~help:"domain respawns left in the restart budget" "restart_budget_left"
 
-type addr = Unix_sock of string | Tcp of string * int
+type addr = Endpoint.t = Unix_sock of string | Tcp of string * int
 
 type config = {
   addr : addr;
@@ -98,22 +98,21 @@ let unlink_stale_socket path =
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
 let bind_listener config =
-  match config.addr with
-  | Unix_sock path ->
-      unlink_stale_socket path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd (max 8 config.backlog);
-      fd
-  | Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      let ip = Unix.inet_addr_of_string host in
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd (max 8 config.backlog);
-      fd
+  let addr = Endpoint.to_sockaddr config.addr in
+  let domain = Unix.domain_of_sockaddr addr in
+  (match config.addr with
+  | Unix_sock path -> unlink_stale_socket path
+  | Tcp _ -> ());
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd addr;
+  Unix.listen fd (max 8 config.backlog);
+  fd
 
-let bound_addr t = Unix.getsockname t.listen_fd
+let bound_addr t =
+  match Unix.getsockname t.listen_fd with
+  | Unix.ADDR_INET (ip, port) -> Tcp (Unix.string_of_inet_addr ip, port)
+  | Unix.ADDR_UNIX path -> Unix_sock path
 
 (* --- acceptor --------------------------------------------------------- *)
 

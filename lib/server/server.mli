@@ -1,5 +1,6 @@
 (** The socket server: a supervised worker pool serving the wire protocol
-    over a Unix-domain or TCP listener.
+    over a Unix-domain or TCP listener, named by an {!Endpoint.t} (the
+    same type clients, shard maps and the router use).
 
     One acceptor domain polls the listener and pushes connections onto a
     bounded queue; [workers] domains pop connections and serve requests
@@ -28,10 +29,11 @@
     socket files are unlinked), and the database syncs — after a clean
     stop the journal is empty. *)
 
-type addr =
+type addr = Endpoint.t =
   | Unix_sock of string  (** path to a Unix-domain socket *)
-  | Tcp of string * int  (** dotted-quad bind address and port; port [0]
+  | Tcp of string * int  (** numeric IPv4 bind address and port; port [0]
                              picks an ephemeral port (see {!bound_addr}) *)
+(** The listener's {!Endpoint.t}: [--socket]/[--tcp] parse into it. *)
 
 type config = {
   addr : addr;
@@ -75,7 +77,8 @@ val start_handler : handler -> config -> t
 val start : Service.t -> config -> t
 (** Binds, listens and spawns the acceptor, worker and supervisor
     domains.  Raises [Unix.Unix_error] if the address cannot be bound
-    and [Invalid_argument] on nonsensical config or a non-socket file at
+    and [Invalid_argument] on nonsensical config (including a [Tcp]
+    host that is not a numeric IPv4 address) or a non-socket file at
     a Unix-domain path (a stale socket file is unlinked and rebound).
     Sets the process's [SIGPIPE] disposition to ignore, so peers that
     vanish mid-reply surface as [EPIPE] writes. *)
@@ -84,5 +87,6 @@ val stop : t -> unit
 (** Graceful shutdown as described above; blocks until every domain has
     joined and the database has synced.  Idempotent. *)
 
-val bound_addr : t -> Unix.sockaddr
-(** The listener's actual address — the chosen port for [Tcp (_, 0)]. *)
+val bound_addr : t -> addr
+(** The listener's actual endpoint — carrying the chosen port for
+    [Tcp (_, 0)] — ready for {!Client.connect}. *)

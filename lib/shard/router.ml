@@ -7,6 +7,7 @@ module Qparse = Uindex.Qparse
 module Service = Uindex_server.Service
 module Server = Uindex_server.Server
 module Client = Uindex_server.Client
+module Endpoint = Uindex_server.Endpoint
 module Protocol = Uindex_server.Protocol
 
 let h_fanout =
@@ -30,7 +31,7 @@ let h_merge_ns =
   Metrics.histogram ~subsystem:"shard"
     ~help:"scatter-gather merge latency (ns)" "merge_ns"
 
-type backend = Local of Service.t | Remote of string
+type backend = Local of Service.t | Remote of Endpoint.t
 
 type t = {
   schema : Schema.t;
@@ -88,9 +89,9 @@ let call t i line deadline =
       match Service.serve ?deadline svc line with
       | doc, payload -> Replied (doc, payload)
       | exception e -> Lost (Printexc.to_string e))
-  | Remote spec -> (
+  | Remote endpoint -> (
       let rc =
-        Client.retrying ~timeout:t.shard_timeout ~policy:t.policy spec
+        Client.retrying ~timeout:t.shard_timeout ~policy:t.policy endpoint
       in
       Fun.protect ~finally:(fun () -> Client.retry_close rc) @@ fun () ->
       match Client.retry_request_raw rc line with
@@ -102,7 +103,9 @@ let call t i line deadline =
       | exception Client.Error f -> Lost (Client.failure_to_string f))
 
 let backend_name t i =
-  match t.backends.(i) with Local _ -> "local" | Remote spec -> spec
+  match t.backends.(i) with
+  | Local _ -> "local"
+  | Remote endpoint -> Endpoint.to_string endpoint
 
 (* --- query fan-out and merge ------------------------------------------- *)
 

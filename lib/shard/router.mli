@@ -45,13 +45,15 @@ module Encoding := Oodb_schema.Encoding
 module Service := Uindex_server.Service
 module Server := Uindex_server.Server
 module Client := Uindex_server.Client
+module Endpoint := Uindex_server.Endpoint
 
 type backend =
   | Local of Service.t  (** in-process shard: direct dispatch *)
-  | Remote of string
-      (** connect spec ([HOST:PORT] or Unix socket path); each fan-out
-          request opens a fresh retrying connection, so any number of
-          worker domains may serve through the router concurrently *)
+  | Remote of Endpoint.t
+      (** a shard server; each fan-out request opens a fresh retrying
+          connection, so any number of worker domains may serve through
+          the router concurrently.  A [shard_failure] detail names it by
+          {!Endpoint.to_string}. *)
 
 type t
 

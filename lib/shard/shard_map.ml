@@ -1,10 +1,11 @@
 module Json = Obs.Json
+module Endpoint = Uindex_server.Endpoint
 
 type shard = {
   lo : string;
   hi : string option;
   file : string option;
-  endpoint : string option;
+  endpoint : Endpoint.t option;
 }
 
 type t = { arr : shard array }
@@ -54,6 +55,7 @@ let intersecting t ivs =
 (* --- serialization ----------------------------------------------------- *)
 
 let opt_str = function None -> Json.Null | Some s -> Json.Str s
+let opt_endpoint e = opt_str (Option.map Endpoint.to_string e)
 
 let shard_json s =
   Json.Obj
@@ -61,7 +63,7 @@ let shard_json s =
       ("lo", Json.Str s.lo);
       ("hi", opt_str s.hi);
       ("file", opt_str s.file);
-      ("endpoint", opt_str s.endpoint);
+      ("endpoint", opt_endpoint s.endpoint);
     ]
 
 let to_json t =
@@ -75,22 +77,30 @@ let str_opt = function
   | Some Json.Null | None -> None
   | Some _ -> fail "expected string or null"
 
-let shard_of_json j =
+let shard_of_json i j =
   let lo =
     match Json.member "lo" j with
     | Some (Json.Str s) -> s
     | _ -> fail "shard without a \"lo\" bound"
   in
+  let endpoint =
+    Option.map
+      (fun spec ->
+        match Endpoint.of_string spec with
+        | Ok e -> e
+        | Error msg -> fail "shard %d: %s" i msg)
+      (str_opt (Json.member "endpoint" j))
+  in
   {
     lo;
     hi = str_opt (Json.member "hi" j);
     file = str_opt (Json.member "file" j);
-    endpoint = str_opt (Json.member "endpoint" j);
+    endpoint;
   }
 
 let of_json j =
   match Json.member "shards" j with
-  | Some (Json.List l) -> make (List.map shard_of_json l)
+  | Some (Json.List l) -> make (List.mapi shard_of_json l)
   | _ -> fail "document has no \"shards\" list"
 
 let save t path =
@@ -125,6 +135,6 @@ let topology_json t =
                   | None -> Json.Null
                   | Some hi -> Json.Str (printable hi) );
                 ("file", opt_str s.file);
-                ("endpoint", opt_str s.endpoint);
+                ("endpoint", opt_endpoint s.endpoint);
               ])
           t.arr))

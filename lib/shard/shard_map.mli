@@ -16,13 +16,18 @@
     Ranges are half-open byte-string intervals under [String.compare].
     Shard 0 starts at [""] (below every code) and the last shard is
     unbounded above, so the cover is total by construction and the
-    validator only has to check contiguity. *)
+    validator only has to check contiguity.
+
+    A shard's [endpoint] is parsed when the map is read, so a map that
+    loads names only servers a client can address. *)
 
 type shard = {
   lo : string;  (** inclusive serialized-code lower bound; [""] on shard 0 *)
   hi : string option;  (** exclusive upper bound; [None] = unbounded (last) *)
   file : string option;  (** page file holding this shard's entries *)
-  endpoint : string option;  (** connect spec ([HOST:PORT] or socket path) *)
+  endpoint : Uindex_server.Endpoint.t option;
+      (** where the router reaches this shard; stored as its
+          {!Uindex_server.Endpoint.to_string} spec *)
 }
 
 type t
@@ -48,8 +53,11 @@ val intersecting : t -> (string * string) list -> int list
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> t
 (** Raises [Invalid_argument] on a document that does not describe a
-    valid cover.  Range bounds are raw byte strings; {!Obs.Json} escapes
-    the [0x02] unit terminators, so maps round-trip byte-exactly. *)
+    valid cover, or whose [endpoint] value does not parse
+    ({!Uindex_server.Endpoint.of_string}; the message names the shard) —
+    a bad endpoint fails the load, not every query routed to it.  Range
+    bounds are raw byte strings; {!Obs.Json} escapes the [0x02] unit
+    terminators, so maps round-trip byte-exactly. *)
 
 val save : t -> string -> unit
 val load : string -> t

@@ -81,7 +81,7 @@ let with_chaos_server ?(workers = 2) ?(request_timeout = 2.) ?(restart_budget = 
       Server.stop server;
       (try Sys.remove path with Sys_error _ -> ());
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f ~svc ~server ~addr:(Unix.ADDR_UNIX path))
+    (fun () -> f ~svc ~server ~addr:(Server.Unix_sock path))
 
 let mix =
   [
@@ -148,7 +148,7 @@ let prop_chaos_differential =
           retry_seed = seed;
         }
       in
-      let r = Client.retrying_addr ~timeout:2. ~policy addr in
+      let r = Client.retrying ~timeout:2. ~policy addr in
       Fun.protect ~finally:(fun () -> Client.retry_close r) @@ fun () ->
       for i = 0 to 19 do
         let line = List.nth mix (i mod List.length mix) in
@@ -233,7 +233,10 @@ let test_retry_exhaustion () =
   let policy =
     { Client.default_retry_policy with attempts = 3; base_delay = 0.001 }
   in
-  let r = Client.retrying ~timeout:0.2 ~policy "/nonexistent/uindex.sock" in
+  let r =
+    Client.retrying ~timeout:0.2 ~policy
+      (Server.Unix_sock "/nonexistent/uindex.sock")
+  in
   (match Client.retry_request_raw r "ping" with
   | _ -> Alcotest.fail "no server, no reply"
   | exception Client.Error (Client.Exhausted { attempts; last }) ->
@@ -515,7 +518,7 @@ let test_supervised_respawn () =
       retry_seed = 11;
     }
   in
-  let r = Client.retrying_addr ~timeout:2. ~policy addr in
+  let r = Client.retrying ~timeout:2. ~policy addr in
   Fun.protect ~finally:(fun () -> Client.retry_close r) @@ fun () ->
   for i = 0 to 29 do
     let line = List.nth mix (i mod List.length mix) in
@@ -545,7 +548,7 @@ let test_budget_exhaustion () =
       retry_seed = 5;
     }
   in
-  let r = Client.retrying_addr ~timeout:0.4 ~policy addr in
+  let r = Client.retrying ~timeout:0.4 ~policy addr in
   Fun.protect ~finally:(fun () -> Client.retry_close r) @@ fun () ->
   let t0 = Unix.gettimeofday () in
   (match Client.retry_request_raw r "ping" with

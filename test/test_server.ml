@@ -14,6 +14,7 @@ module Protocol = Uindex_server.Protocol
 module Service = Uindex_server.Service
 module Server = Uindex_server.Server
 module Client = Uindex_server.Client
+module Endpoint = Uindex_server.Endpoint
 
 let with_server ?(workers = 2) ?(backlog = 16) ?(request_timeout = 5.) f =
   let e = Dg.exp1 ~n_vehicles:300 ~seed:3 () in
@@ -799,6 +800,111 @@ let test_session_leak_under_chaos () =
       done;
       assert_sessions_drained "chaos mix")
 
+(* --- endpoints ----------------------------------------------------------- *)
+
+let test_endpoint_table () =
+  let unix p = Ok (Endpoint.Unix_sock p)
+  and tcp h p = Ok (Endpoint.Tcp (h, p)) in
+  let bad = Error () in
+  let expect what parse cases =
+    List.iter
+      (fun (spec, want) ->
+        let got = parse spec in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %S" what spec)
+          true
+          (Result.map_error ignore got = want);
+        match got with
+        | Error msg when spec <> "" ->
+            let quoted = Printf.sprintf "%S" spec in
+            let n = String.length quoted in
+            let rec names i =
+              i + n <= String.length msg
+              && (String.sub msg i n = quoted || names (i + 1))
+            in
+            Alcotest.(check bool) ("error names the spec: " ^ msg) true
+              (names 0)
+        | _ -> ())
+      cases
+  in
+  expect "of_string" Endpoint.of_string
+    [
+      ("/tmp/x.sock", unix "/tmp/x.sock");
+      ("rel.sock", unix "rel.sock");
+      ("a:b", unix "a:b");
+      ("/tmp/a:1", unix "/tmp/a:1");
+      ("127.0.0.1:7771", tcp "127.0.0.1" 7771);
+      (":7771", tcp "127.0.0.1" 7771);
+      ("0.0.0.0:0", tcp "0.0.0.0" 0);
+      ("10.1.2.3:65535", tcp "10.1.2.3" 65535);
+      ("localhost:7771", bad);
+      ("127.0.0.1:99999", bad);
+      ("127.0.0.1:65536", bad);
+      ("::1:7771", bad);
+      ("", bad);
+    ];
+  expect "tcp_of_string" Endpoint.tcp_of_string
+    [
+      ("127.0.0.1:7771", tcp "127.0.0.1" 7771);
+      (":7771", tcp "127.0.0.1" 7771);
+      ("localhost:7771", bad);
+      ("127.0.0.1:99999", bad);
+      ("/tmp/x.sock", bad);
+      ("rel.sock", bad);
+      ("a:b", bad);
+      ("/tmp/a:1", bad);
+      ("nonsense", bad);
+    ]
+
+(* whatever a spec parses to prints back to a spec that parses to the
+   same endpoint *)
+let prop_endpoint_round_trip =
+  let open QCheck in
+  let structured =
+    Gen.(
+      oneof
+        [
+          map
+            (fun s -> Endpoint.to_string (Endpoint.Unix_sock ("/" ^ s)))
+            string;
+          map2
+            (fun (a, b, c) p ->
+              Endpoint.to_string
+                (Endpoint.Tcp (Printf.sprintf "%d.%d.%d.1" a b c, p)))
+            (triple (int_bound 255) (int_bound 255) (int_bound 255))
+            (int_bound 65535);
+          string_size ~gen:(oneofl [ ':'; '/'; '.'; '1'; '7'; 'a' ]) (0 -- 12);
+        ])
+  in
+  Test.make ~count:500 ~name:"spec round trip"
+    (make ~print:Print.string structured) (fun spec ->
+      match Endpoint.of_string spec with
+      | Error _ -> true
+      | Ok e -> Endpoint.of_string (Endpoint.to_string e) = Ok e)
+
+(* a TCP listener on port 0 reports the port it got, and the one
+   connector reaches it there *)
+let test_tcp_ephemeral_port () =
+  let e = Dg.exp1 ~n_vehicles:100 ~seed:3 () in
+  let db = Db.create e.store in
+  Db.attach_index db e.ch_color;
+  let svc = Service.create ~schema:e.ext.b.schema db in
+  let server =
+    Server.start svc
+      { (Server.default_config (Server.Tcp ("127.0.0.1", 0))) with workers = 1 }
+  in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let bound = Server.bound_addr server in
+  (match bound with
+  | Server.Tcp (host, port) ->
+      Alcotest.(check string) "bound host" "127.0.0.1" host;
+      Alcotest.(check bool) "ephemeral port chosen" true (port > 0)
+  | Server.Unix_sock p -> Alcotest.failf "bound a Unix socket %s" p);
+  let c = Client.connect bound in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  Alcotest.(check (option string)) "ping answers" (Some "pong")
+    (Option.bind (Json.member "type" (Client.request c "ping")) Json.to_str)
+
 let () =
   Alcotest.run "server"
     [
@@ -848,5 +954,11 @@ let () =
             test_monotone_counters_under_commits;
           Alcotest.test_case "page-read reconciliation" `Quick
             test_page_read_reconciliation;
+        ] );
+      ( "endpoint",
+        [
+          Alcotest.test_case "spec table" `Quick test_endpoint_table;
+          QCheck_alcotest.to_alcotest prop_endpoint_round_trip;
+          Alcotest.test_case "TCP port 0" `Quick test_tcp_ephemeral_port;
         ] );
     ]

@@ -26,8 +26,17 @@ module Smap = Uindex_shard.Shard_map
 module Planner = Uindex_shard.Planner
 module Splitter = Uindex_shard.Splitter
 module Router = Uindex_shard.Router
+module Endpoint = Uindex_server.Endpoint
 
 let mkshard ?hi ?file ?endpoint lo = { Smap.lo; hi; file; endpoint }
+
+let count_sub hay needle =
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length hay then acc
+    else go (i + 1) (if String.sub hay i n = needle then acc + 1 else acc)
+  in
+  go 0 0
 
 let map_of_boundaries bounds =
   let rec go lo = function
@@ -197,9 +206,10 @@ let test_map_roundtrip () =
   let m =
     Smap.make
       [
-        mkshard ~hi:b1 ~file:"s0.pages" ~endpoint:"h0:4000" "";
+        mkshard ~hi:b1 ~file:"s0.pages"
+          ~endpoint:(Endpoint.Tcp ("10.0.0.1", 4000)) "";
         mkshard ~hi:b2 ~file:"s1.pages" b1;
-        mkshard ~endpoint:"/tmp/s2.sock" b2;
+        mkshard ~endpoint:(Endpoint.Unix_sock "/tmp/s2.sock") b2;
       ]
   in
   let m' = Smap.of_json (Smap.to_json m) in
@@ -218,6 +228,35 @@ let test_map_roundtrip () =
   match Smap.of_json (Json.Obj [ ("shards", Json.List []) ]) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "of_json accepted an empty cover"
+
+(* Endpoints are checked when the map is read: a host name is refused
+   there, naming the shard, instead of failing every query routed to
+   it. *)
+let test_map_bad_endpoint () =
+  let shard lo hi endpoint =
+    Json.Obj
+      [
+        ("lo", Json.Str lo);
+        ("hi", Option.fold ~none:Json.Null ~some:(fun h -> Json.Str h) hi);
+        ("file", Json.Null);
+        ("endpoint", Json.Str endpoint);
+      ]
+  in
+  let doc =
+    Json.Obj
+      [
+        ( "shards",
+          Json.List
+            [
+              shard "" (Some "B") "127.0.0.1:4000"; shard "B" None "h0:4000";
+            ] );
+      ]
+  in
+  match Smap.of_json doc with
+  | _ -> Alcotest.fail "of_json accepted endpoint h0:4000"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("names shard 1: " ^ msg) true
+        (count_sub msg "shard 1" > 0 && count_sub msg "h0:4000" > 0)
 
 (* --- splitter ---------------------------------------------------------- *)
 
@@ -405,7 +444,10 @@ let test_single_shard_bypass () =
 let test_partial_failure () =
   let f = make_fleet ~n_vehicles:300 () in
   let b = f.ext.Ps.b in
-  let dead = Filename.concat (Filename.get_temp_dir_name ()) "uindex-no-such.sock" in
+  let dead =
+    Endpoint.Unix_sock
+      (Filename.concat (Filename.get_temp_dir_name ()) "uindex-no-such.sock")
+  in
   let backends =
     Array.mapi
       (fun i s -> if i = 1 then Router.Remote dead else Router.Local s)
@@ -430,15 +472,8 @@ let test_partial_failure () =
   let detail =
     Option.value ~default:"" (Json.to_str (member_exn "detail" (member_exn "error" d)))
   in
-  let contains hay needle =
-    let n = String.length needle in
-    let rec go i =
-      i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
-    in
-    go 0
-  in
   Alcotest.(check bool) "detail names the lost shard" true
-    (contains detail "shard 1");
+    (count_sub detail "shard 1" > 0);
   (* a query pruned away from the dead shard still answers *)
   let cs = Ps.vehicle_leaf_classes f.ext in
   let rec pick k =
@@ -501,14 +536,6 @@ let test_monotonic_deadlines () =
   Alcotest.(check (option int)) "same answer" (Json.to_int (member_exn "count" direct))
     (Json.to_int (member_exn "count" via))
 
-let count_sub hay needle =
-  let n = String.length needle in
-  let rec go i acc =
-    if i + n > String.length hay then acc
-    else go (i + 1) (if String.sub hay i n = needle then acc + 1 else acc)
-  in
-  go 0 0
-
 (* A class pattern the router sends to exactly one shard. *)
 let single_shard_query f router =
   let cs = Ps.vehicle_leaf_classes f.ext in
@@ -523,6 +550,58 @@ let single_shard_query f router =
   in
   pick 0
 
+(* A port nothing listens on: bound, read back, closed. *)
+let refused_endpoint () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, port) -> Endpoint.Tcp ("127.0.0.1", port)
+  | Unix.ADDR_UNIX _ -> assert false
+
+(* Shards at refused TCP endpoints: a single-shard query and a fan-out
+   both get a typed shard_failure naming each contacted shard's
+   endpoint — never an escaped exception ("not dispatched") or an
+   [internal] error. *)
+let test_refused_tcp_shards () =
+  let f = make_fleet ~n_vehicles:200 () in
+  let b = f.ext.Ps.b in
+  let endpoints = Array.map (fun _ -> refused_endpoint ()) f.services in
+  let router =
+    Router.create
+      ~retry_policy:
+        { Client.default_retry_policy with attempts = 1; base_delay = 0.001 }
+      ~schema:b.Ps.schema ~enc:b.Ps.enc ~map:f.map
+      ~backends:(Array.map (fun e -> Router.Remote e) endpoints)
+      ()
+  in
+  let spanning =
+    Query.class_hierarchy ~value:Query.V_any (Query.P_subtree b.Ps.vehicle)
+  in
+  List.iter
+    (fun (what, q) ->
+      let targets = Router.route_query router q in
+      let reply =
+        Router.serve_line router ("query " ^ Qparse.to_syntax b.Ps.schema q)
+      in
+      let d = Json.of_string reply in
+      Alcotest.(check (option string)) (what ^ ": typed failure")
+        (Some "shard_failure")
+        (Protocol.response_error_kind d);
+      List.iter
+        (fun i ->
+          let named =
+            Printf.sprintf "shard %d (%s)" i (Endpoint.to_string endpoints.(i))
+          in
+          Alcotest.(check bool) (what ^ ": names " ^ named) true
+            (count_sub reply named = 1))
+        targets;
+      Alcotest.(check int) (what ^ ": nothing undispatched") 0
+        (count_sub reply "not dispatched"))
+    [
+      ("fan-out", spanning); ("single shard", single_shard_query f f.router);
+    ]
+
 (* Every reply kind a router produces — admin replies, a merged fan-out,
    a shard_failure and a single shard's forwarded bytes — echoes the
    client trace id exactly once. *)
@@ -530,7 +609,8 @@ let test_router_trace_id_echo () =
   let f = make_fleet ~n_vehicles:300 () in
   let b = f.ext.Ps.b in
   let dead =
-    Filename.concat (Filename.get_temp_dir_name ()) "uindex-no-such.sock"
+    Endpoint.Unix_sock
+      (Filename.concat (Filename.get_temp_dir_name ()) "uindex-no-such.sock")
   in
   let crippled =
     Router.create
@@ -620,6 +700,7 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_map_validation;
           Alcotest.test_case "round-trip" `Quick test_map_roundtrip;
+          Alcotest.test_case "bad endpoint" `Quick test_map_bad_endpoint;
         ] );
       ( "splitter",
         [ Alcotest.test_case "partition" `Quick test_splitter_partition ] );
@@ -635,6 +716,8 @@ let () =
           Alcotest.test_case "differential 500+" `Quick test_differential;
           Alcotest.test_case "single-shard bypass" `Quick test_single_shard_bypass;
           Alcotest.test_case "partial failure" `Quick test_partial_failure;
+          Alcotest.test_case "refused TCP shards" `Quick
+            test_refused_tcp_shards;
           Alcotest.test_case "unanimous error" `Quick
             test_unanimous_error_passthrough;
           Alcotest.test_case "monotonic deadlines" `Quick
