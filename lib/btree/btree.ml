@@ -964,7 +964,11 @@ module Scanner = struct
   (* The cursor walks the encoded leaf page directly, reconstructing
      only the key under the cursor into the reusable [keybuf] scratch —
      entries a scan skips past are never materialized, and values only
-     on [entry.value ()].  Pages come from [read] alone.
+     on [entry.value ()].  Callers that classify keys in place read
+     [keybuf] itself ([key_bytes]) and move with [seek_bytes]/[advance],
+     which build no entry; [seek]/[next] are those plus [peek].  A probe
+     is the first [klen] bytes of a string, so a reused buffer can be
+     one.  Pages come from [read] alone.
 
      A seek forward of the cursor is a finger seek: the scanner holds
      the root-to-leaf path of its current leaf (each internal page, its
@@ -1137,13 +1141,16 @@ module Scanner = struct
 
   (* the end of a descent: put the cursor on the first entry [>= key]
      of leaf page [b] at [level], or of a later leaf *)
-  let position t key id b level =
+  let position t key klen id b level =
     t.pid <- id;
     t.page <- b;
     t.keylen <- 0;
     t.depth <- level;
     try
-      let r = Node.leaf_search b key in
+      let r =
+        Node.leaf_search_from b key ~len:klen ~off:Node.header_size ~idx:0
+          ~ml:0
+      in
       t.n <- Node.entry_count b;
       t.next_leaf <- Node.leaf_next b;
       t.valid <- true;
@@ -1160,20 +1167,20 @@ module Scanner = struct
      holding every internal page on the way: [descend]'s compare-in-place
      steps, plus the child slot.  The path is invalid until the leaf is
      reached. *)
-  let rec descend_from t key id level =
+  let rec descend_from t key klen id level =
     Obs.Metrics.incr m_node_visits;
     t.valid <- false;
     t.level <- level;
     let b = t.read id in
     match Node.is_leaf_page b with
-    | true -> position t key id b level
+    | true -> position t key klen id b level
     | false -> (
         match
-          let r = Node.child_search b key in
+          let r = Node.child_search b key ~len:klen in
           hold t level id b r;
           Node.search_child b r
         with
-        | c -> descend_from t key c (level + 1)
+        | c -> descend_from t key klen c (level + 1)
         | exception (Invalid_argument d | Failure d) -> corrupt id d)
     | exception (Invalid_argument d | Failure d) -> corrupt id d
 
@@ -1183,15 +1190,15 @@ module Scanner = struct
      at or above that ancestor's lower bound, and below the separator
      after the chosen child, so below its upper bound: a root descent
      would pass through the same ancestor and choose the same child. *)
-  let rec climb t key l =
+  let rec climb t key klen l =
     let b = t.path_pages.(l) in
-    match Node.child_search b key with
+    match Node.child_search b key ~len:klen with
     | r when l = 0 || Node.search_index r < Node.entry_count b -> (
         t.path_slots.(l) <- r;
         match Node.search_child b r with
-        | c -> descend_from t key c (l + 1)
+        | c -> descend_from t key klen c (l + 1)
         | exception (Invalid_argument d | Failure d) -> corrupt t.path_ids.(l) d)
-    | _ -> climb t key (l - 1)
+    | _ -> climb t key klen (l - 1)
     | exception (Invalid_argument d | Failure d) -> corrupt t.path_ids.(l) d
 
   (* The finger seek; [false] leaves the scanner untouched for a root
@@ -1199,8 +1206,7 @@ module Scanner = struct
      on the current leaf is found by searching forward from the cursor
      (no page touched), any other by [climb] — unless the leaf is the
      root, which has nothing to climb to. *)
-  let finger t key =
-    let klen = String.length key in
+  let finger t key klen =
     let lim = if t.keylen < klen then t.keylen else klen in
     let ml = Bu.match_len t.keybuf 0 key 0 lim in
     let above =
@@ -1212,7 +1218,7 @@ module Scanner = struct
     above
     &&
     match
-      Node.leaf_search_from t.page key
+      Node.leaf_search_from t.page key ~len:klen
         ~off:(Node.leaf_entry_end t.page t.off)
         ~idx:(t.idx + 1) ~ml
     with
@@ -1227,7 +1233,7 @@ module Scanner = struct
     | _ when t.depth = 0 -> false
     | _ ->
         Obs.Metrics.incr m_finger_seeks;
-        climb t key (t.depth - 1);
+        climb t key klen (t.depth - 1);
         true
     | exception (Invalid_argument d | Failure d) -> corrupt t.pid d
 
@@ -1252,14 +1258,17 @@ module Scanner = struct
       | exception (Invalid_argument d | Failure d) -> corrupt pid d
     end
 
-  let seek t key =
-    if not (t.live && t.valid && finger t key) then begin
+  let seek_sub t key klen =
+    if not (t.live && t.valid && finger t key klen) then begin
       Obs.Metrics.incr m_descents;
-      descend_from t key t.tree.root 0
+      descend_from t key klen t.tree.root 0
     end;
-    peek t
+    t.live
 
-  let next t =
+  (* the probe is only read, and only during the call *)
+  let seek_bytes t b len = seek_sub t (Bytes.unsafe_to_string b) len
+
+  let advance t =
     if t.live then
       if t.idx + 1 < t.n then (
         try
@@ -1268,6 +1277,17 @@ module Scanner = struct
           set_cursor_advance t
         with Invalid_argument d | Failure d -> corrupt t.pid d)
       else first_entry t t.next_leaf;
+    t.live
+
+  let key_bytes t = t.keybuf
+  let key_length t = t.keylen
+
+  let seek t key =
+    ignore (seek_sub t key (String.length key));
+    peek t
+
+  let next t =
+    ignore (advance t);
     peek t
 end
 

@@ -195,6 +195,27 @@ module Scanner : sig
   val next : t -> entry option
   (** Advance to the following entry. *)
 
+  (** {2 In-place access}
+
+      The allocation-free form of the same cursor, for callers that test
+      each key where it sits: {!seek} and {!next} are {!seek_bytes} and
+      {!advance} plus building the {!entry} under the cursor. *)
+
+  val seek_bytes : t -> Bytes.t -> int -> bool
+  (** [seek_bytes t probe len] is {!seek} to the first [len] bytes of
+      [probe] without building the entry: [false] when no entry is at
+      or after it.  The probe is read during the call only, so a caller
+      may reuse its buffer. *)
+
+  val advance : t -> bool
+  (** {!next} without building the entry; [false] past the end. *)
+
+  val key_bytes : t -> Bytes.t
+  val key_length : t -> int
+  (** The cursor key in place: bytes [[0, key_length t)] of
+      [key_bytes t].  They are the scanner's scratch: valid until it
+      next moves, and not to be written. *)
+
   val level : t -> int
   (** The tree level (root = 0) of the page the scanner last asked its
       [read] for: called from inside [read], it places the page being
@@ -228,8 +249,6 @@ val check : t -> unit
 (** [check_invariants] with the report discarded. *)
 
 val leaf_count : t -> int
-val node_count : t -> int
-(** Internal + leaf nodes (excludes overflow pages). *)
 
 type compression_stats = {
   entries : int;

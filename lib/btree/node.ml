@@ -226,9 +226,8 @@ let search_off r = r lsr 21
 let search_index r = (r lsr 1) land 0xFFFFF
 let search_exact r = r land 1 = 1
 
-let leaf_search_from b key ~off ~idx ~ml =
+let leaf_search_from b key ~len:klen ~off ~idx ~ml =
   let n = Bu.get_u16 b 1 in
-  let klen = String.length key in
   let pos = ref off in
   let idx = ref idx in
   let ml = ref ml in
@@ -273,16 +272,16 @@ let leaf_search_from b key ~off ~idx ~ml =
   done;
   (!pos lsl 21) lor (!idx lsl 1) lor (if !exact then 1 else 0)
 
-let leaf_search b key = leaf_search_from b key ~off:header_size ~idx:0 ~ml:0
+let leaf_search b key =
+  leaf_search_from b key ~len:(String.length key) ~off:header_size ~idx:0 ~ml:0
 
 (* Upper bound over an internal page's separators: the search advances
    past separators [<=] the probe.  The packed result names the child
    slot it stops at (the count of separators passed) and the offset of
    the separator right after that child; the child's page id is the u32
    just before that separator, or the header's leftmost child. *)
-let child_search b key =
+let child_search b key ~len:klen =
   let n = Bu.get_u16 b 1 in
-  let klen = String.length key in
   let pos = ref header_size in
   let idx = ref 0 in
   let ml = ref 0 in
@@ -329,7 +328,8 @@ let next_child b r =
     let next = off + 4 + Bu.get_u16 b (off + 2) + 4 in
     (next lsl 21) lor ((search_index r + 1) lsl 1)
 
-let child_in_place b key = search_child b (child_search b key)
+let child_in_place b key =
+  search_child b (child_search b key ~len:(String.length key))
 
 let pp_key ppf k =
   String.iter

@@ -91,8 +91,11 @@ val leaf_search : Bytes.t -> string -> int
     and {!search_off} (that entry's byte offset in the page; the
     end-of-entries offset when the index equals {!entry_count}). *)
 
-val leaf_search_from : Bytes.t -> string -> off:int -> idx:int -> ml:int -> int
-(** {!leaf_search} resumed mid-page: the search starts at entry [idx],
+val leaf_search_from :
+  Bytes.t -> string -> len:int -> off:int -> idx:int -> ml:int -> int
+(** {!leaf_search} for the probe's first [len] bytes, resumed mid-page
+    (the rest of the string is ignored, so a reused buffer can be the
+    probe): the search starts at entry [idx],
     at byte offset [off], given [ml], the length of the common prefix of
     the probe and entry [idx - 1].  Sound only when entry [idx - 1] is
     below the probe; the scanner uses it to search forward from its
@@ -102,9 +105,10 @@ val search_index : int -> int
 val search_exact : int -> bool
 val search_off : int -> int
 
-val child_search : Bytes.t -> string -> int
-(** The child slot a descent for the probe key must follow from an
-    internal page: upper bound over the separators, compared in place.
+val child_search : Bytes.t -> string -> len:int -> int
+(** The child slot a descent for the probe key (its first [len] bytes)
+    must follow from an internal page: upper bound over the separators,
+    compared in place.
     Packed like {!leaf_search}: {!search_index} is the slot (the number
     of separators [<=] the probe, so {!entry_count} means the last
     child) and {!search_off} the byte offset of the separator right

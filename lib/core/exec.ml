@@ -23,15 +23,10 @@ let head_oids o =
     o.bindings
   |> List.sort_uniq compare
 
-let take n l =
-  let rec go n = function
-    | x :: rest when n > 0 -> x :: go (n - 1) rest
-    | _ -> []
-  in
-  go n l
-
-let binding_of (d : Ukey.decoded) arity =
-  { value = d.value; comps = take arity d.comps }
+(* only accepted entries are copied out of the scanner and decoded *)
+let binding_of ~enc ~ty key len arity =
+  let d = Ukey.decode ~arity ~enc ~ty (Bytes.sub_string key 0 len) in
+  { value = d.value; comps = d.comps }
 
 (* [page_reads] stays the pager-read delta whether or not a pool is
    attached: pool hits never reach the pager, misses do, so the paper's
@@ -184,51 +179,65 @@ let with_scanner tree read f =
 
 (* --- the interval walk ----------------------------------------------------- *)
 
-let below upper key =
-  match upper with Some h -> String.compare key h < 0 | None -> true
+let below upper sc =
+  match upper with
+  | Some h ->
+      Storage.Bytes_util.compare_sub (Btree.Scanner.key_bytes sc) 0
+        (Btree.Scanner.key_length sc) h
+      < 0
+  | None -> true
 
 (* The one loop that walks a plan's interval set: one descent to
-   [Plan.lower], then classify every entry below [Plan.upper].  With
-   [skip] it is Algorithm 1 — a [Seek] opens a new descent segment, a
-   [Stop] ends the walk; without it, the forward scan of Section 3.3
-   treats both as [Advance], so it reads every leaf of the bracket and
-   must drop the adjacent duplicate bindings a partial-path query
-   produces (the skips would have jumped past them).  The page source
-   is the scanner's [read]: a per-query [Pager.Cache] makes revisits
-   free, [Btree.raw_read] counts every one. *)
-let scan ?trace ~skip sc tree plan =
+   [Plan.lower], then classify every entry below [Plan.upper] where it
+   sits in the scanner's key scratch; only accepted entries are copied
+   and decoded.  With [skip] it is Algorithm 1 — a [`Seek] opens a new
+   descent segment, a [`Stop] ends the walk; without it, the forward
+   scan of Section 3.3, whose verdicts all advance, so it reads every
+   leaf of the bracket and must drop the adjacent duplicate bindings a
+   partial-path query produces (the skips would have jumped past them).
+   The page source is the scanner's [read]: a per-query [Pager.Cache]
+   makes revisits free, [Btree.raw_read] counts every one. *)
+let scan ?trace ~skip sc idx plan =
   match Plan.lower plan with
   | None -> ([], 0)
   | Some lo ->
+      let tree = Index.tree idx in
+      let enc = Index.encoding idx and ty = Index.attr_ty idx in
       let seg = seg_make trace (Pager.stats (Btree.pager tree)) in
       let upper = Plan.upper plan in
-      let rec go acc n prev = function
-        | Some (e : Btree.entry) when below upper e.key -> (
-            match Plan.classify plan e.key with
-            | Plan.Accept { d; arity; next } ->
-                seg_entry seg ~accepted:true;
-                let b = binding_of d arity in
-                if skip then step (b :: acc) (n + 1) prev next
-                else
-                  let sb = Some b in
-                  if sb = prev then step acc (n + 1) prev next
-                  else step (b :: acc) (n + 1) sb next
-            | Plan.Reject next ->
-                seg_entry seg ~accepted:false;
-                step acc (n + 1) prev next)
-        | Some _ | None -> (acc, n)
-      and step acc n prev = function
-        | Plan.Seek k when skip ->
+      let rec go acc n prev live =
+        if live && below upper sc then begin
+          let key = Btree.Scanner.key_bytes sc in
+          let len = Btree.Scanner.key_length sc in
+          let r = Plan.classify_in_place plan ~skip key len in
+          let arity = Plan.arity r in
+          seg_entry seg ~accepted:(arity > 0);
+          if arity = 0 then step acc (n + 1) prev r
+          else
+            let b = binding_of ~enc ~ty key len arity in
+            if skip then step (b :: acc) (n + 1) prev r
+            else
+              let sb = Some b in
+              if sb = prev then step acc (n + 1) prev r
+              else step (b :: acc) (n + 1) sb r
+        end
+        else (acc, n)
+      and step acc n prev r =
+        match Plan.move r with
+        | `Advance -> go acc n prev (Btree.Scanner.advance sc)
+        | `Seek ->
             (* skip targets are always strictly beyond the current key,
                so the scanner serves them as finger seeks *)
             seg_open seg "descent";
-            go acc n prev (Btree.Scanner.seek sc k)
-        | Plan.Stop when skip -> (acc, n)
-        | Plan.Seek _ | Plan.Stop | Plan.Advance ->
-            go acc n prev (Btree.Scanner.next sc)
+            go acc n prev
+              (Btree.Scanner.seek_bytes sc (Plan.target plan)
+                 (Plan.target_length plan))
+        | `Stop -> (acc, n)
       in
       seg_open seg "descent";
-      let first = Btree.Scanner.seek sc lo in
+      let first =
+        Btree.Scanner.seek_bytes sc (Bytes.unsafe_of_string lo) (String.length lo)
+      in
       if not skip then seg_open seg "scan";
       let r = go [] 0 None first in
       seg_finish seg;
@@ -247,7 +256,7 @@ let impl ?trace algo idx query =
     | `Parallel -> (Pager.Cache.read (Btree.cached_read tree), true)
   in
   with_read_count tree (fun () ->
-      with_scanner tree read (fun sc -> scan ?trace ~skip sc tree plan))
+      with_scanner tree read (fun sc -> scan ?trace ~skip sc idx plan))
 
 let algo_name = function `Forward -> "forward" | `Parallel -> "parallel"
 
@@ -348,7 +357,7 @@ let explain idx query =
   scanner := Some sc;
   Fun.protect
     ~finally:(fun () -> stats.Stats.reads <- reads0)
-    (fun () -> ignore (scan ~skip:true sc tree plan));
+    (fun () -> ignore (scan ~skip:true sc idx plan));
   List.rev !visits
 
 let pp_explain ppf visits =

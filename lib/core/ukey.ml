@@ -28,13 +28,13 @@ type decoded = {
   comp_offsets : (int * int * int) list;
 }
 
-let decode ~enc ~ty key =
+let decode ?(arity = max_int) ~enc ~ty key =
   let n = String.length key in
   let value, stop = Value.decode ~ty key 0 in
   if stop >= n || key.[stop] <> '\x01' then
     invalid_arg "Ukey.decode: missing value separator";
-  let rec comps pos acc offs =
-    if pos >= n then (List.rev acc, List.rev offs)
+  let rec comps pos k acc offs =
+    if pos >= n || k = 0 then (List.rev acc, List.rev offs)
     else begin
       (* the serialized code runs to the 0x01 component terminator *)
       let code_end =
@@ -54,12 +54,12 @@ let decode ~enc ~ty key =
       let oid_start = code_end + 1 in
       if oid_start + 4 > n then invalid_arg "Ukey.decode: truncated oid";
       let oid = Bu.decode_u32 key oid_start in
-      comps (oid_start + 4)
+      comps (oid_start + 4) (k - 1)
         ((cls, oid) :: acc)
         ((pos, oid_start, oid_start + 4) :: offs)
     end
   in
-  let comps, comp_offsets = comps (stop + 1) [] [] in
+  let comps, comp_offsets = comps (stop + 1) arity [] [] in
   if comps = [] then invalid_arg "Ukey.decode: no components";
   { value; comps; comp_offsets }
 

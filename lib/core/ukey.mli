@@ -27,10 +27,6 @@ val entry_key : value:Objstore.Value.t -> (Code.t * Objstore.Value.oid) list -> 
 (** Components must already be in ascending code order; raises
     [Invalid_argument] otherwise. *)
 
-val value_prefix : Objstore.Value.t -> string
-(** [value-bytes 0x01]: the common prefix of every entry for this
-    value. *)
-
 type decoded = {
   value : Objstore.Value.t;
   comps : (Schema.class_id * Objstore.Value.oid) list;
@@ -39,8 +35,11 @@ type decoded = {
           into the key — used to build skip targets *)
 }
 
-val decode : enc:Encoding.t -> ty:Schema.attr_type -> string -> decoded
-(** Raises [Invalid_argument] on malformed keys or unknown codes. *)
+val decode :
+  ?arity:int -> enc:Encoding.t -> ty:Schema.attr_type -> string -> decoded
+(** Raises [Invalid_argument] on malformed keys or unknown codes.  With
+    [arity], only the value and the first [arity] components are decoded
+    (and checked): what a binding of that arity needs. *)
 
 val succ_prefix : string -> string
 (** The smallest key greater than every key that starts with the given

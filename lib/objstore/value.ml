@@ -38,6 +38,9 @@ let decode ~ty s off =
               have %d)"
              off
              (String.length s - off));
+      if not (Bu.int_fits (Bytes.unsafe_of_string s) off) then
+        invalid_arg
+          (Printf.sprintf "Value.decode: Int key out of range at offset %d" off);
       (Int (Bu.decode_int s off), off + 8)
   | Oodb_schema.Schema.String ->
       let stop =

@@ -26,6 +26,8 @@ val decode : ty:Oodb_schema.Schema.attr_type -> string -> int -> t * int
     Raises [Invalid_argument] with a ["truncated Int key"] diagnostic
     when fewer than 8 bytes remain for an [Int] — a distinct message, so
     callers that tolerate malformed entries can still surface corruption
-    in their counters rather than conflating it with type errors. *)
+    in their counters rather than conflating it with type errors — and
+    an ["Int key out of range"] one when the 8 bytes are no int's image
+    ({!Storage.Bytes_util.int_fits}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -59,13 +59,14 @@ let rec is_ancestor ~ancestor c =
   | _, [] -> false
   | a :: arest, b :: brest -> a = b && is_ancestor ~ancestor:arest brest
 
-let subtree_interval c =
-  let lo = serialize c in
+let serialized_subtree_interval lo =
   (* every descendant's serialization starts with [lo]; bumping the final
      separator byte gives the least key above all of them *)
   let hi = Bytes.of_string lo in
   Bytes.set hi (Bytes.length hi - 1) (Char.chr (Char.code sep + 1));
   (lo, Bytes.to_string hi)
+
+let subtree_interval c = serialized_subtree_interval (serialize c)
 
 let to_string c = String.concat "." c
 let pp ppf c = Format.pp_print_string ppf (to_string c)

@@ -59,6 +59,9 @@ val subtree_interval : t -> string * string
 (** [subtree_interval c] is the half-open serialized-key interval
     containing exactly the codes of [c]'s subtree (including [c]). *)
 
+val serialized_subtree_interval : string -> string * string
+(** {!subtree_interval} of the code with this serialization. *)
+
 val to_string : t -> string
 (** Display form, units joined with ['.'] (e.g. ["C.E.A"]). *)
 

@@ -4,6 +4,9 @@ type t = {
   schema : Schema.t;
   codes : (Schema.class_id, Code.t) Hashtbl.t;
   by_ser : (string, Schema.class_id) Hashtbl.t;
+  sers : (Schema.class_id, string) Hashtbl.t;  (* [by_ser] inverted *)
+  (* [by_ser]'s keys in order, built on first use after a change *)
+  mutable sorted : string array option;
   (* next fresh-unit rank per parent; key [-1] is the top level *)
   ranks : (int, int ref) Hashtbl.t;
 }
@@ -21,10 +24,24 @@ let code t id =
 let class_of_serialized t s = Hashtbl.find_opt t.by_ser s
 let class_of_code t c = class_of_serialized t (Code.serialize c)
 
-let subtree_interval t id = Code.subtree_interval (code t id)
+let serialized_codes t =
+  match t.sorted with
+  | Some a -> a
+  | None ->
+      let a = Array.of_seq (Hashtbl.to_seq_keys t.by_ser) in
+      Array.sort String.compare a;
+      t.sorted <- Some a;
+      a
+
+let serialized t id =
+  match Hashtbl.find_opt t.sers id with
+  | Some s -> s
+  | None -> Code.serialize (code t id)
+
+let subtree_interval t id = Code.serialized_subtree_interval (serialized t id)
 
 let exact_interval t id =
-  let s = Code.serialize (code t id) in
+  let s = serialized t id in
   (s ^ Code.component_end, s ^ "\x02")
 
 let rec root_of schema id =
@@ -63,7 +80,10 @@ let fresh_unit t ~parent_key ~taken =
 
 let record t id c =
   Hashtbl.replace t.codes id c;
-  Hashtbl.replace t.by_ser (Code.serialize c) id
+  let s = Code.serialize c in
+  Hashtbl.replace t.by_ser s id;
+  Hashtbl.replace t.sers id s;
+  t.sorted <- None
 
 let rec assign_subtree t id c =
   record t id c;
@@ -97,6 +117,8 @@ let assign ?ref_edges schema =
       schema;
       codes = Hashtbl.create 64;
       by_ser = Hashtbl.create 64;
+      sers = Hashtbl.create 64;
+      sorted = None;
       ranks = Hashtbl.create 64;
     }
   in

@@ -36,6 +36,12 @@ val code : t -> Schema.class_id -> Code.t
 val class_of_code : t -> Code.t -> Schema.class_id option
 val class_of_serialized : t -> string -> Schema.class_id option
 
+val serialized_codes : t -> string array
+(** Every assigned code, serialized, in ascending order: the set a key's
+    component codes are checked against by binary search.  The array is
+    shared and must not be written; a class added later yields a fresh
+    one. *)
+
 val subtree_interval : t -> Schema.class_id -> string * string
 (** Serialized-key interval of the class-hierarchy subtree rooted at the
     class. *)

@@ -9,15 +9,23 @@ let get_u32 b off =
 
 (* Offset-binary: flipping the sign bit of the two's-complement 64-bit
    image makes unsigned byte order agree with signed integer order. *)
+let put_int b off x =
+  Bytes.set_int64_be b off (Int64.logxor (Int64.of_int x) Int64.min_int)
+
+let get_int b off = Int64.to_int (Int64.logxor (Bytes.get_int64_be b off) Int64.min_int)
+
+(* the top two bits of a 63-bit int's 64-bit image agree; offset-binary
+   flips the first, so they differ in every [encode_int] result *)
+let int_fits b off =
+  let b0 = Char.code (Bytes.get b off) in
+  b0 >= 0x40 && b0 < 0xc0
+
 let encode_int x =
-  let v = Int64.logxor (Int64.of_int x) Int64.min_int in
   let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 v;
+  put_int b 0 x;
   Bytes.unsafe_to_string b
 
-let decode_int s off =
-  let v = Bytes.get_int64_be (Bytes.unsafe_of_string s) off in
-  Int64.to_int (Int64.logxor v Int64.min_int)
+let decode_int s off = get_int (Bytes.unsafe_of_string s) off
 
 let encode_u32 x =
   let b = Bytes.create 4 in
@@ -49,6 +57,18 @@ let match_len b boff s soff len =
     incr i
   done;
   !i
+
+(* [match_len]'s loop inlined: this runs several times per scanned key *)
+let compare_sub b off len s =
+  let slen = String.length s in
+  let lim = if len < slen then len else slen in
+  let i = ref 0 in
+  while !i < lim && Bytes.unsafe_get b (off + !i) = String.unsafe_get s !i do
+    incr i
+  done;
+  if !i < lim then
+    Char.code (Bytes.unsafe_get b (off + !i)) - Char.code (String.unsafe_get s !i)
+  else len - slen
 
 (* FNV-1a, folded to 32 bits; used for page-file header and journal
    checksums.  Not cryptographic — it only needs to catch torn writes. *)

@@ -27,6 +27,16 @@ val encode_int : int -> string
 val decode_int : string -> int -> int
 (** [decode_int s off] inverts {!encode_int} at offset [off]. *)
 
+val put_int : Bytes.t -> int -> int -> unit
+val get_int : Bytes.t -> int -> int
+(** {!encode_int}/{!decode_int} in place: [put_int b off x] writes the
+    8-byte image of [x] at [off]. *)
+
+val int_fits : Bytes.t -> int -> bool
+(** [int_fits b off]: the 8-byte image at [off] is {!encode_int} of some
+    OCaml [int] (its first byte is 0x40–0xBF).  Any other image, found
+    only in a damaged key, would decode to a wrapped-around int. *)
+
 val encode_u32 : int -> string
 (** [encode_u32 x] is a 4-byte big-endian encoding of [x] (0..2^32-1);
     order-preserving over that range.  Used for OIDs and page references
@@ -49,6 +59,11 @@ val match_len : Bytes.t -> int -> string -> int -> int -> int
     [b.[boff..]] and [s.[soff..]], at most [len].  The ranges must lie
     inside their buffers (unchecked); this is the allocation-free inner
     loop of the compare-in-place node search. *)
+
+val compare_sub : Bytes.t -> int -> int -> string -> int
+(** [compare_sub b off len s] has the sign of [String.compare
+    (Bytes.sub_string b off len) s], without the copy.  The range must lie
+    inside [b] (unchecked). *)
 
 val fnv32 : ?init:int -> Bytes.t -> int -> int -> int
 (** [fnv32 b off len] is the 32-bit FNV-1a hash of [len] bytes of [b]

@@ -115,7 +115,13 @@ let test_decode_truncated_int () =
   Alcotest.check_raises "offset past the end"
     (Invalid_argument
        "Value.decode: truncated Int key (need 8 bytes at offset 9, have -1)")
-    (fun () -> ignore (Value.decode ~ty:Schema.Int whole 9))
+    (fun () -> ignore (Value.decode ~ty:Schema.Int whole 9));
+  (* eight bytes that no int encodes (a flipped top bit) are corruption
+     too, not a wrapped-around value *)
+  let flipped = "\xe0" ^ String.sub whole 1 7 in
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "Value.decode: Int key out of range at offset 0")
+    (fun () -> ignore (Value.decode ~ty:Schema.Int flipped 0))
 
 let test_iter_count () =
   let b, st = setup () in

@@ -163,10 +163,16 @@ let test_classify_partial_path () =
       [ (code b.employee, 1); (code b.company, 2); (code b.vehicle, 3) ]
   in
   match Plan.classify plan key with
-  | Plan.Accept { arity; next = Plan.Seek k; d } ->
+  | Plan.Accept { arity; next = Plan.Seek k } ->
       Alcotest.(check int) "prefix arity" 2 arity;
       Alcotest.(check bool) "skip past shared prefix" true (k > key);
-      Alcotest.(check int) "decoded still full" 3 (List.length d.Ukey.comps)
+      let d = Ukey.decode ~arity ~enc:b.enc ~ty:Schema.Int key in
+      Alcotest.(check (list (pair int int)))
+        "binding is the matched prefix"
+        [ (b.employee, 1); (b.company, 2) ]
+        d.Ukey.comps;
+      Alcotest.(check int) "the key itself has 3 components" 3
+        (List.length (Ukey.decode ~enc:b.enc ~ty:Schema.Int key).Ukey.comps)
   | _ -> Alcotest.fail "expected prefix accept with skip"
 
 (* an entry whose key bytes cannot be decoded (e.g. a truncated Int
@@ -226,6 +232,378 @@ let test_rejects_bad_queries () =
         (compile b
            (Query.class_hierarchy ~value:(V_eq (Value.Ref 3)) (P_subtree b.vehicle))))
 
+(* --- the decode-first classifier, kept as the oracle ---------------------- *)
+
+(* The classifier before compare-in-place: decode the whole key, test the
+   decoded record with [Query]'s matchers, and build skip targets with
+   string operations.  It shares nothing with [Plan] but the query, so the
+   property below checks the compiled byte-level tests, the in-place skip
+   targets and [Plan.next_candidate] against it. *)
+module Oracle = struct
+  module Bu = Storage.Bytes_util
+
+  type vspec = Vs_enum of string list | Vs_contig of string option * string option
+  type cspec = { clo : string; chi : string }
+
+  type t = {
+    enc : Encoding.t;
+    ty : Schema.attr_type;
+    q : Query.t;
+    vspec : vspec;
+    cspecs : cspec list;
+  }
+
+  let compile_vspec = function
+    | Query.V_any -> Vs_contig (None, None)
+    | Query.V_eq v -> Vs_enum [ Value.encode v ]
+    | Query.V_in vs -> Vs_enum (List.sort_uniq String.compare (List.map Value.encode vs))
+    | Query.V_range (lo, hi) ->
+        Vs_contig (Option.map Value.encode lo, Option.map Value.encode hi)
+
+  let rec pat_intervals enc slot = function
+    | Query.P_class c -> (
+        let lo, hi = Encoding.exact_interval enc c in
+        let oid o =
+          let p = lo ^ Bu.encode_u32 o in
+          { clo = p; chi = Ukey.succ_prefix p }
+        in
+        match slot with
+        | Query.S_oid o -> [ oid o ]
+        | Query.S_one_of os -> List.map oid os
+        | Query.S_any | Query.S_pred _ -> [ { clo = lo; chi = hi } ])
+    | Query.P_subtree c ->
+        let lo, hi = Encoding.subtree_interval enc c in
+        [ { clo = lo; chi = hi } ]
+    | Query.P_union ps -> List.concat_map (pat_intervals enc slot) ps
+
+  let normalize cs =
+    let cs =
+      List.filter (fun c -> c.clo < c.chi) cs
+      |> List.sort (fun a b -> String.compare a.clo b.clo)
+    in
+    let rec merge = function
+      | a :: b :: rest when b.clo <= a.chi ->
+          merge ({ a with chi = max a.chi b.chi } :: rest)
+      | a :: rest -> a :: merge rest
+      | [] -> []
+    in
+    merge cs
+
+  let compile ~enc ~ty (q : Query.t) =
+    let c0 = List.hd q.comps in
+    {
+      enc;
+      ty;
+      q;
+      vspec = compile_vspec q.value;
+      cspecs = normalize (pat_intervals enc c0.slot c0.pat);
+    }
+
+  type where = Group_start | Group_inside of string | Group_past
+
+  let split_floor t k =
+    match t.ty with
+    | Schema.Int ->
+        if String.length k < 8 then
+          (k ^ String.make (8 - String.length k) '\x00', Group_start)
+        else
+          let vb = String.sub k 0 8 in
+          if String.length k = 8 || k.[8] < '\x01' then (vb, Group_start)
+          else if k.[8] = '\x01' then
+            (vb, Group_inside (String.sub k 9 (String.length k - 9)))
+          else (vb, Group_past)
+    | _ -> (
+        match String.index_opt k '\x01' with
+        | Some i ->
+            ( String.sub k 0 i,
+              Group_inside (String.sub k (i + 1) (String.length k - i - 1)) )
+        | None -> (k, Group_start))
+
+  let value_above t vb =
+    match t.ty with
+    | Schema.Int ->
+        let x = Bu.decode_int vb 0 in
+        if x = max_int then None else Some (Bu.encode_int (x + 1))
+    | _ -> Some (vb ^ "\x08")
+
+  let next_value t ~strict floor =
+    match t.vspec with
+    | Vs_enum vs ->
+        List.find_opt
+          (fun v ->
+            let c = String.compare v floor in
+            if strict then c > 0 else c >= 0)
+          vs
+    | Vs_contig (lo, hi) -> (
+        match if strict then value_above t floor else Some floor with
+        | None -> None
+        | Some floor -> (
+            let v = match lo with Some l when floor < l -> l | _ -> floor in
+            match hi with Some h when v > h -> None | _ -> Some v))
+
+  let next_in_group t r =
+    match t.cspecs with
+    | [] -> None
+    | first :: _ -> (
+        match r with
+        | None -> Some first.clo
+        | Some r ->
+            List.find_map
+              (fun c ->
+                if r <= c.clo then Some c.clo
+                else if r < c.chi then Some r
+                else None)
+              t.cspecs)
+
+  let rec candidate_from t vb where =
+    match next_value t ~strict:(where = Group_past) vb with
+    | None -> None
+    | Some v -> (
+        let rem =
+          match where with
+          | Group_inside r when v = vb -> Some r
+          | _ -> None
+        in
+        match next_in_group t rem with
+        | Some pos -> Some (v ^ "\x01" ^ pos)
+        | None -> candidate_from t v Group_past)
+
+  (* The one addition to the old code is the guard: with no admissible
+     interval the old loop tried every value group in turn, which for an
+     open [Int] range is 2^62 of them. *)
+  let next_candidate t k =
+    if t.cspecs = [] then None
+    else
+      let vb, where = split_floor t k in
+      candidate_from t vb where
+
+  let seek_or_stop = function Some k -> Plan.Seek k | None -> Plan.Stop
+
+  let skip_from t prefix =
+    match Ukey.succ_prefix prefix with
+    | s -> seek_or_stop (next_candidate t s)
+    | exception Invalid_argument _ -> Plan.Stop
+
+  (* the verdict, with the decoded record of an accepted key *)
+  let classify t key =
+    match Ukey.decode ~enc:t.enc ~ty:t.ty key with
+    | exception Invalid_argument _ -> (Plan.Reject Plan.Advance, None)
+    | d ->
+        if not (Query.value_matches t.q.value d.value) then
+          (Plan.Reject (seek_or_stop (next_candidate t key)), None)
+        else
+          let schema = Encoding.schema t.enc in
+          let rec check i qcomps dcomps offs =
+            match (qcomps, dcomps, offs) with
+            | [], [], [] -> (Plan.Accept { arity = i; next = Plan.Advance }, Some d)
+            | [], _ :: _, _ :: _ ->
+                let _, _, last_end = List.nth d.Ukey.comp_offsets (i - 1) in
+                ( Plan.Accept
+                    { arity = i; next = skip_from t (String.sub key 0 last_end) },
+                  Some d )
+            | (qc : Query.comp) :: qrest, (cls, oid) :: drest, (_, oid_start, cend) :: orest ->
+                if not (Query.pat_matches schema qc.pat cls) then
+                  if i = 0 then (Plan.Reject (seek_or_stop (next_candidate t key)), None)
+                  else (Plan.Reject (skip_from t (String.sub key 0 oid_start)), None)
+                else if not (Query.slot_matches qc.slot oid) then
+                  (Plan.Reject (skip_from t (String.sub key 0 cend)), None)
+                else check (i + 1) qrest drest orest
+            | _ -> (Plan.Reject Plan.Advance, None)
+          in
+          check 0 t.q.comps d.comps d.comp_offsets
+end
+
+(* --- differential: compiled classifier = decode-first oracle ------------- *)
+
+let gen_case =
+  let open QCheck.Gen in
+  let e = Ps.extended () in
+  let b = e.b in
+  let classes = Array.of_list (Schema.all_classes b.schema) in
+  let cls = oneofa classes in
+  let int_ty = Schema.Int and str_ty = Schema.String in
+  let value ty =
+    if ty = int_ty then map (fun x -> Value.Int x) (int_range (-2) 12)
+    else map (fun c -> Value.Str c) (oneofa (Array.append Ps.colors [| "A"; "Redder"; "Z" |]))
+  in
+  let value_pred ty =
+    frequency
+      [
+        (1, return Query.V_any);
+        (3, map (fun v -> Query.V_eq v) (value ty));
+        (3, map (fun vs -> Query.V_in vs) (list_size (int_range 2 4) (value ty)));
+        ( 3,
+          map2
+            (fun lo hi -> Query.V_range (lo, hi))
+            (opt (value ty)) (opt (value ty)) );
+      ]
+  in
+  let rec pat n =
+    frequency
+      ([
+         (3, map (fun c -> Query.P_class c) cls);
+         (3, map (fun c -> Query.P_subtree c) cls);
+         ( 1,
+           map
+             (fun c ->
+               match Schema.children b.schema c with
+               | [] -> Query.P_subtree c
+               | ch :: _ -> Query.subtree_minus b.schema c ~except:[ ch ])
+             cls );
+       ]
+      @ if n > 0 then [ (2, map (fun ps -> Query.P_union ps) (list_size (int_range 0 3) (pat (n - 1)))) ] else [])
+  in
+  let oid = frequency [ (8, int_range 0 5); (1, return 0xFFFFFFFF); (1, int_bound 0xFFFFFF) ] in
+  let slot =
+    frequency
+      [
+        (4, return Query.S_any);
+        (2, map (fun o -> Query.S_oid o) oid);
+        (2, map (fun os -> Query.S_one_of os) (list_size (int_range 0 3) oid));
+        (1, return (Query.S_pred (fun o -> o mod 2 = 0)));
+      ]
+  in
+  let comp = map2 (fun p s -> Query.comp ~slot:s p) (pat 2) slot in
+  (* keys lean towards the query: its values, classes its patterns match
+     and oids its slots name, so every verdict kind is common *)
+  let near_value ty (vp : Query.value_pred) =
+    let named =
+      match vp with
+      | Query.V_any -> []
+      | Query.V_eq v -> [ v ]
+      | Query.V_in vs -> vs
+      | Query.V_range (lo, hi) -> List.filter_map Fun.id [ lo; hi ]
+    in
+    if named = [] then value ty
+    else frequency [ (2, oneofl named); (1, value ty) ]
+  in
+  let near_comp (qc : Query.comp) =
+    let matching =
+      List.filter (Query.pat_matches b.schema qc.pat) (Array.to_list classes)
+    in
+    let named =
+      match qc.slot with
+      | Query.S_oid o -> [ o ]
+      | Query.S_one_of os -> os
+      | Query.S_any | Query.S_pred _ -> []
+    in
+    pair
+      (if matching = [] then cls else frequency [ (4, oneofl matching); (1, cls) ])
+      (if named = [] then oid else frequency [ (2, oneofl named); (1, oid) ])
+  in
+  let key ty (q : Query.t) =
+    map3
+      (fun v comps extra ->
+        let comps =
+          match (extra, List.rev comps) with
+          (* fewer components than the query asks for *)
+          | None, _ :: (_ :: _ as rest) -> List.rev rest
+          | None, _ -> comps
+          | Some extra, _ -> comps @ extra
+        in
+        Value.encode v ^ "\x01"
+        ^ String.concat ""
+            (List.map (fun (c, o) -> Ukey.component (Encoding.code b.enc c) o) comps))
+      (near_value ty q.value)
+      (flatten_l (List.map near_comp q.comps))
+      (frequency
+         [ (1, return None); (8, map Option.some (list_size (int_range 0 2) (pair cls oid))) ])
+  in
+  let malform ty k =
+    let n = String.length k in
+    frequency
+      [
+        (30, return k);
+        (* truncated anywhere: a short Int value, an unterminated code, a
+           truncated oid *)
+        (2, map (fun i -> String.sub k 0 i) (int_bound (n - 1)));
+        (* the value separator missing *)
+        ( 1,
+          return
+            (if ty = int_ty then String.sub k 0 8 ^ "\x02" ^ String.sub k 9 (n - 9)
+             else String.concat "" (String.split_on_char '\x01' (String.sub k 0 (min n 6)))
+                  ^ String.sub k (min n 6) (n - min n 6)) );
+        (* an unknown class code, alone or after a good component *)
+        (1, map (fun o -> k ^ "Zq\x02\x01" ^ Storage.Bytes_util.encode_u32 o) oid);
+        (1, return (k ^ "A\x02\x01\x00\x00\x00\x01"));
+        (* an unterminated trailing code *)
+        (1, return (k ^ "B\x02"));
+        (* an Int image no int has *)
+        (1, return (if ty = int_ty then "\xe0" ^ String.sub k 1 (n - 1) else k));
+        (* one byte flipped *)
+        ( 1,
+          map2
+            (fun i c ->
+              let kb = Bytes.of_string k in
+              Bytes.set kb i c;
+              Bytes.to_string kb)
+            (int_bound (n - 1)) (map Char.chr (int_bound 255)) );
+      ]
+  in
+  (* a few keys per query, classified in turn by one plan, half the time
+     in key order as a scan meets them: runs that share a value and
+     leading codes exercise the classifier's reuse of the previous key's
+     findings *)
+  let case ty =
+    map2 (fun vp comps -> { Query.value = vp; comps }) (value_pred ty)
+      (list_size (int_range 1 3) comp)
+    >>= fun q ->
+    map2
+      (fun sorted ks -> (ty, q, if sorted then List.sort String.compare ks else ks))
+      bool
+      (list_size (int_range 1 6) (key ty q >>= malform ty))
+  in
+  (b, oneof [ case int_ty; case str_ty ])
+
+let print_case (_, (q : Query.t), ks) =
+  Printf.sprintf "%d comps, keys %s" (List.length q.comps)
+    (String.concat " " (List.map (Printf.sprintf "%S") ks))
+
+let show v =
+  let next = function
+    | Plan.Seek k -> Printf.sprintf "seek %S" k
+    | Plan.Advance -> "advance"
+    | Plan.Stop -> "stop"
+  in
+  match v with
+  | Plan.Accept { arity; next = n } -> Printf.sprintf "accept %d, %s" arity (next n)
+  | Plan.Reject n -> "reject, " ^ next n
+
+let prop_compiled_classifier =
+  let b, gen = gen_case in
+  let enc = b.Ps.enc in
+  QCheck.Test.make ~count:5000 ~name:"compiled classifier = decode-first oracle"
+    (QCheck.make ~print:print_case gen)
+    (fun (ty, q, keys) ->
+      let plan = Plan.compile ~enc ~ty q in
+      let oracle = Oracle.compile ~enc ~ty q in
+      let same key =
+        let u0 = Plan.undecodable_entries () in
+        let got = Plan.classify plan key in
+        let u1 = Plan.undecodable_entries () in
+        let want, decoded = Oracle.classify oracle key in
+        let want_undecodable =
+          match Ukey.decode ~enc ~ty key with
+          | exception Invalid_argument _ -> 1
+          | _ -> 0
+        in
+        let binding_ok =
+          match (got, decoded) with
+          | Plan.Accept { arity; _ }, Some d ->
+              let g = Ukey.decode ~arity ~enc ~ty key in
+              g.Ukey.value = d.Ukey.value
+              && g.Ukey.comps = List.filteri (fun i _ -> i < arity) d.Ukey.comps
+          | _ -> true
+        in
+        if got <> want then
+          QCheck.Test.fail_reportf "key %S: got %s, want %s" key (show got)
+            (show want);
+        u1 - u0 = want_undecodable
+        && binding_ok
+        && Plan.next_candidate plan key = Oracle.next_candidate oracle key
+      in
+      Plan.lower plan = Oracle.next_candidate oracle "" && List.for_all same keys)
+
 let () =
   Alcotest.run "plan"
     [
@@ -249,4 +627,5 @@ let () =
           Alcotest.test_case "string values" `Quick test_string_values;
           Alcotest.test_case "bad queries" `Quick test_rejects_bad_queries;
         ] );
+      ("differential", [ QCheck_alcotest.to_alcotest prop_compiled_classifier ]);
     ]
