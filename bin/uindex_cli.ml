@@ -598,7 +598,7 @@ let stats_cmd =
     Uindex.Db.attach_index db e.path_age;
     let svc = Uindex_server.Service.create ~schema:e.ext.b.schema db in
     List.iter
-      (fun line -> ignore (Uindex_server.Service.handle_line svc line))
+      (fun line -> ignore (Uindex_server.Service.serve_line svc line))
       [
         "ping";
         "query (Red, Bus*)";

@@ -455,11 +455,6 @@ let entry_count t =
         (List.sort_uniq compare !l))
     t.locators 0
 
-let data_page_count t =
-  Hashtbl.fold
-    (fun _ l acc -> acc + List.length (List.sort_uniq compare !l))
-    t.locators 0
-
 let check t =
   let fail fmt = Format.kasprintf failwith fmt in
   Btree.check t.dir;

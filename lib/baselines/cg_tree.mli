@@ -42,7 +42,6 @@ val range :
 
 val pager : t -> Storage.Pager.t
 val entry_count : t -> int
-val data_page_count : t -> int
 val check : t -> unit
 (** Structural invariants: chains sorted, directory pointers valid,
     runs consistent.  For tests. *)

@@ -49,7 +49,6 @@ let paths t =
     (fun s -> (Array.to_list s.s_classes, Array.to_list s.s_refs, s.s_attr))
     t.specs
 
-let path_classes t = Array.to_list (first_spec t).s_classes
 let arity t = Array.length (first_spec t).s_classes
 
 let check_indexable schema cls attr =
@@ -61,29 +60,29 @@ let check_indexable schema cls attr =
            "Uindex: attribute %S of %s is a reference, not an indexable value"
            attr (Schema.name schema cls))
 
-let create_class_hierarchy ?config ?pool pager enc ~root ~attr =
+let create_class_hierarchy ?config pager enc ~root ~attr =
   let schema = Encoding.schema enc in
   let ty = check_indexable schema root attr in
   {
-    tree = Btree.create ?config ?pool pager;
+    tree = Btree.create ?config pager;
     enc;
     kind = Class_hierarchy { root; attr };
     ty;
     specs = [ { s_classes = [| root |]; s_refs = [||]; s_attr = attr } ];
   }
 
-let attach_class_hierarchy ?config ?pool pager enc ~root ~attr =
+let attach_class_hierarchy ?config pager enc ~root ~attr =
   let schema = Encoding.schema enc in
   let ty = check_indexable schema root attr in
   {
-    tree = Btree.reattach ?config ?pool pager;
+    tree = Btree.reattach ?config pager;
     enc;
     kind = Class_hierarchy { root; attr };
     ty;
     specs = [ { s_classes = [| root |]; s_refs = [||]; s_attr = attr } ];
   }
 
-let recreate ?config ?pool t pager =
+let recreate ?config t pager =
   let config =
     match config with
     | Some _ as c -> c
@@ -97,7 +96,7 @@ let recreate ?config ?pool t pager =
         else None
   in
   {
-    tree = Btree.create ?config ?pool pager;
+    tree = Btree.create ?config pager;
     enc = t.enc;
     kind = t.kind;
     ty = t.ty;
@@ -152,10 +151,10 @@ let make_spec enc ~head ~refs ~attr =
     },
     ty )
 
-let create_path ?config ?pool pager enc ~head ~refs ~attr =
+let create_path ?config pager enc ~head ~refs ~attr =
   let spec, ty = make_spec enc ~head ~refs ~attr in
   {
-    tree = Btree.create ?config ?pool pager;
+    tree = Btree.create ?config pager;
     enc;
     kind = Path { head; refs; attr };
     ty;
@@ -173,11 +172,6 @@ let add_path t ~head ~refs ~attr =
       "Uindex.add_path: the new path's attribute type differs from the \
        index's";
   t.specs <- t.specs @ [ spec ]
-
-let default_comps t =
-  Array.to_list (first_spec t).s_classes
-  |> List.rev
-  |> List.map (fun c -> Query.comp (Query.P_subtree c))
 
 (* --- entry computation --------------------------------------------------- *)
 
@@ -310,8 +304,6 @@ let release_view v =
   if not (Storage.Pager.is_snapshot pager) then
     invalid_arg "Uindex.release_view: not a snapshot view";
   Storage.Pager.release_snapshot pager
-
-let is_view t = Storage.Pager.is_snapshot (Btree.pager t.tree)
 
 let entry_count t = Btree.length t.tree
 

@@ -39,20 +39,16 @@ type t
 
 val create_class_hierarchy :
   ?config:Btree.config ->
-  ?pool:Storage.Buffer_pool.t ->
   Storage.Pager.t ->
   Encoding.t ->
   root:Schema.class_id ->
   attr:string ->
   t
 (** Raises [Invalid_argument] if [attr] is not an [Int]/[String]
-    attribute of [root] (possibly inherited).  [?pool] attaches a shared
-    buffer pool over [pager] as the index's page source (see
-    {!set_cache_pages}). *)
+    attribute of [root] (possibly inherited). *)
 
 val attach_class_hierarchy :
   ?config:Btree.config ->
-  ?pool:Storage.Buffer_pool.t ->
   Storage.Pager.t ->
   Encoding.t ->
   root:Schema.class_id ->
@@ -65,8 +61,7 @@ val attach_class_hierarchy :
     {!Storage.Storage_error.Corruption} when the metadata does not name
     a tree. *)
 
-val recreate :
-  ?config:Btree.config -> ?pool:Storage.Buffer_pool.t -> t -> Storage.Pager.t -> t
+val recreate : ?config:Btree.config -> t -> Storage.Pager.t -> t
 (** [recreate t pager] is an {e empty} index with the same encoding,
     kind, attribute type and registered paths as [t], on a fresh tree
     over [pager] — the skeleton {!Verify.salvage} rebuilds into.  [t]'s
@@ -74,7 +69,6 @@ val recreate :
 
 val create_path :
   ?config:Btree.config ->
-  ?pool:Storage.Buffer_pool.t ->
   Storage.Pager.t ->
   Encoding.t ->
   head:Schema.class_id ->
@@ -114,18 +108,8 @@ val paths : t -> (Schema.class_id list * string list * string) list
     a class-hierarchy index reports the singleton
     [([root], [], attr)]. *)
 
-val path_classes : t -> Schema.class_id list
-(** Declared classes of the {e first} path, head-first
-    ([[Vehicle; Company; Employee]]); a class-hierarchy index has the
-    singleton [[root]]. *)
-
 val arity : t -> int
 (** Components per entry of the first path. *)
-
-val default_comps : t -> Query.comp list
-(** One unrestricted subtree component per class of the first path, in
-    ascending code order (target first) — the starting point for building
-    queries against this index. *)
 
 val entry_keys : t -> Store.t -> Objstore.Value.oid -> string list
 (** The index keys the object currently participates in, across all
@@ -173,8 +157,6 @@ val release_view : t -> unit
 (** Release a view's pinned snapshot (idempotent), folding its read
     accounting into the parent pager's stats.  Raises
     [Invalid_argument] if the argument is not a view. *)
-
-val is_view : t -> bool
 
 val entry_count : t -> int
 val pp_stats : Format.formatter -> t -> unit

@@ -221,8 +221,8 @@ let check ?(throttle = fun (_ : int) -> ()) ?store idx =
     issues = List.rev !issues;
   }
 
-let salvage ?config ?pool idx store pager =
-  let fresh = Index.recreate ?config ?pool idx pager in
+let salvage ?config idx store pager =
+  let fresh = Index.recreate ?config idx pager in
   Index.build fresh store;
   Index.sync fresh;
   fresh

@@ -49,7 +49,6 @@ val check : ?throttle:(int -> unit) -> ?store:Store.t -> Index.t -> report
 
 val salvage :
   ?config:Btree.config ->
-  ?pool:Storage.Buffer_pool.t ->
   Index.t ->
   Store.t ->
   Storage.Pager.t ->

@@ -24,11 +24,6 @@ let info t id =
 let name t id = (info t id).cname
 let find t n = Hashtbl.find_opt t.by_name n
 
-let find_exn t n =
-  match find t n with
-  | Some id -> id
-  | None -> invalid_arg (Printf.sprintf "Schema: no class named %S" n)
-
 let parent t id = (info t id).cparent
 let children t id = List.rev (info t id).cchildren
 let class_count t = t.count

@@ -31,7 +31,6 @@ val add_attr : t -> class_id -> string -> attr_type -> unit
 
 val name : t -> class_id -> string
 val find : t -> string -> class_id option
-val find_exn : t -> string -> class_id
 val parent : t -> class_id -> class_id option
 val children : t -> class_id -> class_id list
 (** In declaration order. *)

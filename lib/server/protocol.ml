@@ -190,3 +190,71 @@ let response_error_kind j =
   match Json.member "error" j with
   | Some e -> Option.bind (Json.member "kind" e) Json.to_str
   | None -> None
+
+(* --- the rows reply ----------------------------------------------------- *)
+
+type rows = {
+  rendered : string list;
+  page_reads : int;
+  pool_hits : int;
+  entries_scanned : int;
+}
+
+let rows ~page_reads ~pool_hits ~entries_scanned rendered =
+  {
+    rendered = List.sort String.compare rendered;
+    page_reads;
+    pool_hits;
+    entries_scanned;
+  }
+
+let merge_rows =
+  List.fold_left
+    (fun a r ->
+      {
+        rendered = List.merge String.compare a.rendered r.rendered;
+        page_reads = a.page_reads + r.page_reads;
+        pool_hits = a.pool_hits + r.pool_hits;
+        entries_scanned = a.entries_scanned + r.entries_scanned;
+      })
+    (rows ~page_reads:0 ~pool_hits:0 ~entries_scanned:0 [])
+
+type answer = Doc of Json.t | Rows of rows
+
+(* the bytes [Json.to_string] gives the rows document, written without
+   building it: the rows are already rendered *)
+let rows_to_string ?trace_id r =
+  let buf =
+    Buffer.create
+      (List.fold_left (fun n s -> n + String.length s + 1) 160 r.rendered)
+  in
+  Printf.bprintf buf {|{"ok":true,"type":"rows","count":%d,"rows":[|}
+    (List.length r.rendered);
+  Buffer.add_string buf (String.concat "," r.rendered);
+  Printf.bprintf buf {|],"page_reads":%d,"pool_hits":%d,"entries_scanned":%d|}
+    r.page_reads r.pool_hits r.entries_scanned;
+  Option.iter (Printf.bprintf buf {|,"trace_id":"%x"|}) trace_id;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
+let answer_to_string ?trace_id ans =
+  match (ans, trace_id) with
+  | Rows r, _ -> rows_to_string ?trace_id r
+  | Doc (Json.Obj kvs), Some id ->
+      let echo = ("trace_id", Json.Str (Printf.sprintf "%x" id)) in
+      Json.to_string (Json.Obj (kvs @ [ echo ]))
+  | Doc j, _ -> Json.to_string j
+
+let answer_of_reply j =
+  let cost k =
+    Option.value ~default:0 (Option.bind (Json.member k j) Json.to_int)
+  in
+  match (j, Json.member "type" j, Json.member "rows" j) with
+  | _, Some (Json.Str "rows"), Some (Json.List l) when response_is_ok j ->
+      Rows
+        (rows ~page_reads:(cost "page_reads") ~pool_hits:(cost "pool_hits")
+           ~entries_scanned:(cost "entries_scanned")
+           (List.map Json.to_string l))
+  | Json.Obj kvs, _, _ ->
+      Doc (Json.Obj (List.filter (fun (k, _) -> k <> "trace_id") kvs))
+  | j, _, _ -> Doc j

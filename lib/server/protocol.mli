@@ -15,7 +15,11 @@
     [@<hex>] token ([@a1b2c3 query (Red, Bus)], 1–16 hex digits).  The
     server traces that request under the given id and echoes it back as
     a ["trace_id"] member of the response, correlating client-side and
-    server-side observations of one request. *)
+    server-side observations of one request.
+
+    The answer to a query is written here and nowhere else: its JSON
+    form, its canonical row order, the merge of shard replies and the
+    trace-id echo ({!answer}). *)
 
 val max_frame : int
 (** Maximum payload bytes per frame (1 MiB), both directions. *)
@@ -96,3 +100,39 @@ val error : ?detail:string -> error_kind -> Obs.Json.t
 
 val response_is_ok : Obs.Json.t -> bool
 val response_error_kind : Obs.Json.t -> string option
+
+(** {1 Answers} *)
+
+type rows = {
+  rendered : string list;
+      (** each row's compact JSON, ascending by [String.compare]: the
+          canonical order, byte-identical whichever worker, process or
+          shard fleet answered *)
+  page_reads : int;
+  pool_hits : int;
+  entries_scanned : int;
+}
+
+val rows :
+  page_reads:int -> pool_hits:int -> entries_scanned:int -> string list -> rows
+(** Puts rendered rows in the canonical order. *)
+
+val merge_rows : rows list -> rows
+(** Merges replies over disjoint row sets (a COD-range partition puts
+    each entry on one shard): a merge of the sorted lists, not a
+    re-sort, with the cost fields summed.  [merge_rows []] is the empty
+    reply. *)
+
+type answer = Doc of Obs.Json.t | Rows of rows
+
+val answer_to_string : ?trace_id:int -> answer -> string
+(** The reply bytes: {!Obs.Json.to_string} of the document, where a
+    [Rows] document is [{"ok":true,"type":"rows","count":_,"rows":[_],
+    "page_reads":_,"pool_hits":_,"entries_scanned":_}], written straight
+    from the rendered rows.  [?trace_id] is appended last as a
+    ["trace_id"] member in hex — the client trace-id echo. *)
+
+val answer_of_reply : Obs.Json.t -> answer
+(** Another server's parsed reply as an answer: an ok [rows] reply
+    becomes [Rows] (each row rendered back), anything else a [Doc];
+    an echoed ["trace_id"] is dropped. *)

@@ -97,7 +97,7 @@ let pipeline ?(telemetry = default_telemetry) ~schema () =
     started = Unix.gettimeofday ();
   }
 
-type answer = Doc of Json.t | Rendered of Json.t * string
+type answer = Protocol.answer = Doc of Json.t | Rows of Protocol.rows
 
 type query_answer =
   root:Trace.span option ->
@@ -107,13 +107,11 @@ type query_answer =
   Query.t ->
   answer
 
-let hex_id = Printf.sprintf "%x"
-
 let slow_entry_json e =
   Json.Obj
     ([
        ("seq", Json.Int e.se_seq);
-       ("trace_id", Json.Str (hex_id e.se_trace));
+       ("trace_id", Json.Str (Printf.sprintf "%x" e.se_trace));
        ("at", Json.Float e.se_at);
        ("request", Json.Str e.se_line);
        ("dur_ns", Json.Int e.se_dur_ns);
@@ -160,14 +158,54 @@ let stats_response p =
     ]
 
 let health_response p fields =
+  let gc = Gc.quick_stat () in
   Protocol.ok
     ([
        ("type", Json.Str "health");
        ("uptime_s", Json.Float (Unix.gettimeofday () -. p.started));
        ("workers", Json.Int (metric "server.workers"));
        ("queue_depth", Json.Int (metric "server.queue_depth"));
+       ("tracing", Json.Bool p.tel.tracing);
+       ( "slow_log",
+         Json.Obj
+           [
+             ("length", Json.Int (Ring.length p.slow));
+             ("capacity", Json.Int (Ring.capacity p.slow));
+             ("threshold_ns", Json.Int p.tel.slow_threshold_ns);
+           ] );
+       ( "gc",
+         Json.Obj
+           [
+             ("minor_words", Json.Int (int_of_float gc.Gc.minor_words));
+             ("promoted_words", Json.Int (int_of_float gc.Gc.promoted_words));
+             ("major_words", Json.Int (int_of_float gc.Gc.major_words));
+             ("minor_collections", Json.Int gc.Gc.minor_collections);
+             ("major_collections", Json.Int gc.Gc.major_collections);
+             ("compactions", Json.Int gc.Gc.compactions);
+             ("heap_words", Json.Int gc.Gc.heap_words);
+             ("top_heap_words", Json.Int gc.Gc.top_heap_words);
+           ] );
      ]
     @ fields)
+
+let contain f =
+  try f () with
+  | Storage.Storage_error.Corruption { page; component; detail } ->
+      (* the page goes into the quarantine, the client gets a typed
+         error, and every query that does not touch the damage keeps
+         being served *)
+      Metrics.incr corruption_replies;
+      Quarantine.record ~source:"request" ?page ~component ~detail ();
+      Doc
+        (Protocol.error
+           ~detail:
+             (Printf.sprintf "%s%s: %s" component
+                (match page with
+                | Some p -> Printf.sprintf " (page %d)" p
+                | None -> "")
+                detail)
+           Protocol.Corrupt)
+  | e -> Doc (Protocol.error ~detail:(Printexc.to_string e) Protocol.Internal)
 
 let dispatch ~deadline ~root p ~health ~(answer : query_answer) ~line
     (req : Protocol.request) =
@@ -190,41 +228,19 @@ let dispatch ~deadline ~root p ~health ~(answer : query_answer) ~line
         Doc
           (Protocol.ok
              (("type", Json.Str "slow_queries") :: slow_log_fields ?limit p))
-    | Protocol.Query { algo; text } -> (
-        try
-          match Qparse.parse p.schema text with
-          | exception Qparse.Parse_error msg ->
-              Doc (Protocol.error ~detail:msg Protocol.Parse_error)
-          | q -> answer ~root ~line ~deadline ~algo q
-        with
-        | Storage.Storage_error.Corruption { page; component; detail } ->
-            (* containment, not connection death: the page goes into the
-               quarantine, the client gets a typed error, and every query
-               that does not touch the damage keeps being served *)
-            Metrics.incr corruption_replies;
-            Quarantine.record ~source:"request" ?page ~component ~detail ();
-            Doc
-              (Protocol.error
-                 ~detail:
-                   (Printf.sprintf "%s%s: %s" component
-                      (match page with
-                      | Some p -> Printf.sprintf " (page %d)" p
-                      | None -> "")
-                      detail)
-                 Protocol.Corrupt)
-        | e ->
-            Doc (Protocol.error ~detail:(Printexc.to_string e) Protocol.Internal))
+    | Protocol.Query { algo; text } ->
+        contain (fun () ->
+            match Qparse.parse p.schema text with
+            | exception Qparse.Parse_error msg ->
+                Doc (Protocol.error ~detail:msg Protocol.Parse_error)
+            | q -> answer ~root ~line ~deadline ~algo q)
 
-(* echo a client-propagated trace id on every response, success or error *)
-let attach_trace_id id = function
-  | Json.Obj kvs -> Json.Obj (kvs @ [ ("trace_id", Json.Str (hex_id id)) ])
-  | j -> j
-
-(* The single request pipeline: request line in, (response document,
-   rendered payload) out.  Everything a server or router sends goes
-   through here, so per-stage histograms, tracing, and slow-log
-   admission see every request — including parse failures, which are
-   logged spanless.  Only the query answer differs per front end. *)
+(* The single request pipeline: request line in, reply bytes out.
+   Everything a server or router sends goes through here, so per-stage
+   histograms, tracing, and slow-log admission see every request —
+   including parse failures, which are logged spanless — and the client
+   trace id is echoed here and nowhere else.  Only the query answer
+   differs per front end. *)
 let serve_core ?(queued_ns = 0) ?deadline p ~health ~answer line =
   Metrics.incr requests;
   let at = Unix.gettimeofday () in
@@ -253,29 +269,17 @@ let serve_core ?(queued_ns = 0) ?deadline p ~health ~answer line =
     | Error msg -> Doc (Protocol.error ~detail:msg Protocol.Bad_request)
     | Ok (_, req) -> dispatch ~deadline ~root p ~health ~answer ~line req
   in
-  (* a document is rendered here; bytes a shard already rendered carry
-     its echo of the trace id and pass through untouched *)
-  let resp, payload, render_ns =
-    match ans with
-    | Rendered (doc, payload) -> (doc, payload, None)
-    | Doc doc ->
-        let doc =
-          match client_id with
-          | Some id -> attach_trace_id id doc
-          | None -> doc
-        in
-        let render0 = Obs.Clock.now_ns () in
-        let payload = Json.to_string doc in
-        (doc, payload, Some (Obs.Clock.since_ns render0))
-  in
+  let render0 = Obs.Clock.now_ns () in
+  let payload = Protocol.answer_to_string ?trace_id:client_id ans in
+  let render_ns = Obs.Clock.since_ns render0 in
   let bytes_out = String.length payload in
-  Option.iter (Metrics.observe h_render) render_ns;
+  Metrics.observe h_render render_ns;
   Metrics.observe h_bytes bytes_out;
   let dur_ns = Obs.Clock.since_ns t0 in
   Metrics.observe request_ns dur_ns;
   (match root with
   | Some sp ->
-      Option.iter (Trace.add_field sp "render_ns") render_ns;
+      Trace.add_field sp "render_ns" render_ns;
       Trace.add_field sp "bytes_out" bytes_out;
       Trace.add_field sp "alloc_words"
         (int_of_float (Gc.minor_words () -. w0));
@@ -287,12 +291,10 @@ let serve_core ?(queued_ns = 0) ?deadline p ~health ~answer line =
        total); untraced fallback: the executor's descent reads from the
        response — exact pager.reads reconciliation needs tracing on *)
     let se_reads =
-      match root with
-      | Some sp -> Trace.total sp "page_reads"
-      | None -> (
-          match Json.member "page_reads" resp with
-          | Some (Json.Int n) -> n
-          | _ -> 0)
+      match (root, ans) with
+      | Some sp, _ -> Trace.total sp "page_reads"
+      | None, Rows r -> r.page_reads
+      | None, Doc _ -> 0
     in
     Ring.add p.slow
       {
@@ -305,8 +307,10 @@ let serve_core ?(queued_ns = 0) ?deadline p ~health ~answer line =
         se_span = Option.map Trace.compact root;
       }
   end;
-  if not (Protocol.response_is_ok resp) then Metrics.incr request_errors;
-  (resp, payload)
+  (match ans with
+  | Doc d when not (Protocol.response_is_ok d) -> Metrics.incr request_errors
+  | Doc _ | Rows _ -> ());
+  payload
 
 (* --- the local query answer -------------------------------------------- *)
 
@@ -344,19 +348,7 @@ let binding_json schema (b : Uindex.Exec.binding) =
              b.comps) );
     ]
 
-(* A canonical row order: Exec already returns a deterministic order per
-   snapshot, but sorting rendered rows makes concurrent replies
-   byte-comparable against a sequential baseline without trusting that. *)
-let rows_json schema bindings =
-  let rendered = List.map (binding_json schema) bindings in
-  let keyed = List.map (fun j -> (Json.to_string j, j)) rendered in
-  let sorted =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) keyed
-  in
-  Json.List (List.map snd sorted)
-
 let health_fields t () =
-  let gc = Gc.quick_stat () in
   let acked = Db.acked_lsn t.db and durable = Db.durable_lsn t.db in
   let shard_fields =
     match t.shard_info with None -> [] | Some j -> [ ("shard", j) ]
@@ -366,7 +358,6 @@ let health_fields t () =
     ("acked_lsn", Json.Int acked);
     ("durable_lsn", Json.Int durable);
     ("lsn_lag", Json.Int (acked - durable));
-    ("tracing", Json.Bool t.pipe.tel.tracing);
     ( "supervisor",
       Json.Obj
         [
@@ -383,25 +374,6 @@ let health_fields t () =
           ("pages", Json.Int (metric "scrub.pages"));
           ("issues", Json.Int (metric "scrub.issues"));
           ("last_issues", Json.Int (metric "scrub.last_issues"));
-        ] );
-    ( "slow_log",
-      Json.Obj
-        [
-          ("length", Json.Int (Ring.length t.pipe.slow));
-          ("capacity", Json.Int (Ring.capacity t.pipe.slow));
-          ("threshold_ns", Json.Int t.pipe.tel.slow_threshold_ns);
-        ] );
-    ( "gc",
-      Json.Obj
-        [
-          ("minor_words", Json.Int (int_of_float gc.Gc.minor_words));
-          ("promoted_words", Json.Int (int_of_float gc.Gc.promoted_words));
-          ("major_words", Json.Int (int_of_float gc.Gc.major_words));
-          ("minor_collections", Json.Int gc.Gc.minor_collections);
-          ("major_collections", Json.Int gc.Gc.major_collections);
-          ("compactions", Json.Int gc.Gc.compactions);
-          ("heap_words", Json.Int gc.Gc.heap_words);
-          ("top_heap_words", Json.Int gc.Gc.top_heap_words);
         ] );
   ]
   @ shard_fields
@@ -451,22 +423,14 @@ let query_answer t ~root ~line:_ ~deadline:_ ~algo q =
           Trace.add_field sp "pool_hits" out.pool_hits;
           Trace.add_children sp children
       | None -> ());
-      Doc
-        (Protocol.ok
-           [
-             ("type", Json.Str "rows");
-             ("count", Json.Int (List.length out.bindings));
-             ("rows", rows_json t.pipe.schema out.bindings);
-             ("page_reads", Json.Int out.page_reads);
-             ("pool_hits", Json.Int out.pool_hits);
-             ("entries_scanned", Json.Int out.entries_scanned);
-           ])
+      Rows
+        (Protocol.rows ~page_reads:out.page_reads ~pool_hits:out.pool_hits
+           ~entries_scanned:out.entries_scanned
+           (List.map
+              (fun b -> Json.to_string (binding_json t.pipe.schema b))
+              out.bindings))
 
-let serve ?queued_ns ?deadline t line =
+let serve_line ?queued_ns ?deadline t line =
   serve_core ?queued_ns ?deadline t.pipe ~health:(health_fields t)
     ~answer:(query_answer t) line
-
-let handle_line ?deadline t line = fst (serve ?deadline t line)
-let serve_line ?queued_ns ?deadline t line =
-  snd (serve ?queued_ns ?deadline t line)
 let slow_log_json ?limit t = pipeline_slow_log ?limit t.pipe

@@ -7,15 +7,17 @@
     {!Uindex.Db.session}, so every request sees one committed snapshot no
     matter what the writer does meanwhile.
 
-    Rows are rendered in a canonical sorted order, so two replies to the
-    same query against the same snapshot are byte-identical regardless of
+    Each row is rendered once and the rendered rows are sorted into the
+    canonical order {!Protocol.rows} defines, so two replies to the same
+    query against the same snapshot are byte-identical regardless of
     which worker (or process) produced them.
 
     {b One pipeline, two query answers.}  Parsing, the deadline check,
     the admin requests ([ping], [quit], [stats], [health],
-    [slow-queries]), echoing the client trace id, per-request exception
-    containment, rendering, the [server.*] instruments and slow-log
-    admission live in {!serve_core}, once.  A front end supplies only its
+    [slow-queries]), echoing the client trace id (here and nowhere
+    else), per-request exception containment ({!contain}), rendering,
+    the [server.*] instruments and slow-log admission live in
+    {!serve_core}, once.  A front end supplies only its
     {!query_answer} and its [health] fields: a service answers from its
     own database, the shard router ([Uindex_shard.Router]) by fanning out.
 
@@ -85,27 +87,16 @@ val create :
 
 val db : t -> Uindex.Db.t
 
-val serve :
-  ?queued_ns:int -> ?deadline:int -> t -> string -> Obs.Json.t * string
-(** {!serve_core} over this service's database: one request line in, the
-    response document and its rendered bytes out. *)
-
-val handle_line : ?deadline:int -> t -> string -> Obs.Json.t
-(** Executes one request line and returns the response document.
-    [?deadline] is an absolute {!Obs.Clock.now_ns} instant, so a
-    wall-clock step can neither fire it early nor postpone it; a request
-    that starts after its deadline gets a [timeout] error instead of
-    running.  Never raises: unparseable lines become [bad_request]
-    errors and execution failures [internal] ones.  Observes the
-    [server.requests], [server.request_errors] and [server.request_ns]
-    instruments in {!Obs.Metrics.default}. *)
-
 val serve_line : ?queued_ns:int -> ?deadline:int -> t -> string -> string
-(** What the server's workers call: {!handle_line} plus rendering, so
-    render time and payload bytes are measured and traced as part of the
-    request.  [?queued_ns] is how long the connection waited in the
-    accept queue; it is observed on the first request of the connection
-    and recorded on its root span. *)
+(** {!serve_core} over this service's database: one request line in,
+    the reply bytes out — what the server's workers call.  [?deadline]
+    is an absolute {!Obs.Clock.now_ns} instant, so a wall-clock step can
+    neither fire it early nor postpone it; a request that starts after
+    its deadline gets a [timeout] error instead of running.  Never
+    raises: unparseable lines become [bad_request] errors and execution
+    failures [internal] ones.  [?queued_ns] is how long the connection
+    waited in the accept queue; it is observed on the first request of
+    the connection and recorded on its root span. *)
 
 val slow_log_json : ?limit:int -> t -> Obs.Json.t
 (** Snapshot of the slow-query log, newest first — the same document
@@ -123,13 +114,11 @@ val pipeline :
 (** [?telemetry] defaults to {!default_telemetry}; [schema] parses query
     text. *)
 
-type answer =
+type answer = Protocol.answer =
   | Doc of Obs.Json.t
-      (** a response document; the pipeline echoes the client trace id
-          into it and renders it *)
-  | Rendered of Obs.Json.t * string
-      (** a document and the bytes another pipeline (a shard) already
-          rendered from it — trace id included; returned untouched *)
+  | Rows of Protocol.rows
+      (** A query's answer, without a trace id: the pipeline echoes the
+          client's and renders it with {!Protocol.answer_to_string}. *)
 
 type query_answer =
   root:Obs.Trace.span option ->
@@ -141,7 +130,19 @@ type query_answer =
 (** A front end's answer to a parsed query.  [root] is the request's
     span when traced, to carry the answer's fields; [line] is the
     request line as received.  An exception it raises becomes a typed
-    error reply ([data_corruption] or [internal]). *)
+    error reply ([data_corruption] or [internal]) through {!contain}. *)
+
+val contain : (unit -> answer) -> answer
+(** Runs a query answer under per-request containment: a
+    [Storage_error.Corruption] becomes a [data_corruption] error reply
+    (counted in [server.corruption_replies] and recorded in the
+    {!Quarantine}), any other exception an [internal] one. *)
+
+val query_answer : t -> query_answer
+(** This service's answer to an already-parsed query: the pin, the
+    execution and the rows, without the request pipeline around them.
+    The shard router calls it for an in-process shard, under
+    {!contain}. *)
 
 val serve_core :
   ?queued_ns:int ->
@@ -150,11 +151,14 @@ val serve_core :
   health:(unit -> (string * Obs.Json.t) list) ->
   answer:query_answer ->
   string ->
-  Obs.Json.t * string
+  string
 (** The request pipeline: parses the line, checks the deadline, answers
-    the admin requests itself ([health] as the common vitals followed by
-    [health ()]'s fields), hands queries to [answer], and returns the
-    response document with its payload bytes. *)
+    the admin requests itself ([health] as the common vitals — uptime,
+    workers, queue depth, tracing, slow-log occupancy, GC — followed by
+    [health ()]'s fields), hands queries to [answer] under {!contain},
+    and returns the reply bytes.  Observes the [server.requests],
+    [server.request_errors] and [server.request_ns] instruments in
+    {!Obs.Metrics.default}. *)
 
 val pipeline_slow_log : ?limit:int -> pipeline -> Obs.Json.t
 (** {!slow_log_json} for any front end's pipeline. *)

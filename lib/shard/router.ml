@@ -59,7 +59,6 @@ let create ?(shard_timeout = 5.) ?(retry_policy = Client.default_retry_policy)
     pipe = Service.pipeline ?telemetry ~schema ();
   }
 
-let map t = t.map
 let requests_per_shard t = Array.map Atomic.get t.per_shard
 let route_query t q = Planner.route t.map t.enc q
 
@@ -77,18 +76,19 @@ let canonical_projection payload =
 
 (* --- per-shard calls --------------------------------------------------- *)
 
-(* a reply is its document and its bytes: an in-process shard hands over
-   both from its own pipeline, a remote one is parsed once here *)
-type shard_reply = Replied of Json.t * string | Lost of string
+(* an in-process shard answers the already-parsed query without its
+   request pipeline; a remote one gets the line and its reply is parsed
+   once here *)
+type shard_reply = Replied of Service.answer | Lost of string
 
-let call t i line deadline =
+let call t i ~line ~deadline ~algo q =
   Atomic.incr t.per_shard.(i);
   Metrics.incr c_forwarded;
   match t.backends.(i) with
-  | Local svc -> (
-      match Service.serve ?deadline svc line with
-      | doc, payload -> Replied (doc, payload)
-      | exception e -> Lost (Printexc.to_string e))
+  | Local svc ->
+      Replied
+        (Service.contain (fun () ->
+             Service.query_answer svc ~root:None ~line ~deadline ~algo q))
   | Remote endpoint -> (
       let rc =
         Client.retrying ~timeout:t.shard_timeout ~policy:t.policy endpoint
@@ -97,7 +97,7 @@ let call t i line deadline =
       match Client.retry_request_raw rc line with
       | payload -> (
           match Json.of_string payload with
-          | doc -> Replied (doc, payload)
+          | doc -> Replied (Protocol.answer_of_reply doc)
           | exception Json.Parse_error msg ->
               Lost ("unparseable shard reply: " ^ msg))
       | exception Client.Error f -> Lost (Client.failure_to_string f))
@@ -108,20 +108,6 @@ let backend_name t i =
   | Remote endpoint -> Endpoint.to_string endpoint
 
 (* --- query fan-out and merge ------------------------------------------- *)
-
-let rows_reply ~rows ~page_reads ~pool_hits ~entries_scanned =
-  Protocol.ok
-    [
-      ("type", Json.Str "rows");
-      ("count", Json.Int (List.length rows));
-      ("rows", Json.List rows);
-      ("page_reads", Json.Int page_reads);
-      ("pool_hits", Json.Int pool_hits);
-      ("entries_scanned", Json.Int entries_scanned);
-    ]
-
-let jint j k =
-  match Json.member k j with Some (Json.Int i) -> i | _ -> 0
 
 let shard_failure_reply t ~contacted ~lost =
   Metrics.incr c_shard_failures;
@@ -137,95 +123,73 @@ let shard_failure_reply t ~contacted ~lost =
   Service.Doc (Protocol.error ~detail Protocol.Shard_failure)
 
 let merge_replies t ~targets replies =
-  let lost, oks =
-    List.partition_map Fun.id
-      (List.map2
-         (fun i -> function
-           | Lost why -> Either.Left (i, why)
-           | Replied (j, payload) -> Either.Right (i, j, payload))
-         targets replies)
+  let replies = List.combine targets replies in
+  let pick f = List.filter_map f replies in
+  let lost = pick (function i, Lost why -> Some (i, why) | _ -> None) in
+  let rows =
+    pick (function _, Replied (Service.Rows r) -> Some r | _ -> None)
   in
   let errors =
-    List.filter (fun (_, j, _) -> not (Protocol.response_is_ok j)) oks
+    pick (function i, Replied (Service.Doc d) -> Some (i, d) | _ -> None)
   in
   if lost <> [] then shard_failure_reply t ~contacted:targets ~lost
-  else if errors <> [] then begin
+  else if errors = [] then
+    (* each entry lives on exactly one shard and every shard's rows are
+       in the canonical order, so merging them is byte-identical to the
+       unsharded rendering *)
+    Service.Rows (Protocol.merge_rows rows)
+  else begin
     (* every shard agreeing on one error (e.g. unroutable arity) is that
-       error, passed through as the first shard rendered it;
-       disagreement means some shards answered and some did not — a
-       partial failure *)
-    let kind (_, j, _) = Protocol.response_error_kind j in
-    match (List.sort_uniq compare (List.filter_map kind errors), errors) with
-    | [ _ ], (_, j, payload) :: _ when List.length errors = List.length oks ->
-        Service.Rendered (j, payload)
+       error, passed through as the first shard gave it; disagreement
+       means some shards answered and some did not — a partial failure *)
+    let kind (_, d) = Protocol.response_error_kind d in
+    match (List.sort_uniq compare (List.map kind errors), errors) with
+    | [ Some _ ], (_, d) :: _ when rows = [] -> Service.Doc d
     | _ ->
         let lost =
           List.map
-            (fun ((i, _, _) as e) ->
-              (i, Option.value ~default:"error" (kind e) ^ " reply"))
+            (fun e -> (fst e, Option.value ~default:"error" (kind e) ^ " reply"))
             errors
         in
         shard_failure_reply t ~contacted:targets ~lost
   end
-  else begin
-    let rows =
-      List.concat_map
-        (fun (_, j, _) ->
-          match Json.member "rows" j with Some (Json.List l) -> l | _ -> [])
-        oks
-    in
-    (* each entry lives on exactly one shard and every shard rendered its
-       rows in the canonical order; re-sorting the rendered strings makes
-       the merged list byte-identical to the unsharded rendering *)
-    let keyed = List.map (fun j -> (Json.to_string j, j)) rows in
-    let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) keyed in
-    let sum f = List.fold_left (fun a (_, j, _) -> a + jint j f) 0 oks in
-    Service.Doc
-      (rows_reply ~rows:(List.map snd sorted) ~page_reads:(sum "page_reads")
-         ~pool_hits:(sum "pool_hits")
-         ~entries_scanned:(sum "entries_scanned"))
-  end
 
-let respond_parsed t ~root ~line ~deadline q =
+(* the query answer the shared pipeline serves; a traced request's root
+   span also carries the reply's page reads, so a slow-log entry reports
+   them *)
+let query_answer t ~root ~line ~deadline ~algo q =
   let targets = Planner.route t.map t.enc q in
   let n = List.length targets in
   Metrics.observe h_fanout n;
   Metrics.add c_pruned (Shard_map.count t.map - n);
   Option.iter (fun sp -> Trace.add_field sp "fanout" n) root;
-  match targets with
-  | [] ->
-      Service.Doc
-        (rows_reply ~rows:[] ~page_reads:0 ~pool_hits:0 ~entries_scanned:0)
-  | [ i ] -> (
-      (* single-shard bypass: forward the line verbatim and hand the
-         shard's reply bytes back untouched *)
-      match call t i line deadline with
-      | Replied (j, payload) -> Service.Rendered (j, payload)
-      | Lost why -> shard_failure_reply t ~contacted:targets ~lost:[ (i, why) ])
-  | targets ->
-      let arr = Array.make n (Lost "not dispatched") in
-      let threads =
-        List.mapi
-          (fun slot i ->
-            Thread.create (fun () -> arr.(slot) <- call t i line deadline) ())
-          targets
-      in
-      List.iter Thread.join threads;
-      let m0 = Obs.Clock.now_ns () in
-      let ans = merge_replies t ~targets (Array.to_list arr) in
-      let merge_ns = Obs.Clock.since_ns m0 in
-      Metrics.observe h_merge_ns merge_ns;
-      Option.iter (fun sp -> Trace.add_field sp "merge_ns" merge_ns) root;
-      ans
-
-(* the query answer the shared pipeline serves; the root span also
-   carries the reply's page reads, so a slow-log entry reports them *)
-let query_answer t ~root ~line ~deadline ~algo:_ q =
-  let ans = respond_parsed t ~root ~line ~deadline q in
-  (match (root, ans) with
-  | Some sp, (Service.Doc j | Service.Rendered (j, _)) ->
-      Trace.add_field sp "page_reads" (jint j "page_reads")
-  | None, _ -> ());
+  let ans =
+    match targets with
+    | [] -> Service.Rows (Protocol.merge_rows [])
+    | [ i ] -> merge_replies t ~targets [ call t i ~line ~deadline ~algo q ]
+    | targets ->
+        let arr = Array.make n (Lost "not dispatched") in
+        let threads =
+          List.mapi
+            (fun slot i ->
+              Thread.create
+                (fun () -> arr.(slot) <- call t i ~line ~deadline ~algo q)
+                ())
+            targets
+        in
+        List.iter Thread.join threads;
+        let m0 = Obs.Clock.now_ns () in
+        let ans = merge_replies t ~targets (Array.to_list arr) in
+        let merge_ns = Obs.Clock.since_ns m0 in
+        Metrics.observe h_merge_ns merge_ns;
+        Option.iter (fun sp -> Trace.add_field sp "merge_ns" merge_ns) root;
+        ans
+  in
+  Option.iter
+    (fun sp ->
+      Trace.add_field sp "page_reads"
+        (match ans with Service.Rows r -> r.page_reads | Service.Doc _ -> 0))
+    root;
   ans
 
 let respond t q =
@@ -233,9 +197,8 @@ let respond t q =
     Protocol.line_to_string
       (Protocol.Query { algo = `Parallel; text = Qparse.to_syntax t.schema q })
   in
-  match respond_parsed t ~root:None ~line ~deadline:None q with
-  | Service.Rendered (_, payload) -> payload
-  | Service.Doc doc -> Json.to_string doc
+  Protocol.answer_to_string
+    (query_answer t ~root:None ~line ~deadline:None ~algo:`Parallel q)
 
 (* --- the request pipeline ---------------------------------------------- *)
 
@@ -253,9 +216,8 @@ let health_fields t () =
   ]
 
 let serve_line ?queued_ns ?deadline t line =
-  snd
-    (Service.serve_core ?queued_ns ?deadline t.pipe ~health:(health_fields t)
-       ~answer:(query_answer t) line)
+  Service.serve_core ?queued_ns ?deadline t.pipe ~health:(health_fields t)
+    ~answer:(query_answer t) line
 
 let slow_log_json ?limit t = Service.pipeline_slow_log ?limit t.pipe
 

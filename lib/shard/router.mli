@@ -10,21 +10,29 @@
     exactly those shards — in-process services or remote endpoints — and
     merges the replies.
 
-    {b Reply canonicalization.}  Every shard renders rows in the
-    canonical sorted order ({!Uindex_server.Service}), and a COD-range
-    partition assigns each entry to exactly one shard, so the merged
-    row list (re-sorted by rendered bytes) is byte-identical to the
-    unsharded engine's row list; [count] is the sum of shard counts and
-    the cost fields ([page_reads], [pool_hits], [entries_scanned]) are
-    sums over the shards actually contacted.  {!canonical_projection}
-    extracts the deployment-independent part of a reply — everything
-    except the cost fields — which is the byte-comparable answer.
+    {b Reply canonicalization.}  Every shard's rows come back in the
+    canonical order ({!Uindex_server.Protocol.rows}), and a COD-range
+    partition assigns each entry to exactly one shard, so merging the
+    sorted lists ({!Uindex_server.Protocol.merge_rows}) gives a row
+    list byte-identical to the unsharded engine's; [count] is the sum
+    of shard counts and the cost fields ([page_reads], [pool_hits],
+    [entries_scanned]) are sums over the shards actually contacted.
+    {!canonical_projection} extracts the deployment-independent part of
+    a reply — everything except the cost fields — which is the
+    byte-comparable answer.
 
-    {b Single-shard bypass.}  A query routed to one shard is forwarded
-    verbatim and its reply bytes returned untouched: no merge, no
-    re-render.  An in-process shard hands over its reply document with
-    the bytes, so no reply from a [Local] backend is ever re-parsed; a
-    [Remote] reply is parsed once.
+    {b Shard calls.}  A [Local] shard answers the query the router has
+    already parsed through {!Uindex_server.Service.query_answer}, under
+    {!Uindex_server.Service.contain} — no second request pipeline, no
+    root span, no re-parse, but the same typed [data_corruption] reply
+    and quarantine record a damaged page gets on the shard's own
+    server.  A [Remote] shard is sent the request line; its reply is
+    parsed once and turned into an answer by
+    {!Uindex_server.Protocol.answer_of_reply} (rows rendered back one by
+    one, its trace-id echo dropped).  A query routed to one shard
+    returns that shard's answer unchanged, so the reply is
+    byte-identical to the shard's own; the pipeline echoes the client
+    trace id once, as for every reply.
 
     {b Telemetry.}  A traced request's root span carries [fanout]
     (shards contacted), [merge_ns] on fan-outs, and [page_reads] equal
@@ -72,8 +80,6 @@ val create :
     remote fan-out requests.  [?telemetry] configures the router's own
     pipeline exactly as {!Uindex_server.Service.create}'s does (default
     {!Uindex_server.Service.default_telemetry}). *)
-
-val map : t -> Shard_map.t
 
 val requests_per_shard : t -> int array
 (** How many requests this router has forwarded to each shard — the

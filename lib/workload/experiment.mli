@@ -34,10 +34,6 @@ val figure_series :
     y = average page reads.  Set choices and key values are drawn per
     repetition from [seed]. *)
 
-val u_page_reads : Datagen.exp2 -> Uindex.Query.t -> int * int
-(** [(page_reads, results)] of one parallel-algorithm query on the
-    experiment's U-index. *)
-
 val cg_page_reads :
   Datagen.exp2 -> kind:query_kind -> lo:int -> hi:int -> sets:int list ->
   int * int

@@ -50,11 +50,3 @@ let sample_distinct t k bound =
     in
     draw k []
   end
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let x = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- x
-  done

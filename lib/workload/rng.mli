@@ -21,5 +21,3 @@ val pick : t -> 'a array -> 'a
 val sample_distinct : t -> int -> int -> int list
 (** [sample_distinct t k bound]: [k] distinct ints in [0, bound), sorted.
     Raises [Invalid_argument] if [k > bound]. *)
-
-val shuffle : t -> 'a array -> unit

@@ -385,7 +385,7 @@ let test_corruption_containment () =
                   Alcotest.(check string) "source" "request" en.source)
                 (Quarantine.entries ());
               (* ... and the health report concurs *)
-              let health = Service.handle_line svc "health" in
+              let health = Json.of_string (Service.serve_line svc "health") in
               let qlen =
                 Option.bind (Json.member "quarantine" health) (fun q ->
                     Option.bind (Json.member "length" q) Json.to_int)

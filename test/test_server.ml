@@ -905,6 +905,195 @@ let test_tcp_ephemeral_port () =
   Alcotest.(check (option string)) "ping answers" (Some "pong")
     (Option.bind (Json.member "type" (Client.request c "ping")) Json.to_str)
 
+(* --- the rows reply format --------------------------------------------- *)
+
+(* strings that stress the printer: quotes, backslashes, the escaped
+   whitespace, other control characters and high bytes *)
+let gen_json_string =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (4, printable);
+             (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '/'; '\127' ]);
+             (1, map Char.chr (int_bound 0x1f));
+             (1, map Char.chr (int_range 0x80 0xff));
+           ])
+      (int_bound 10))
+
+let gen_json =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 pure Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map
+                   (fun f -> Json.Float (if Float.is_finite f then f else 0.5))
+                   float;
+                 map (fun s -> Json.Str s) gen_json_string;
+               ]
+           in
+           if n <= 1 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map (fun l -> Json.List l)
+                     (list_size (int_bound 4) (self (n / 3))) );
+                 ( 1,
+                   map (fun kvs -> Json.Obj kvs)
+                     (list_size (int_bound 4)
+                        (pair gen_json_string (self (n / 3)))) );
+               ]))
+
+(* a row as a service renders one: value plus (class, oid) components *)
+let gen_row =
+  QCheck.Gen.(
+    map2
+      (fun value comps ->
+        Json.Obj
+          [
+            ("value", value);
+            ( "comps",
+              Json.List
+                (List.map
+                   (fun (c, o) -> Json.List [ Json.Str c; Json.Int o ])
+                   comps) );
+          ])
+      (oneof
+         [
+           map (fun s -> Json.Str s) gen_json_string;
+           map (fun i -> Json.Int i) int;
+           pure Json.Null;
+           gen_json;
+         ])
+      (list_size (int_range 1 3) (pair gen_json_string nat)))
+
+let with_trace_id ?trace_id doc =
+  match (trace_id, doc) with
+  | Some id, Json.Obj kvs ->
+      Json.Obj (kvs @ [ ("trace_id", Json.Str (Printf.sprintf "%x" id)) ])
+  | _ -> doc
+
+(* the rows document exactly as the server built it before the rows
+   writer existed: rows sorted by their rendering, the trace id appended
+   last *)
+let old_rows_reply ?trace_id ~page_reads ~pool_hits ~entries_scanned rows =
+  let keyed = List.map (fun j -> (Json.to_string j, j)) rows in
+  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) keyed in
+  with_trace_id ?trace_id
+    (Protocol.ok
+       [
+         ("type", Json.Str "rows");
+         ("count", Json.Int (List.length rows));
+         ("rows", Json.List (List.map snd sorted));
+         ("page_reads", Json.Int page_reads);
+         ("pool_hits", Json.Int pool_hits);
+         ("entries_scanned", Json.Int entries_scanned);
+       ])
+
+let prop_rows_writer =
+  QCheck.Test.make ~count:500 ~name:"rows writer = old document's bytes"
+    QCheck.(
+      make
+        Gen.(
+          triple (list_size (int_bound 12) gen_row) (opt nat) (triple nat nat nat)))
+    (fun (rows, trace_id, (page_reads, pool_hits, entries_scanned)) ->
+      Protocol.answer_to_string ?trace_id
+        (Protocol.Rows
+           (Protocol.rows ~page_reads ~pool_hits ~entries_scanned
+              (List.map Json.to_string rows)))
+      = Json.to_string
+          (old_rows_reply ?trace_id ~page_reads ~pool_hits ~entries_scanned rows))
+
+(* what a router does with a remote shard's reply: parse it, drop the
+   echoed trace id, render it back with its own echo — the same bytes *)
+let prop_remote_reply =
+  QCheck.Test.make ~count:300 ~name:"remote reply renders back to its bytes"
+    QCheck.(
+      make
+        Gen.(
+          triple (list_size (int_bound 8) gen_row) (opt nat)
+            (opt gen_json_string)))
+    (fun (rows, trace_id, error) ->
+      let doc =
+        match error with
+        | Some detail ->
+            with_trace_id ?trace_id (Protocol.error ~detail Protocol.Corrupt)
+        | None ->
+            old_rows_reply ?trace_id ~page_reads:3 ~pool_hits:1
+              ~entries_scanned:9 rows
+      in
+      let bytes = Json.to_string doc in
+      Protocol.answer_to_string ?trace_id
+        (Protocol.answer_of_reply (Json.of_string bytes))
+      = bytes)
+
+let prop_merge_rows =
+  QCheck.Test.make ~count:300 ~name:"merge of sorted lists = sorted concat"
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_bound 5)
+            (pair
+               (list_size (int_bound 8) (string_size ~gen:printable (int_bound 4)))
+               nat)))
+    (fun parts ->
+      let replies =
+        List.map
+          (fun (rendered, n) ->
+            Protocol.rows ~page_reads:n ~pool_hits:(2 * n) ~entries_scanned:1
+              rendered)
+          parts
+      in
+      let merged = Protocol.merge_rows replies in
+      let sum f = List.fold_left (fun a (_, n) -> a + f n) 0 parts in
+      merged.Protocol.rendered
+      = List.sort String.compare (List.concat_map fst parts)
+      && merged.page_reads = sum Fun.id
+      && merged.pool_hits = sum (fun n -> 2 * n)
+      && merged.entries_scanned = List.length parts)
+
+let prop_json_round_trip =
+  QCheck.Test.make ~count:1000 ~name:"Json: print . parse . print = print"
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun j ->
+      let s = Json.to_string j in
+      Json.to_string (Json.of_string s) = s)
+
+(* random bytes, and printed documents with one byte replaced, inserted
+   or dropped: the parser accepts or raises Parse_error, nothing else *)
+let prop_json_garbage =
+  QCheck.Test.make ~count:2000 ~name:"Json.of_string raises only Parse_error"
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          oneof
+            [
+              string_size ~gen:char (int_bound 24);
+              map2
+                (fun (j, pos) (edit, c) ->
+                  let s = Json.to_string j in
+                  let n = String.length s in
+                  let i = pos mod (n + 1) in
+                  match edit with
+                  | 0 when i < n -> String.mapi (fun k x -> if k = i then c else x) s
+                  | 1 when i < n ->
+                      String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+                  | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i))
+                (pair gen_json nat) (pair (int_bound 2) char);
+            ]))
+    (fun s ->
+      match Json.of_string s with
+      | _ -> true
+      | exception Json.Parse_error _ -> true)
+
 let () =
   Alcotest.run "server"
     [
@@ -955,6 +1144,15 @@ let () =
           Alcotest.test_case "page-read reconciliation" `Quick
             test_page_read_reconciliation;
         ] );
+      ( "format",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_rows_writer;
+            prop_remote_reply;
+            prop_merge_rows;
+            prop_json_round_trip;
+            prop_json_garbage;
+          ] );
       ( "endpoint",
         [
           Alcotest.test_case "spec table" `Quick test_endpoint_table;

@@ -27,6 +27,9 @@ module Planner = Uindex_shard.Planner
 module Splitter = Uindex_shard.Splitter
 module Router = Uindex_shard.Router
 module Endpoint = Uindex_server.Endpoint
+module Quarantine = Uindex_server.Quarantine
+module Pager = Storage.Pager
+module Verify = Uindex.Verify
 
 let mkshard ?hi ?file ?endpoint lo = { Smap.lo; hi; file; endpoint }
 
@@ -55,7 +58,10 @@ type fleet = {
   router : Router.t;
 }
 
-let make_fleet ?(n_vehicles = 600) ?(seed = 7) ?(shards = 3) () =
+(* [damage i pager] runs on shard [i]'s colour-index pager once the
+   shard is loaded. *)
+let make_fleet ?(n_vehicles = 600) ?(seed = 7) ?(shards = 3)
+    ?(checksums = false) ?(damage = fun _ _ -> ()) () =
   let e = Dg.exp1 ~n_vehicles ~seed () in
   let ext = e.Dg.ext in
   let b = ext.Ps.b in
@@ -68,8 +74,9 @@ let make_fleet ?(n_vehicles = 600) ?(seed = 7) ?(shards = 3) () =
   let services =
     Array.init (Smap.count map) (fun i ->
         let db = Db.create e.Dg.store in
-        Db.attach_index db
-          (Splitter.restrict ~source:e.Dg.ch_color map i (Storage.Pager.create ()));
+        let pager = Pager.create ~checksums () in
+        Db.attach_index db (Splitter.restrict ~source:e.Dg.ch_color map i pager);
+        damage i pager;
         Db.attach_index db
           (Splitter.restrict ~source:e.Dg.path_age map i (Storage.Pager.create ()));
         Service.create ~schema:b.Ps.schema db)
@@ -432,8 +439,9 @@ let test_single_shard_bypass () =
   in
   let line = "@beef query " ^ Qparse.to_syntax schema q in
   (* warm the shard's cache so cost fields are stable, then the
-     forwarded reply must be byte-identical to the shard's own —
-     trace id, cost fields and all: no parse, no re-render *)
+     router's reply must be byte-identical to the shard's own — trace
+     id, cost fields and all: the shard's answer with no merge, rendered
+     once by the router's pipeline *)
   ignore (Service.serve_line f.services.(i) line);
   let direct = Service.serve_line f.services.(i) line in
   let via = Router.serve_line f.router line in
@@ -523,11 +531,13 @@ let test_monotonic_deadlines () =
   let kind doc = Protocol.response_error_kind doc in
   Alcotest.(check (option string)) "service: past deadline times out"
     (Some "timeout")
-    (kind (Service.handle_line ~deadline:past f.unsharded line));
+    (kind (Json.of_string (Service.serve_line ~deadline:past f.unsharded line)));
   Alcotest.(check (option string)) "router: past deadline times out"
     (Some "timeout")
     (kind (Json.of_string (Router.serve_line ~deadline:past f.router line)));
-  let direct = Service.handle_line ~deadline:future f.unsharded line in
+  let direct =
+    Json.of_string (Service.serve_line ~deadline:future f.unsharded line)
+  in
   Alcotest.(check (option string)) "service: future deadline answers" None
     (kind direct);
   let via = Json.of_string (Router.serve_line ~deadline:future f.router line) in
@@ -549,6 +559,72 @@ let single_shard_query f router =
       match Router.route_query router q with [ _ ] -> q | _ -> pick (k + 1)
   in
   pick 0
+
+(* A damaged page in one in-process shard is contained the way the
+   shard's own server contains it: a query routed only there gets the
+   shard's typed data_corruption reply byte for byte, the page lands in
+   the quarantine, and a fan-out over that shard is a shard_failure
+   naming it. *)
+let test_corrupt_local_shard () =
+  let probe = make_fleet ~n_vehicles:300 ~checksums:true () in
+  let b = probe.ext.Ps.b in
+  let q = single_shard_query probe probe.router in
+  let k = List.hd (Router.route_query probe.router q) in
+  let text q = "query " ^ Qparse.to_syntax b.Ps.schema q in
+  let line = text q in
+  let spanning =
+    text (Query.class_hierarchy ~value:Query.V_any (Query.P_subtree b.Ps.vehicle))
+  in
+  let ch =
+    List.find
+      (fun i -> Index.arity i = 1)
+      (Db.indexes (Service.db probe.services.(k)))
+  in
+  let reachable = ref [] in
+  ignore (Verify.check ~throttle:(fun p -> reachable := p :: !reachable) ch);
+  let flip page i pager =
+    if i = k then
+      ignore
+        (Pager.create_faulty
+           { Pager.no_faults with media = [ Pager.Flip_bit { page; bit = 9 } ] }
+           pager)
+  in
+  let rec try_page = function
+    | [] -> Alcotest.fail "no damaged page produced a data_corruption reply"
+    | page :: rest ->
+        Quarantine.reset ();
+        let f =
+          make_fleet ~n_vehicles:300 ~checksums:true ~damage:(flip page) ()
+        in
+        let reply = Router.serve_line f.router line in
+        if
+          Protocol.response_error_kind (Json.of_string reply)
+          <> Some "data_corruption"
+        then try_page rest
+        else begin
+          Alcotest.(check (list int)) "quarantined page" [ page ]
+            (Quarantine.pages ());
+          List.iter
+            (fun (en : Quarantine.entry) ->
+              Alcotest.(check string) "source" "request" en.source)
+            (Quarantine.entries ());
+          Alcotest.(check string) "the shard's own reply" reply
+            (Service.serve_line f.services.(k) line);
+          let d = Json.of_string (Router.serve_line f.router spanning) in
+          Alcotest.(check (option string)) "fan-out: typed partial failure"
+            (Some "shard_failure")
+            (Protocol.response_error_kind d);
+          let detail =
+            Option.value ~default:""
+              (Json.to_str (member_exn "detail" (member_exn "error" d)))
+          in
+          Alcotest.(check int) "fan-out names the damaged shard" 1
+            (count_sub detail
+               (Printf.sprintf "shard %d (local): data_corruption reply" k))
+        end
+  in
+  try_page (List.sort_uniq (fun a b -> compare b a) !reachable);
+  Quarantine.reset ()
 
 (* A port nothing listens on: bound, read back, closed. *)
 let refused_endpoint () =
@@ -603,8 +679,8 @@ let test_refused_tcp_shards () =
     ]
 
 (* Every reply kind a router produces — admin replies, a merged fan-out,
-   a shard_failure and a single shard's forwarded bytes — echoes the
-   client trace id exactly once. *)
+   a shard_failure and a single shard's answer — echoes the client trace
+   id exactly once. *)
 let test_router_trace_id_echo () =
   let f = make_fleet ~n_vehicles:300 () in
   let b = f.ext.Ps.b in
@@ -693,6 +769,28 @@ let test_router_slow_log () =
         (Json.to_int (member_exn "fanout" (member_exn "span" entry))))
     replies
 
+(* A router's health carries the pipeline vitals a server's does: its
+   own slow log and tracing switch, not zeros and "off". *)
+let test_router_health () =
+  let f = make_fleet ~n_vehicles:200 () in
+  let b = f.ext.Ps.b in
+  let router =
+    Router.create
+      ~telemetry:{ Service.default_telemetry with slow_capacity = 32 }
+      ~schema:b.Ps.schema ~enc:b.Ps.enc ~map:f.map
+      ~backends:(Array.map (fun s -> Router.Local s) f.services)
+      ()
+  in
+  let h = Json.of_string (Router.serve_line router "health") in
+  Alcotest.(check (option int)) "slow_log.capacity" (Some 32)
+    (Json.to_int (member_exn "capacity" (member_exn "slow_log" h)));
+  Alcotest.(check bool) "tracing" true
+    (member_exn "tracing" h = Json.Bool true);
+  Alcotest.(check bool) "gc counters" true
+    (Json.to_int (member_exn "heap_words" (member_exn "gc" h)) <> None);
+  Alcotest.(check (option string)) "role" (Some "router")
+    (Json.to_str (member_exn "role" h))
+
 let () =
   Alcotest.run "shard"
     [
@@ -716,6 +814,8 @@ let () =
           Alcotest.test_case "differential 500+" `Quick test_differential;
           Alcotest.test_case "single-shard bypass" `Quick test_single_shard_bypass;
           Alcotest.test_case "partial failure" `Quick test_partial_failure;
+          Alcotest.test_case "corrupt local shard" `Quick
+            test_corrupt_local_shard;
           Alcotest.test_case "refused TCP shards" `Quick
             test_refused_tcp_shards;
           Alcotest.test_case "unanimous error" `Quick
@@ -724,5 +824,6 @@ let () =
             test_monotonic_deadlines;
           Alcotest.test_case "trace id echo" `Quick test_router_trace_id_echo;
           Alcotest.test_case "slow log" `Quick test_router_slow_log;
+          Alcotest.test_case "health" `Quick test_router_health;
         ] );
     ]
