@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 5), plus seven ablations (A1-A7), and wall-clock
-   micro-benchmarks (Bechamel).
+   evaluation (Section 5), plus seven ablations (A1-A7), best-of-5
+   wall-clock timings of six figure queries, and the serve sections.
 
    Environment knobs:
      UINDEX_BENCH_QUICK=1        small database, few repetitions (smoke run)
@@ -8,7 +8,6 @@
                                  the paper's count)
      UINDEX_BENCH_OBJECTS=n      objects per experiment-2 database
                                  (default 150,000, the paper's count)
-     UINDEX_BENCH_SKIP_TIMING=1  skip the Bechamel wall-clock section
      UINDEX_BENCH_JSON=path      machine-readable results file
                                  (default BENCH_results.json)
 
@@ -34,10 +33,8 @@ let reps = env_int "UINDEX_BENCH_REPS" (if quick then 10 else 100)
 let n_objects = env_int "UINDEX_BENCH_OBJECTS" (if quick then 20_000 else 150_000)
 let seed = 20260706
 
-let section title =
-  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-let subsection title = Printf.printf "\n-- %s --\n" title
+let section title = print_string (Tb.section title)
+let subsection title = print_string (Tb.subsection title)
 
 (* --- Table 1 ----------------------------------------------------------------- *)
 
@@ -154,9 +151,7 @@ let run_cache_ab (e : Dg.exp1) =
    must not change the paper's metric.  The same index is built on two
    file-backed pagers — checksums on and off — and every Table-1 query
    class must read exactly the same pages (check_results hard-fails on
-   drift).  The wall-clock delta is the entire cost of verification,
-   measured here with plain gettimeofday so the row is present even when
-   the Bechamel section is skipped. *)
+   drift).  The wall-clock delta is the entire cost of verification. *)
 type ck_row = {
   ck_id : string;
   ck_descr : string;
@@ -205,11 +200,11 @@ let run_checksum_ab (e : Dg.exp1) =
   let measure idx q =
     let o = Exec.parallel idx q in
     let runs = 5 in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now_ns () in
     for _ = 1 to runs do
       ignore (Exec.parallel idx q)
     done;
-    let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int runs in
+    let ns = float_of_int (Obs.Clock.since_ns t0) /. float_of_int runs in
     (o.Exec.page_reads, ns)
   in
   let run ~checksums =
@@ -246,117 +241,32 @@ let run_checksum_ab (e : Dg.exp1) =
 
 (* --- Figures 5-8 -------------------------------------------------------------- *)
 
-let set_counts_of n_classes =
-  if n_classes >= 40 then [ 1; 10; 20; 30; 40 ] else [ 1; 2; 4; 6; 8 ]
-
-let key_configs () =
-  [
-    ("unique keys", n_objects);
-    ("100 different keys", 100);
-    ("1000 different keys", 1000);
-  ]
-
 (* datasets are shared by figures 5-8 and the ablations *)
-let datasets = Hashtbl.create 8
+let datasets = Ex.datasets ~n_objects ~seed
 
-let dataset ~n_classes ~distinct_keys =
-  let key = (n_classes, distinct_keys) in
-  match Hashtbl.find_opt datasets key with
-  | Some d -> d
-  | None ->
-      let cfg =
-        { (Dg.default_exp2 ~n_classes ~distinct_keys) with n_objects; seed }
-      in
-      let t0 = Unix.gettimeofday () in
-      let d = Dg.exp2 cfg in
-      Printf.eprintf "[build] %d classes / %d keys: %.1fs\n%!" n_classes
-        distinct_keys
-        (Unix.gettimeofday () -. t0);
-      Hashtbl.add datasets key d;
-      d
+let dataset = Ex.dataset datasets
 
 (* set UINDEX_BENCH_CSV=<dir> to also emit one CSV per panel *)
-let csv_dir = Sys.getenv_opt "UINDEX_BENCH_CSV"
-
-let write_csv ~name series =
-  match csv_dir with
-  | None -> ()
-  | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let oc = open_out (Filename.concat dir (name ^ ".csv")) in
-      Printf.fprintf oc "sets,%s\n"
-        (String.concat "," (List.map fst series));
-      let xs =
-        List.concat_map (fun (_, pts) -> List.map fst pts) series
-        |> List.sort_uniq compare
-      in
-      List.iter
-        (fun x ->
-          Printf.fprintf oc "%d" x;
-          List.iter
-            (fun (_, pts) ->
-              match List.assoc_opt x pts with
-              | Some y -> Printf.fprintf oc ",%.2f" y
-              | None -> Printf.fprintf oc ",")
-            series;
-          output_char oc '\n')
-        xs;
-      close_out oc
-
-let run_panel ?csv_name ~kind ~n_classes ~distinct_label ~distinct_keys () =
-  let d = dataset ~n_classes ~distinct_keys in
-  let series =
-    Ex.figure_series d ~kind ~set_counts:(set_counts_of n_classes) ~reps ~seed
-  in
-  (match csv_name with Some name -> write_csv ~name series | None -> ());
-  print_string
-    (Tb.render_series
-       ~title:(Printf.sprintf "%d sets, %s" n_classes distinct_label)
-       ~x_label:"sets" ~series)
-
-let run_figure ~fig ~kind ~title =
-  section
-    (Printf.sprintf "Figure %d: %s (avg page reads over %d reps)" fig title reps);
+let write_csv dir (p : Ex.panel) =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let oc = open_out (Filename.concat dir (p.name ^ ".csv")) in
+  Printf.fprintf oc "sets,%s\n" (String.concat "," (List.map fst p.series));
   List.iter
-    (fun n_classes ->
+    (fun (x, _) ->
+      Printf.fprintf oc "%d" x;
       List.iter
-        (fun (distinct_label, distinct_keys) ->
-          run_panel
-            ~csv_name:(Printf.sprintf "fig%d_%dsets_%dkeys" fig n_classes distinct_keys)
-            ~kind ~n_classes ~distinct_label ~distinct_keys ();
-          print_newline ())
-        (key_configs ()))
-    [ 40; 8 ]
+        (fun (_, pts) -> Printf.fprintf oc ",%.2f" (List.assoc x pts))
+        p.series;
+      output_char oc '\n')
+    (snd (List.hd p.series));
+  close_out oc
 
-let run_figure8 () =
-  section
-    (Printf.sprintf
-       "Figure 8: narrow ranges and set clustering, 1000 different keys (avg \
-        page reads over %d reps)"
-       reps);
-  List.iter
-    (fun (frac, label) ->
-      subsection (Printf.sprintf "range = %s of keyspace" label);
-      List.iter
-        (fun n_classes ->
-          run_panel
-            ~csv_name:
-              (Printf.sprintf "fig8_range%s_%dsets" label n_classes
-              |> String.map (fun c -> if c = '%' || c = '.' then '_' else c))
-            ~kind:(Ex.Range frac) ~n_classes
-            ~distinct_label:"1000 different keys" ~distinct_keys:1000 ();
-          print_newline ())
-        [ 40; 8 ])
-    [ (0.005, "0.5%"); (0.002, "0.2%") ];
-  subsection "near vs non-near queried sets, range = 10%, 1000 keys";
-  List.iter
-    (fun n_classes ->
-      run_panel
-        ~csv_name:(Printf.sprintf "fig8_near_%dsets" n_classes)
-        ~kind:(Ex.Range 0.10) ~n_classes
-        ~distinct_label:"1000 different keys" ~distinct_keys:1000 ();
-      print_newline ())
-    [ 40; 8 ]
+let run_figures () =
+  let panels = Ex.figures datasets ~reps in
+  print_string (Ex.render_figures panels);
+  Option.iter
+    (fun dir -> List.iter (write_csv dir) panels)
+    (Sys.getenv_opt "UINDEX_BENCH_CSV")
 
 (* --- Ablation A1: front compression ------------------------------------------- *)
 
@@ -377,23 +287,13 @@ let run_ablation_compression () =
       d.entries;
     idx
   in
+  (* both builds see the same draws: one stream per placement, structure
+     and set count *)
   let measure idx =
-    let tree = Index.tree idx in
-    let pages = Storage.Pager.page_count (Btree.pager tree) in
-    let rng = Workload.Rng.create seed in
-    let total = ref 0 in
-    for _ = 1 to reps do
-      let sets = Qg.pick_sets rng Qg.Near ~classes:d.classes ~k:10 in
-      let lo, hi = Qg.range_bounds rng ~distinct_keys:1000 ~frac:0.02 in
-      let q =
-        Query.class_hierarchy
-          ~value:(V_range (Some (Value.Int lo), Some (Value.Int hi)))
-          (Qg.union_of_classes sets)
-      in
-      let o = Exec.parallel idx q in
-      total := !total + o.page_reads
-    done;
-    (pages, float_of_int !total /. float_of_int reps)
+    ( Storage.Pager.page_count (Btree.pager (Index.tree idx)),
+      Ex.average
+        (Ex.structures { d with uindex = idx })
+        `U Qg.Near ~kind:(Ex.Range 0.02) ~k:10 ~reps ~seed )
   in
   let on_idx = build ~front_coding:true in
   let on_pages, on_reads = measure on_idx in
@@ -422,87 +322,17 @@ let run_shootout () =
   section
     "Ablation A2: U-index vs CH-tree vs H-tree vs CG-tree (class-hierarchy \
      case, 40 classes, 1000 keys)";
-  let d = dataset ~n_classes:40 ~distinct_keys:1000 in
-  let entries =
-    Array.to_list d.entries
-    |> List.map (fun (k, cls, oid) -> (Value.Int k, cls, oid))
-  in
-  let page_size = d.cfg.page_size in
-  let ch = Baselines.Ch_tree.create (Storage.Pager.create ~page_size ()) in
-  Baselines.Ch_tree.build ch entries;
-  let ht =
-    Baselines.H_tree.create
-      (Storage.Pager.create ~page_size ())
-      ~classes:(Array.to_list d.classes)
-  in
-  Baselines.H_tree.build ht entries;
-  let run_one ~sets ~lo ~hi ~exact structure =
-    match structure with
-    | `U ->
-        let value =
-          if exact then Query.V_eq (Value.Int lo)
-          else Query.V_range (Some (Value.Int lo), Some (Value.Int hi))
-        in
-        let q = Query.class_hierarchy ~value (Qg.union_of_classes sets) in
-        (Exec.parallel d.uindex q).page_reads
-    | `Ch ->
-        let s = Storage.Pager.stats (Baselines.Ch_tree.pager ch) in
-        Storage.Stats.reset s;
-        if exact then
-          ignore (Baselines.Ch_tree.exact ch ~value:(Value.Int lo) ~sets)
-        else
-          ignore
-            (Baselines.Ch_tree.range ch ~lo:(Value.Int lo) ~hi:(Value.Int hi)
-               ~sets);
-        s.reads
-    | `H ->
-        let s = Storage.Pager.stats (Baselines.H_tree.pager ht) in
-        Storage.Stats.reset s;
-        if exact then
-          ignore (Baselines.H_tree.exact ht ~value:(Value.Int lo) ~sets)
-        else
-          ignore
-            (Baselines.H_tree.range ht ~lo:(Value.Int lo) ~hi:(Value.Int hi)
-               ~sets);
-        s.reads
-    | `Cg ->
-        let kind = if exact then Ex.Exact else Ex.Range 0.0 in
-        fst (Ex.cg_page_reads d ~kind ~lo ~hi ~sets)
-  in
-  let avg ~exact ~frac ~k structure =
-    let rng = Workload.Rng.create (seed + Hashtbl.hash structure) in
-    let total = ref 0 in
-    for _ = 1 to reps do
-      let sets = Qg.pick_sets rng Qg.Near ~classes:d.classes ~k in
-      let lo, hi =
-        if exact then
-          let v = Qg.exact_value rng ~distinct_keys:1000 in
-          (v, v)
-        else Qg.range_bounds rng ~distinct_keys:1000 ~frac
-      in
-      total := !total + run_one ~sets ~lo ~hi ~exact structure
-    done;
-    float_of_int !total /. float_of_int reps
-  in
-  let structures =
-    [ ("U-index", `U); ("CH-tree", `Ch); ("H-tree", `H); ("CG-tree", `Cg) ]
-  in
-  List.iter
-    (fun (label, exact, frac) ->
-      let series =
-        List.map
-          (fun (name, s) ->
-            ( name,
-              List.map (fun k -> (k, avg ~exact ~frac ~k s)) [ 1; 10; 20; 40 ] ))
-          structures
-      in
-      print_string (Tb.render_series ~title:label ~x_label:"sets" ~series);
-      print_newline ())
-    [
-      ("exact match", true, 0.0);
-      ("range 10%", false, 0.10);
-      ("range 2%", false, 0.02);
-    ]
+  print_string
+    (Ex.shootout
+       (Ex.structures (dataset ~n_classes:40 ~distinct_keys:1000))
+       [ `U; `Ch; `H; `Cg ]
+       ~queries:
+         [
+           ("exact match", Ex.Exact);
+           ("range 10%", Ex.Range 0.10);
+           ("range 2%", Ex.Range 0.02);
+         ]
+       ~set_counts:[ 1; 10; 20; 40 ] ~reps ~seed)
 
 (* --- Ablation A3: update cost (Section 4.2) ------------------------------------ *)
 
@@ -911,76 +741,46 @@ let run_entry_layout () =
              ]))
     [ 100; 1000 ]
 
-(* --- wall-clock micro-benchmarks (Bechamel) ------------------------------------ *)
+(* --- wall-clock: six figure queries ----------------------------------------- *)
 
+(* Not a paper metric: ns per query on the 40-class, 1000-key dataset
+   with 10 near sets, the best of 5 rounds that each repeat the query for
+   [round_ns]. *)
 let run_timing () =
-  section "Wall-clock micro-benchmarks (Bechamel, ns per query)";
-  let open Bechamel in
-  let open Toolkit in
+  section "Wall-clock: ns per query, best of 5 rounds";
   let d = dataset ~n_classes:40 ~distinct_keys:1000 in
-  let rng = Workload.Rng.create seed in
-  let sets10 = Qg.pick_sets rng Qg.Near ~classes:d.classes ~k:10 in
-  let mk_exact v sets =
-    Query.class_hierarchy ~value:(V_eq (Value.Int v)) (Qg.union_of_classes sets)
+  let sets =
+    Qg.pick_sets (Workload.Rng.create seed) Qg.Near ~classes:d.classes ~k:10
   in
-  let mk_range lo hi sets =
-    Query.class_hierarchy
-      ~value:(V_range (Some (Value.Int lo), Some (Value.Int hi)))
-      (Qg.union_of_classes sets)
+  let round_ns = if quick then 50_000_000 else 200_000_000 in
+  let round run =
+    let t0 = Obs.Clock.now_ns () and n = ref 0 in
+    while Obs.Clock.since_ns t0 < round_ns do
+      run ();
+      incr n
+    done;
+    Obs.Clock.since_ns t0 / !n
   in
-  let tests =
-    [
-      Test.make ~name:"fig5.u-exact"
-        (Staged.stage (fun () ->
-             ignore (Exec.parallel d.uindex (mk_exact 500 sets10))));
-      Test.make ~name:"fig5.cg-exact"
-        (Staged.stage (fun () ->
-             ignore
-               (Baselines.Cg_tree.exact d.cg ~value:(Value.Int 500) ~sets:sets10)));
-      Test.make ~name:"fig6.u-range-10pc"
-        (Staged.stage (fun () ->
-             ignore (Exec.parallel d.uindex (mk_range 100 199 sets10))));
-      Test.make ~name:"fig6.cg-range-10pc"
-        (Staged.stage (fun () ->
-             ignore
-               (Baselines.Cg_tree.range d.cg ~lo:(Value.Int 100)
-                  ~hi:(Value.Int 199) ~sets:sets10)));
-      Test.make ~name:"fig7.u-range-2pc"
-        (Staged.stage (fun () ->
-             ignore (Exec.parallel d.uindex (mk_range 100 119 sets10))));
-      Test.make ~name:"fig8.u-range-0.5pc"
-        (Staged.stage (fun () ->
-             ignore (Exec.parallel d.uindex (mk_range 100 104 sets10))));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg
-      ~quota:(Time.second (if quick then 0.25 else 1.0))
-      ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"bench" tests) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let names = Hashtbl.fold (fun k _ acc -> k :: acc) results [] in
   List.iter
-    (fun name ->
-      match Hashtbl.find_opt results name with
-      | Some r -> (
-          match Analyze.OLS.estimates r with
-          | Some [ est ] -> Printf.printf "%-32s %14.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-32s (no estimate)\n" name)
-      | None -> ())
-    (List.sort compare names)
+    (fun (name, structure, kind, lo, hi) ->
+      let s = Ex.structures d in
+      let run () = ignore (Ex.page_reads s structure ~kind ~sets ~lo ~hi) in
+      Printf.printf "%-20s %10d ns\n" name
+        (List.fold_left min max_int (List.init 5 (fun _ -> round run))))
+    [
+      ("fig5.u-exact", `U, Ex.Exact, 500, 500);
+      ("fig5.cg-exact", `Cg, Ex.Exact, 500, 500);
+      ("fig6.u-range-10pc", `U, Ex.Range 0.10, 100, 199);
+      ("fig6.cg-range-10pc", `Cg, Ex.Range 0.10, 100, 199);
+      ("fig7.u-range-2pc", `U, Ex.Range 0.02, 100, 119);
+      ("fig8.u-range-0.5pc", `U, Ex.Range 0.005, 100, 104);
+    ]
 
 (* --- serve sections: shared set-up -------------------------------------------- *)
 
-(* The five serve sections are wall-clock by nature, so they run even
-   under UINDEX_BENCH_SKIP_TIMING: their qps/p99 rows and cross-run
-   digests are what check_results gates on.  Each is set-up, one
-   Loadgen call per row, and the row's own extras. *)
+(* The five serve sections are wall-clock by nature: their qps/p99 rows
+   and cross-run digests are what check_results gates on.  Each is
+   set-up, one Loadgen call per row, and the row's own extras. *)
 
 module Db = Uindex.Db
 module Server = Uindex_server.Server
@@ -1295,9 +1095,9 @@ let run_bulk_load () =
   let n = 100_000 in
   let entry i = (Printf.sprintf "key%08d" i, Printf.sprintf "v%d" (i * 7)) in
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now_ns () in
     let x = f () in
-    (x, 1e3 *. (Unix.gettimeofday () -. t0))
+    (x, float_of_int (Obs.Clock.since_ns t0) /. 1e6)
   in
   let bulk_tree = Btree.create (Storage.Pager.create ~page_size:1024 ()) in
   let (), bulk_ms =
@@ -1519,10 +1319,7 @@ let () =
   let t1_rows, t1_vehicles, e1 = run_table1 () in
   let cache_ab = run_cache_ab e1 in
   let checksum_ab = run_checksum_ab e1 in
-  run_figure ~fig:5 ~kind:Ex.Exact ~title:"exact match queries";
-  run_figure ~fig:6 ~kind:(Ex.Range 0.10) ~title:"range queries, 10% of keyspace";
-  run_figure ~fig:7 ~kind:(Ex.Range 0.02) ~title:"range queries, 2% of keyspace";
-  run_figure8 ();
+  run_figures ();
   run_ablation_compression ();
   run_shootout ();
   run_update_cost ();
@@ -1530,7 +1327,7 @@ let () =
   run_path_comparison ();
   run_buffer_pool ();
   run_entry_layout ();
-  if Sys.getenv_opt "UINDEX_BENCH_SKIP_TIMING" <> Some "1" then run_timing ();
+  run_timing ();
   let serve = run_serve_throughput e1 in
   (* telemetry must run before serve_mixed mutates e1's store: its digest
      is gated against serve_throughput's *)

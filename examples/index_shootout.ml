@@ -6,12 +6,7 @@
      dune exec examples/index_shootout.exe *)
 
 module Dg = Workload.Datagen
-module Qg = Workload.Querygen
-module Tb = Workload.Table
-module Rng = Workload.Rng
-module Value = Objstore.Value
-module Query = Uindex.Query
-module Exec = Uindex.Exec
+module Ex = Workload.Experiment
 
 let n_objects = 30_000
 let n_classes = 20
@@ -23,115 +18,13 @@ let () =
   let cfg =
     { (Dg.default_exp2 ~n_classes ~distinct_keys) with n_objects; seed }
   in
-  let d = Dg.exp2 cfg in
-  let entries =
-    Array.to_list d.entries
-    |> List.map (fun (k, cls, oid) -> (Value.Int k, cls, oid))
-  in
-  let classes = Array.to_list d.classes in
-  let page_size = cfg.page_size in
-  let ch = Baselines.Ch_tree.create (Storage.Pager.create ~page_size ()) in
-  Baselines.Ch_tree.build ch entries;
-  let ht =
-    Baselines.H_tree.create (Storage.Pager.create ~page_size ()) ~classes
-  in
-  Baselines.H_tree.build ht entries;
-  let nix_pager = Storage.Pager.create ~page_size () in
-  let nix = Baselines.Nix.create nix_pager ~classes in
-  List.iter
-    (fun (v, cls, oid) -> Baselines.Nix.insert_chain nix ~value:v [ (cls, oid) ])
-    entries;
-
   Printf.printf
     "%d objects over %d classes, %d distinct keys; %d reps per cell\n\n"
     n_objects n_classes distinct_keys reps;
-
-  let counted pager f =
-    let s = Storage.Pager.stats pager in
-    Storage.Stats.reset s;
-    let n = f () in
-    (s.Storage.Stats.reads, n)
-  in
-  let run ~sets ~lo ~hi ~exact = function
-    | `U ->
-        let value =
-          if exact then Query.V_eq (Value.Int lo)
-          else Query.V_range (Some (Value.Int lo), Some (Value.Int hi))
-        in
-        let o =
-          Exec.parallel d.uindex
-            (Query.class_hierarchy ~value (Qg.union_of_classes sets))
-        in
-        (o.Exec.page_reads, List.length o.Exec.bindings)
-    | `Ch ->
-        counted (Baselines.Ch_tree.pager ch) (fun () ->
-            List.length
-              (if exact then Baselines.Ch_tree.exact ch ~value:(Value.Int lo) ~sets
-               else
-                 Baselines.Ch_tree.range ch ~lo:(Value.Int lo) ~hi:(Value.Int hi)
-                   ~sets))
-    | `H ->
-        counted (Baselines.H_tree.pager ht) (fun () ->
-            List.length
-              (if exact then Baselines.H_tree.exact ht ~value:(Value.Int lo) ~sets
-               else
-                 Baselines.H_tree.range ht ~lo:(Value.Int lo) ~hi:(Value.Int hi)
-                   ~sets))
-    | `Cg ->
-        counted
-          (Baselines.Cg_tree.pager d.cg)
-          (fun () ->
-            List.length
-              (if exact then Baselines.Cg_tree.exact d.cg ~value:(Value.Int lo) ~sets
-               else
-                 Baselines.Cg_tree.range d.cg ~lo:(Value.Int lo)
-                   ~hi:(Value.Int hi) ~sets))
-    | `Nix ->
-        counted nix_pager (fun () ->
-            List.length
-              (if exact then Baselines.Nix.exact nix ~value:(Value.Int lo) ~sets
-               else
-                 Baselines.Nix.range nix ~lo:(Value.Int lo) ~hi:(Value.Int hi)
-                   ~sets))
-  in
-  let structures =
-    [
-      ("U-index", `U);
-      ("CH-tree", `Ch);
-      ("H-tree", `H);
-      ("CG-tree", `Cg);
-      ("NIX", `Nix);
-    ]
-  in
-  let avg ~exact ~frac ~k s =
-    let rng = Rng.create (seed + k) in
-    let total = ref 0 and results = ref 0 in
-    for _ = 1 to reps do
-      let sets = Qg.pick_sets rng Qg.Near ~classes:d.classes ~k in
-      let lo, hi =
-        if exact then
-          let v = Qg.exact_value rng ~distinct_keys in
-          (v, v)
-        else Qg.range_bounds rng ~distinct_keys ~frac
-      in
-      let reads, n = run ~sets ~lo ~hi ~exact s in
-      total := !total + reads;
-      results := !results + n
-    done;
-    (float_of_int !total /. float_of_int reps, !results / reps)
-  in
-  List.iter
-    (fun (label, exact, frac) ->
-      let series =
-        List.map
-          (fun (name, s) ->
-            ( name,
-              List.map (fun k -> (k, fst (avg ~exact ~frac ~k s))) [ 1; 5; 10; 20 ]
-            ))
-          structures
-      in
-      print_string (Tb.render_series ~title:label ~x_label:"sets" ~series);
-      print_newline ())
-    [ ("exact match", true, 0.0); ("range 5%", false, 0.05) ];
-
+  print_string
+    (Ex.shootout
+       (Ex.structures (Dg.exp2 cfg))
+       [ `U; `Ch; `H; `Cg; `Nix ]
+       ~queries:[ ("exact match", Ex.Exact); ("range 5%", Ex.Range 0.05) ]
+       ~set_counts:[ 1; 5; 10; 20 ] ~reps ~seed);
   print_endline "index_shootout: ok"

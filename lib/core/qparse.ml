@@ -31,6 +31,19 @@ let lex input =
   let out = ref [] in
   let i = ref 0 in
   let push t = out := (t, !i) :: !out in
+  (* an optional sign at [!i], then the digits from [digits] on *)
+  let int_literal digits =
+    let rec stop j =
+      if j < n && input.[j] >= '0' && input.[j] <= '9' then stop (j + 1) else j
+    in
+    let j = stop digits in
+    let text = String.sub input !i (j - !i) in
+    match int_of_string_opt text with
+    | Some x ->
+        push (Int x);
+        i := j - 1
+    | None -> fail !i "integer %s does not fit in %d bits" text Sys.int_size
+  in
   while !i < n do
     let c = input.[!i] in
     (match c with
@@ -77,26 +90,9 @@ let lex input =
           && !i + 1 < n
           && input.[!i + 1] >= '0'
           && input.[!i + 1] <= '9'
-        then begin
-          let start = !i in
-          let rec stop j =
-            if j < n && input.[j] >= '0' && input.[j] <= '9' then stop (j + 1)
-            else j
-          in
-          let j = stop (start + 1) in
-          push (Int (int_of_string (String.sub input start (j - start))));
-          i := j - 1
-        end
+        then int_literal (!i + 1)
         else push Dash
-    | '0' .. '9' ->
-        let start = !i in
-        let rec stop j =
-          if j < n && input.[j] >= '0' && input.[j] <= '9' then stop (j + 1)
-          else j
-        in
-        let j = stop start in
-        push (Int (int_of_string (String.sub input start (j - start))));
-        i := j - 1
+    | '0' .. '9' -> int_literal !i
     | ('A' .. 'Z' | 'a' .. 'z') ->
         let start = !i in
         let is_word_char c =

@@ -9,20 +9,27 @@ type t =
 
 (* --- printing ---------------------------------------------------------- *)
 
+let escaped = function
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | '\n' -> "\\n"
+  | '\r' -> "\\r"
+  | '\t' -> "\\t"
+  | c -> Printf.sprintf "\\u%04x" (Char.code c)
+
+(* the bytes between two escapes are copied as one run *)
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\x00' .. '\x1f') as c ->
+        Buffer.add_substring buf s !run (i - !run);
+        Buffer.add_string buf (escaped c);
+        run := i + 1
+    | _ -> ()
+  done;
+  Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
 
 let float_str f =

@@ -1,5 +1,10 @@
 let fmt_f x = Printf.sprintf "%.1f" x
 
+let section title =
+  Printf.sprintf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+let subsection title = Printf.sprintf "\n-- %s --\n" title
+
 let render ~header ~rows =
   let all = header :: rows in
   let ncols = List.fold_left (fun m r -> max m (List.length r)) 0 all in

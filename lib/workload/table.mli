@@ -3,6 +3,13 @@
 val render : header:string list -> rows:string list list -> string
 (** Column-aligned table with a rule under the header. *)
 
+val section : string -> string
+(** A report heading: a blank line, the title, and a rule of [=] as wide
+    as the title. *)
+
+val subsection : string -> string
+(** A blank line, then [-- title --]. *)
+
 val render_series :
   title:string -> x_label:string -> series:(string * (int * float) list) list ->
   string

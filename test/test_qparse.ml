@@ -83,7 +83,11 @@ let test_errors () =
   expect_fail "([Red-], Vehicle*)extra";
   expect_fail "([-], Vehicle*)";
   expect_fail "(Red, Vehicle @)";
-  expect_fail "(\"unterminated, Vehicle)"
+  expect_fail "(\"unterminated, Vehicle)";
+  (* integer literals that do not fit an OCaml int *)
+  expect_fail "([99999999999999999999-1], Employee*, Company*, Vehicle*)";
+  expect_fail "(-4611686018427387905, Employee)";
+  expect_fail "(50, Employee @99999999999999999999)"
 
 let test_end_to_end () =
   (* a parsed query runs and agrees with the hand-built one *)
@@ -160,7 +164,49 @@ let prop_roundtrip =
       | exception Qparse.Parse_error m ->
           QCheck.Test.fail_reportf "did not re-parse %S: %s" s m)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_roundtrip ]
+(* random query-like text, and printed queries with one byte replaced,
+   inserted or dropped or a long signed digit run spliced in: the parser
+   returns or raises Parse_error, nothing else *)
+let prop_garbage =
+  let open QCheck.Gen in
+  let gen_char =
+    frequency
+      [
+        (3, oneofl (List.of_seq (String.to_seq "()[]{},-|*?_@\" ")));
+        (2, numeral);
+        (2, oneofl [ 'R'; 'e'; 'd'; 'V'; 'h'; 'i'; 'c'; 'l' ]);
+        (1, char);
+      ]
+  in
+  let gen_digits =
+    map2
+      (fun sign ds -> (if sign then "-" else "") ^ ds)
+      bool
+      (string_size ~gen:numeral (int_range 1 30))
+  in
+  let mutate (q, pos) (edit, c, ds) =
+    let s = to_syntax q in
+    let n = String.length s in
+    let i = pos mod (n + 1) in
+    match edit with
+    | 0 when i < n -> String.mapi (fun k x -> if k = i then c else x) s
+    | 1 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | 2 -> String.sub s 0 i ^ ds ^ String.sub s i (n - i)
+    | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  in
+  QCheck.Test.make ~count:2000 ~name:"parse raises only Parse_error"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (oneof
+          [
+            string_size ~gen:gen_char (int_bound 30);
+            map2 mutate (pair gen_query nat)
+              (triple (int_bound 3) gen_char gen_digits);
+          ]))
+    (fun s ->
+      match parse s with _ -> true | exception Qparse.Parse_error _ -> true)
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_garbage ]
 
 let () =
   Alcotest.run "qparse"

@@ -111,6 +111,9 @@ let test_bad_requests () =
   expect_error path "query" "bad_request";
   expect_error path "query (((" "parse_error";
   expect_error path "query (Red, NoSuchClass*)" "parse_error";
+  expect_error path
+    "query ([99999999999999999999-1], Employee*, Company*, Vehicle*)"
+    "parse_error";
   (* parse errors keep the connection alive *)
   let c = Client.connect_unix path in
   ignore (Client.request c "nonsense");
@@ -726,6 +729,9 @@ let test_session_leak_audit () =
   assert_sessions_drained "good query";
   expect_error path "query (((" "parse_error";
   expect_error path "query (Red, NoSuchClass*)" "parse_error";
+  expect_error path
+    "query ([99999999999999999999-1], Employee*, Company*, Vehicle*)"
+    "parse_error";
   assert_sessions_drained "parse errors";
   (* arity with no matching index: a typed unroutable reply *)
   expect_error path "query ([1-2], Employee*, Vehicle*)" "unroutable";
@@ -1067,6 +1073,31 @@ let prop_json_round_trip =
       let s = Json.to_string j in
       Json.to_string (Json.of_string s) = s)
 
+(* the printer's bytes for escapes at the start and end of a string and
+   next to each other, and a string's print . parse = itself (the parser
+   decodes escapes on its own, so a printer that loses or doubles a run
+   fails here, not only against itself) *)
+let test_escape_runs () =
+  List.iter
+    (fun (s, printed) ->
+      Alcotest.(check string) (Printf.sprintf "%S" s) printed
+        (Json.to_string (Json.Str s)))
+    [
+      ("", {|""|});
+      ("plain", {|"plain"|});
+      ("\"lead", {|"\"lead"|});
+      ("trail\\", {|"trail\\"|});
+      ("\n\r\t", {|"\n\r\t"|});
+      ("a\"\"b\\", {|"a\"\"b\\"|});
+      ("\x01x\x1f", {|"\u0001x\u001f"|});
+      ("\x7f\xffz", "\"\x7f\xffz\"");
+    ]
+
+let prop_json_string_round_trip =
+  QCheck.Test.make ~count:1000 ~name:"Json: parse . print = id on strings"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_json_string)
+    (fun s -> Json.of_string (Json.to_string (Json.Str s)) = Json.Str s)
+
 (* random bytes, and printed documents with one byte replaced, inserted
    or dropped: the parser accepts or raises Parse_error, nothing else *)
 let prop_json_garbage =
@@ -1152,7 +1183,9 @@ let () =
             prop_merge_rows;
             prop_json_round_trip;
             prop_json_garbage;
-          ] );
+            prop_json_string_round_trip;
+          ]
+        @ [ Alcotest.test_case "escape runs" `Quick test_escape_runs ] );
       ( "endpoint",
         [
           Alcotest.test_case "spec table" `Quick test_endpoint_table;
