@@ -3,11 +3,11 @@
    Subcommands:
      codes        print the encoded paper schema
      demo         build the Example 1 database and run the Section 3.3 queries
-     query        run one query against a freshly generated vehicle database
-     explain      static search tree, or EXPLAIN ANALYZE with --analyze
+     query        run a textual query (Section 3.4), with its Fig. 3 search
+                  tree (--explain) or its EXPLAIN ANALYZE span tree (--analyze)
      stats        run a canned workload and dump the metrics registry
      build        persist a generated index to a page file (crash-safe)
-     bulk-build   same, but bottom-up from the sorted entry stream
+     shard-split  partition a page file into COD-range shards
      recover      replay a page file's journal and verify the index
      check        run the full corruption verifier against a page file
      salvage      rebuild a damaged index from the (regenerated) object store
@@ -16,6 +16,8 @@
      bench-figures regenerate Figures 5-8 at a small size, checking their shapes
      serve        serve the generated database over a socket (worker pool)
      client       send request lines to a running server
+     supervise    run serve as a child process, recovering and respawning it
+     top          a refreshing dashboard over running servers
 
    Exit codes: 0 success, 1 usage/IO error, 2 corruption detected,
    3 (recover) a torn journal was discarded — the last committed state
@@ -104,33 +106,92 @@ let demo_cmd =
     (Cmd.info "demo" ~doc:"Example 1 database and the Section 3.3 queries.")
     Term.(const run $ const ())
 
-(* --- flags shared by several subcommands ---------------------------------- *)
+(* --- terms shared by several subcommands ---------------------------------- *)
 
-let n_arg ?(default = 12_000) () =
-  Arg.(value & opt int default & info [ "n" ] ~doc:"Number of vehicles.")
+(* a usage or IO error: one line on stderr, exit 1 *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "uindex-cli: %s\n" msg;
+      exit 1)
+    fmt
 
-let seed_arg ?(default = 1) () =
-  Arg.(value & opt int default & info [ "seed" ] ~doc:"Generator seed.")
+let or_die = function Ok v -> v | Error msg -> die "%s" msg
 
-let page_size_arg ?(doc = "Page size in bytes.") ?docv () =
-  Arg.(value & opt int 1024 & info [ "page-size" ] ?docv ~doc)
+(* -n/--seed: the generated vehicle database, built when first forced *)
+let dataset_arg ?(n = 12_000) ?(seed = 1) () =
+  let n = Arg.(value & opt int n & info [ "n" ] ~doc:"Number of vehicles.") in
+  let seed =
+    Arg.(value & opt int seed & info [ "seed" ] ~doc:"Generator seed.")
+  in
+  Term.(
+    const (fun n_vehicles seed -> lazy (Dg.exp1 ~n_vehicles ~seed ()))
+    $ n $ seed)
+
+let existing file =
+  if not (Sys.file_exists file) then die "no such file: %s" file;
+  file
+
+(* the positional page file; one that must already exist is checked
+   before anything else runs *)
+let file_arg ?(exists = true) doc =
+  let file =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+  in
+  if exists then Term.(const existing $ file) else file
+
+(* the pager and the bulk loader own the bounds: a value they refuse is a
+   usage error here, before any file is touched *)
+let page_size_arg =
+  let check page_size =
+    match Storage.Pager.create ~page_size () with
+    | _ -> page_size
+    | exception Invalid_argument msg -> die "--page-size %d: %s" page_size msg
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt int 1024
+        & info [ "page-size" ] ~docv:"BYTES" ~doc:"Page size in bytes."))
+
+let fill_arg =
+  let check = function
+    | Some fill as f -> (
+        let probe = Btree.create (Storage.Pager.create ()) in
+        match Btree.bulk_load ~fill probe Seq.empty with
+        | () -> f
+        | exception Invalid_argument msg -> die "--fill %g: %s" fill msg)
+    | None -> None
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value
+        & opt (some float) None
+        & info [ "fill" ] ~docv:"FACTOR"
+            ~doc:
+              "Bulk-load fill factor in (0, 1] (default 0.9): pack pages to \
+               this fraction, leaving headroom for later inserts."))
 
 let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
 
-(* --- query --------------------------------------------------------------- *)
+(* --- query: one textual query, its search tree or its span tree ----------- *)
 
-(* shared by query/explain: size of the cross-query LRU buffer pool; 0
-   keeps the paper's exact uncached page-read accounting *)
-let cache_pages_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "cache-pages" ]
-        ~doc:
-          "Attach a shared LRU buffer pool of $(docv) pages to the index. \
-           Pool hits are reported separately and never counted as page \
-           reads; 0 (the default) keeps the paper's exact uncached \
-           accounting."
-        ~docv:"N")
+let parse_query schema qstr =
+  match Uindex.Qparse.parse schema qstr with
+  | exception Uindex.Qparse.Parse_error m ->
+      Printf.eprintf "parse error %s\n" m;
+      exit 1
+  | q -> q
+
+(* the line every query report carries: query, query --analyze (after
+   "total: ") and check --query *)
+let result_line (o : Exec.outcome) =
+  Printf.sprintf "%d results, %d page reads%s, %d entries scanned"
+    (List.length o.bindings) o.page_reads
+    (if o.pool_hits > 0 then Printf.sprintf " (+%d pool hits)" o.pool_hits
+     else "")
+    o.entries_scanned
 
 let pool_report idx =
   match Index.pool idx with
@@ -143,217 +204,115 @@ let pool_report idx =
         (Storage.Buffer_pool.resident p)
 
 let query_cmd =
-  let run n_vehicles seed cls color algo cache_pages repeat =
-    let e = Dg.exp1 ~n_vehicles ~seed () in
-    let b = e.ext.b in
-    let schema = b.schema in
-    let cls_id =
-      match Schema.find schema cls with
-      | Some id -> id
-      | None ->
-          Printf.eprintf "unknown class %S; try Vehicle, Automobile, Bus...\n" cls;
-          exit 1
+  let run data qstr algo explain analyze json cache_pages repeat =
+    let e = Lazy.force data in
+    let schema = e.Dg.ext.b.schema in
+    let q = parse_query schema qstr in
+    (* route to the index matching the query's arity *)
+    let idx =
+      if List.length q.Query.comps = 1 then e.ch_color else e.path_age
     in
-    let value =
-      match color with
-      | None -> Query.V_any
-      | Some c -> Query.V_eq (Value.Str c)
-    in
-    let q = Query.class_hierarchy ~value (P_subtree cls_id) in
-    let algo = if algo = "forward" then `Forward else `Parallel in
-    if cache_pages > 0 then Index.set_cache_pages e.ch_color cache_pages;
-    let o = ref (Exec.run ~algo e.ch_color q) in
-    for _ = 2 to max 1 repeat do
-      o := Exec.run ~algo e.ch_color q
+    if cache_pages > 0 then Index.set_cache_pages idx cache_pages;
+    (* the runs before the last only warm the pool *)
+    for _ = 2 to repeat do
+      ignore (Exec.run ~algo idx q)
     done;
-    let o = !o in
-    Printf.printf "%d results, %d page reads%s, %d entries scanned\n"
-      (List.length o.Exec.bindings) o.Exec.page_reads
-      (if o.Exec.pool_hits > 0 then
-         Printf.sprintf " (+%d pool hits)" o.Exec.pool_hits
-       else "")
-      o.Exec.entries_scanned;
-    pool_report e.ch_color
+    if analyze then begin
+      let o, sp = Exec.analyze ~algo idx q in
+      if json then print_endline (Obs.Json.to_string (Obs.Trace.to_json sp))
+      else begin
+        Format.printf "%a" Obs.Trace.pp sp;
+        print_endline ("total: " ^ result_line o);
+        pool_report idx
+      end
+    end
+    else begin
+      let o = Exec.run ~algo idx q in
+      Printf.printf "query  %s\nindex  %s\n%s\n"
+        (Uindex.Qparse.to_syntax schema q)
+        (match Index.kind idx with
+        | Index.Class_hierarchy _ -> "class-hierarchy on Vehicle.color"
+        | Index.Path _ -> "path on Vehicle.manufactured_by.president.age")
+        (result_line o);
+      pool_report idx;
+      List.iteri
+        (fun i bnd ->
+          if i < 10 then
+            Printf.printf "  %s\n"
+              (String.concat " / "
+                 (List.map
+                    (fun (cls, oid) ->
+                      Printf.sprintf "%s@%d" (Schema.name schema cls) oid)
+                    bnd.Exec.comps)))
+        o.bindings;
+      if List.length o.bindings > 10 then print_endline "  ..."
+    end;
+    if explain then begin
+      print_endline "\nsearch tree (the paper's Fig. 3):";
+      Format.printf "%a" Exec.pp_explain (Exec.explain idx q)
+    end
   in
-  let n = n_arg () in
-  let seed = seed_arg () in
-  let cls =
-    Arg.(value & opt string "Bus" & info [ "class" ] ~doc:"Class subtree to query.")
-  in
-  let color =
-    Arg.(value & opt (some string) None & info [ "color" ] ~doc:"Exact color.")
-  in
-  let algo =
-    Arg.(
-      value
-      & opt (enum [ ("parallel", "parallel"); ("forward", "forward") ]) "parallel"
-      & info [ "algo" ] ~doc:"Retrieval algorithm.")
-  in
-  let repeat =
-    Arg.(
-      value & opt int 1
-      & info [ "repeat" ]
-          ~doc:
-            "Run the query $(docv) times (the last run's costs are \
-             reported) — with $(b,--cache-pages), later runs hit the warm \
-             pool."
-          ~docv:"K")
-  in
-  Cmd.v
-    (Cmd.info "query"
-       ~doc:"Run one class-hierarchy query on a generated vehicle database.")
-    Term.(
-      const run $ n $ seed $ cls $ color $ algo $ cache_pages_arg $ repeat)
-
-(* --- run: textual queries --------------------------------------------------- *)
-
-let run_cmd =
-  let run n_vehicles seed qstr algo explain =
-    let e = Dg.exp1 ~n_vehicles ~seed () in
-    let b = e.ext.b in
-    match Uindex.Qparse.parse b.schema qstr with
-    | exception Uindex.Qparse.Parse_error m ->
-        Printf.eprintf "parse error %s\n" m;
-        exit 1
-    | q ->
-        (* route to the index matching the query's arity *)
-        let idx =
-          if List.length q.Uindex.Query.comps = 1 then e.ch_color else e.path_age
-        in
-        let algo = if algo = "forward" then `Forward else `Parallel in
-        let o = Exec.run ~algo idx q in
-        Printf.printf "query  %s\nindex  %s\n"
-          (Uindex.Qparse.to_syntax b.schema q)
-          (match Index.kind idx with
-          | Index.Class_hierarchy _ -> "class-hierarchy on Vehicle.color"
-          | Index.Path _ -> "path on Vehicle.manufactured_by.president.age");
-        Printf.printf "%d results, %d page reads, %d entries scanned\n"
-          (List.length o.Exec.bindings)
-          o.Exec.page_reads o.Exec.entries_scanned;
-        List.iteri
-          (fun i bnd ->
-            if i < 10 then
-              Printf.printf "  %s\n"
-                (String.concat " / "
-                   (List.map
-                      (fun (cls, oid) ->
-                        Printf.sprintf "%s@%d" (Schema.name b.schema cls) oid)
-                      bnd.Exec.comps)))
-          o.Exec.bindings;
-        if List.length o.Exec.bindings > 10 then Printf.printf "  ...\n";
-        if explain then begin
-          print_endline "\nsearch tree (the paper's Fig. 3):";
-          Format.printf "%a" Exec.pp_explain (Exec.explain idx q)
-        end
-  in
-  let n = n_arg () in
-  let seed = seed_arg () in
   let qstr =
     Arg.(
       required
       & pos 0 (some string) None
       & info [] ~docv:"QUERY"
           ~doc:
-            "Query in the paper's syntax, e.g. '(Red, Bus*)' or '([50-60], \
-             Employee*, Company*, Vehicle*)'.")
+            "Query in the paper's syntax, e.g. '(Red, Bus*)', '(*, Bus*)' or \
+             '([50-60], Employee*, Company*, Vehicle*)'.")
   in
   let algo =
     Arg.(
       value
-      & opt (enum [ ("parallel", "parallel"); ("forward", "forward") ]) "parallel"
-      & info [ "algo" ] ~doc:"Retrieval algorithm.")
+      & opt (enum [ ("parallel", `Parallel); ("forward", `Forward) ]) `Parallel
+      & info [ "algo" ] ~doc:"Retrieval algorithm: parallel or forward.")
   in
   let explain =
     Arg.(
       value & flag
       & info [ "explain" ]
           ~doc:
-            "Print the search tree the parallel algorithm builds (Fig. 3): \
-             every page a dry run of its walk touches.")
-  in
-  Cmd.v
-    (Cmd.info "run" ~doc:"Run a textual query (Section 3.4 syntax).")
-    Term.(const run $ n $ seed $ qstr $ algo $ explain)
-
-(* --- explain: search tree and EXPLAIN ANALYZE ------------------------------ *)
-
-let parse_query schema qstr =
-  match Uindex.Qparse.parse schema qstr with
-  | exception Uindex.Qparse.Parse_error m ->
-      Printf.eprintf "parse error %s\n" m;
-      exit 1
-  | q -> q
-
-let explain_cmd =
-  let run n_vehicles seed qstr algo analyze json cache_pages =
-    let e = Dg.exp1 ~n_vehicles ~seed () in
-    let b = e.ext.b in
-    let q = parse_query b.schema qstr in
-    let idx =
-      if List.length q.Uindex.Query.comps = 1 then e.ch_color else e.path_age
-    in
-    if analyze then begin
-      let algo = if algo = "forward" then `Forward else `Parallel in
-      if cache_pages > 0 then begin
-        (* warm the pool with one untraced run so the span tree shows
-           steady-state behaviour (pool hits vs true page reads) *)
-        Index.set_cache_pages idx cache_pages;
-        ignore (Exec.run ~algo idx q)
-      end;
-      let o, sp = Exec.analyze ~algo idx q in
-      if json then print_endline (Obs.Json.to_string (Obs.Trace.to_json sp))
-      else begin
-        Format.printf "%a" Obs.Trace.pp sp;
-        Printf.printf
-          "total: %d results, %d page reads%s, %d entries scanned\n"
-          (List.length o.Exec.bindings)
-          o.Exec.page_reads
-          (if o.Exec.pool_hits > 0 then
-             Printf.sprintf " (+%d pool hits)" o.Exec.pool_hits
-           else "")
-          o.Exec.entries_scanned;
-        pool_report idx
-      end
-    end
-    else begin
-      print_endline "search tree (the paper's Fig. 3):";
-      Format.printf "%a" Exec.pp_explain (Exec.explain idx q)
-    end
-  in
-  let n = n_arg () in
-  let seed = seed_arg () in
-  let qstr =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY"
-          ~doc:"Query in the paper's syntax, e.g. '(Red, Bus*)'.")
-  in
-  let algo =
-    Arg.(
-      value
-      & opt (enum [ ("parallel", "parallel"); ("forward", "forward") ]) "parallel"
-      & info [ "algo" ] ~doc:"Retrieval algorithm (with $(b,--analyze)).")
+            "Also print the search tree the parallel algorithm builds (Fig. \
+             3): every page a dry run of its walk touches.")
   in
   let analyze =
     Arg.(
       value & flag
       & info [ "analyze" ]
           ~doc:
-            "Execute the query and print the span tree of what actually \
-             happened (per-descent page reads, entries, bindings) instead \
-             of the search tree its dry run touches.")
+            "EXPLAIN ANALYZE: execute the query traced and print the span \
+             tree of what actually happened (per-descent page reads, \
+             entries, bindings) and a $(b,total:) line in place of the \
+             result listing.")
   in
   let json = json_arg "With $(b,--analyze): print the span tree as JSON." in
+  let cache_pages =
+    Arg.(
+      value & opt int 0
+      & info [ "cache-pages" ] ~docv:"N"
+          ~doc:
+            "Attach a shared LRU buffer pool of $(docv) pages to the index. \
+             Pool hits are reported separately and never counted as page \
+             reads; 0 (the default) keeps the paper's exact uncached \
+             accounting.")
+  in
+  let repeat =
+    Arg.(
+      value & opt int 1
+      & info [ "repeat" ] ~docv:"K"
+          ~doc:
+            "Run the query $(docv) times and report the last run (the one \
+             $(b,--analyze) traces); with $(b,--cache-pages), later runs hit \
+             the warm pool.")
+  in
   Cmd.v
-    (Cmd.info "explain"
+    (Cmd.info "query"
        ~doc:
-         "Show the search tree for a query (Fig. 3), one line per page a \
-          dry run of the parallel algorithm touches, or EXPLAIN ANALYZE it \
-          with $(b,--analyze).  With $(b,--cache-pages), the pool is warmed \
-          by one untraced run first so the analyzed run shows steady-state \
-          hits.")
-    Term.(const run $ n $ seed $ qstr $ algo $ analyze $ json $ cache_pages_arg)
+         "Run a textual query (Section 3.4 syntax) on a generated vehicle \
+          database, through the index matching its arity.")
+    Term.(
+      const run $ dataset_arg () $ qstr $ algo $ explain $ analyze $ json
+      $ cache_pages $ repeat)
 
 (* --- live views: stats --connect and top, over any number of endpoints ---- *)
 
@@ -376,12 +335,6 @@ let jfloat j k =
   | Some (Obs.Json.Int i) -> float_of_int i
   | _ -> 0.
 
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-      Printf.eprintf "uindex-cli: %s\n" msg;
-      exit 1
-
 (* a comma-separated --connect/--endpoints list, parsed once *)
 let endpoints_or_die spec =
   List.map
@@ -396,9 +349,8 @@ let with_connections endpoints f =
         match Client.connect ep with
         | c -> (ep, c)
         | exception Client.Error f ->
-            Printf.eprintf "uindex-cli: cannot connect to %s: %s\n"
-              (Endpoint.to_string ep) (Client.failure_to_string f);
-            exit 1)
+            die "cannot connect to %s: %s" (Endpoint.to_string ep)
+              (Client.failure_to_string f))
       endpoints
   in
   Fun.protect
@@ -418,9 +370,7 @@ let scrape conns =
   match List.map one conns with
   | snaps -> snaps
   | exception Client.Error f ->
-      Printf.eprintf "uindex-cli: server request failed: %s\n"
-        (Client.failure_to_string f);
-      exit 1
+      die "server request failed: %s" (Client.failure_to_string f)
 
 let counters sc = jobj_or_empty (jmember "counters" sc.stats)
 
@@ -477,12 +427,8 @@ let monotone_since file snaps =
   let before =
     try Obs.Json.of_string (In_channel.with_open_text file In_channel.input_all)
     with
-    | Sys_error msg ->
-        Printf.eprintf "uindex-cli: %s\n" msg;
-        exit 1
-    | Obs.Json.Parse_error msg ->
-        Printf.eprintf "uindex-cli: %s: %s\n" file msg;
-        exit 1
+    | Sys_error msg -> die "%s" msg
+    | Obs.Json.Parse_error msg -> die "%s: %s" file msg
   in
   let earlier =
     match jmember "endpoints" before with Some (Obs.Json.List l) -> l | _ -> []
@@ -527,11 +473,7 @@ let stats_connect endpoints json since =
     (fun sc ->
       match jmember "metrics" sc.stats with
       | Some (Obs.Json.Obj (_ :: _)) -> ()
-      | _ ->
-          Printf.eprintf
-            "uindex-cli: %s: stats reply carries no metrics snapshot\n"
-            sc.name;
-          exit 1)
+      | _ -> die "%s: stats reply carries no metrics snapshot" sc.name)
     snaps;
   let monotone =
     match since with None -> true | Some f -> monotone_since f snaps
@@ -572,11 +514,11 @@ let stats_connect endpoints json since =
 (* --- stats: canned workload + registry dump, or a live-server scrape ----- *)
 
 let stats_cmd =
-  let run_canned n_vehicles seed json =
+  let run_canned data json =
     (* exercise every instrumented subsystem: build the generated database
        (pager, btree), run the Table 1 query mix (exec), then a durable
        build + recover round-trip (journal, buffer pool via experiment) *)
-    let e = Dg.exp1 ~n_vehicles ~seed () in
+    let e = Lazy.force data in
     ignore (Ex.table1 e);
     let file = Filename.temp_file "uindex_stats" ".pages" in
     Fun.protect
@@ -621,13 +563,11 @@ let stats_cmd =
       | None -> ()
     end
   in
-  let run n_vehicles seed json connect monotone_since =
+  let run data json connect monotone_since =
     match connect with
     | Some spec -> stats_connect (endpoints_or_die spec) json monotone_since
-    | None -> run_canned n_vehicles seed json
+    | None -> run_canned data json
   in
-  let n = n_arg ~default:2_000 () in
-  let seed = seed_arg () in
   let json = json_arg "Dump the registry as JSON." in
   let connect =
     Arg.(
@@ -660,14 +600,16 @@ let stats_cmd =
           durable build/recover round-trip) and dump the metrics registry — \
           or, with $(b,--connect), scrape a live server's registry over \
           the admin protocol.")
-    Term.(const run $ n $ seed $ json $ connect $ monotone_since)
+    Term.(const run $ dataset_arg ~n:2_000 () $ json $ connect $ monotone_since)
 
 (* --- build: persist an index to a page file ------------------------------- *)
 
 let build_cmd =
-  let run file n_vehicles seed page_size sync_each no_checksums =
-    let e = Dg.exp1 ~n_vehicles ~seed () in
-    let b = e.ext.b in
+  let run file data page_size sync_each fill no_checksums =
+    if sync_each && fill <> None then
+      die "--fill sets the bulk load's packing; --sync inserts per object";
+    let e = Lazy.force data in
+    let b = e.Dg.ext.b in
     let pager =
       Storage.Pager.create_file ~page_size ~checksums:(not no_checksums) file
     in
@@ -680,7 +622,7 @@ let build_cmd =
       Objstore.Store.iter e.store (fun o ->
           Index.index_object ch e.store o.Objstore.Store.oid;
           Index.sync ch)
-    else Index.build ch e.store;
+    else Index.build ?fill ch e.store;
     Index.sync ch;
     Printf.printf "%s: %d entries in %d pages (%d physical writes)\n" file
       (Index.entry_count ch)
@@ -688,22 +630,13 @@ let build_cmd =
       (Storage.Pager.physical_writes pager);
     Storage.Pager.close pager
   in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Page file to create (truncated).")
-  in
-  let n = n_arg () in
-  let seed = seed_arg () in
-  let page_size = page_size_arg () in
   let sync_each =
     Arg.(
       value & flag
       & info [ "sync" ]
           ~doc:
-            "Commit after every indexed object instead of once at the end \
-             (slow; exercises the journal).")
+            "Insert and commit one object at a time instead of bulk-loading \
+             and committing once (slow; exercises the journal).")
   in
   let no_checksums =
     Arg.(
@@ -717,77 +650,19 @@ let build_cmd =
     (Cmd.info "build"
        ~doc:
          "Build the Vehicle.color class-hierarchy index on a file-backed \
-          pager and commit it.")
-    Term.(const run $ file $ n $ seed $ page_size $ sync_each $ no_checksums)
-
-(* --- bulk-build: bottom-up sorted load to a page file --------------------- *)
-
-let bulk_build_cmd =
-  let run file n_vehicles seed page_size fill no_checksums =
-    let e = Dg.exp1 ~n_vehicles ~seed () in
-    let b = e.ext.b in
-    let pager =
-      Storage.Pager.create_file ~page_size ~checksums:(not no_checksums) file
-    in
-    let ch =
-      Index.create_class_hierarchy pager b.enc ~root:b.vehicle ~attr:"color"
-    in
-    let t0 = Obs.Clock.now_ns () in
-    Index.build ~fill ch e.store;
-    Index.sync ch;
-    let elapsed = float_of_int (Obs.Clock.since_ns t0) /. 1e9 in
-    let report = Btree.check_invariants (Index.tree ch) in
-    Printf.printf
-      "%s: %d entries bulk-loaded into %d pages (avg fill %.2f) in %.3fs (%d \
-       physical writes)\n"
-      file (Index.entry_count ch)
-      (Storage.Pager.page_count pager)
-      report.Btree.avg_fill elapsed
-      (Storage.Pager.physical_writes pager);
-    Storage.Pager.close pager
-  in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Page file to create (truncated).")
-  in
-  let n = n_arg () in
-  let seed = seed_arg () in
-  let page_size = page_size_arg () in
-  let fill =
-    Arg.(
-      value & opt float 0.9
-      & info [ "fill" ] ~docv:"FACTOR"
-          ~doc:
-            "Leaf/internal fill factor in (0, 1]: pack pages to this \
-             fraction, leaving headroom for later inserts.")
-  in
-  let no_checksums =
-    Arg.(
-      value & flag
-      & info [ "no-checksums" ] ~doc:"Disable per-page checksums.")
-  in
-  Cmd.v
-    (Cmd.info "bulk-build"
-       ~doc:
-         "Build the Vehicle.color class-hierarchy index bottom-up from the \
-          sorted entry stream (each page written once, packed to $(b,--fill)) \
-          and commit it — the fast path for initial builds.")
-    Term.(const run $ file $ n $ seed $ page_size $ fill $ no_checksums)
+          pager and commit it: bottom-up from the sorted entry stream, each \
+          page written once and packed to $(b,--fill), or with $(b,--sync) \
+          one committed insert per object.")
+    Term.(
+      const run
+      $ file_arg ~exists:false "Page file to create (truncated)."
+      $ dataset_arg () $ page_size_arg $ sync_each $ fill_arg $ no_checksums)
 
 (* --- shard-split: partition a page file into COD-range shards -------------- *)
 
 let shard_split_cmd =
   let run source shards out endpoints page_size fill =
-    if shards < 1 then begin
-      Printf.eprintf "uindex-cli: --shards must be >= 1\n";
-      exit 1
-    end;
-    if not (Sys.file_exists source) then begin
-      Printf.eprintf "uindex-cli: no such file: %s\n" source;
-      exit 1
-    end;
+    if shards < 1 then die "--shards must be >= 1";
     let b = (Ps.extended ()).b in
     let src_pager = Storage.Pager.open_file source in
     Fun.protect ~finally:(fun () -> Storage.Pager.close src_pager)
@@ -804,11 +679,8 @@ let shard_split_cmd =
          shards instead of %d\n"
         n n shards;
     let eps = Option.fold ~none:[] ~some:endpoints_or_die endpoints in
-    if eps <> [] && List.length eps <> n then begin
-      Printf.eprintf "uindex-cli: %d endpoints given for %d shards\n"
-        (List.length eps) n;
-      exit 1
-    end;
+    if eps <> [] && List.length eps <> n then
+      die "%d endpoints given for %d shards" (List.length eps) n;
     let file_of i = Printf.sprintf "%s.%d.pages" out i in
     (* bounds b1 < b2 < ... become ["", b1) [b1, b2) ... [bk, inf) *)
     let ranges =
@@ -836,7 +708,7 @@ let shard_split_cmd =
       pagers.(i) <- Some p;
       p
     in
-    let idxs = Splitter.split ~fill ~source:src ~make_pager map in
+    let idxs = Splitter.split ?fill ~source:src ~make_pager map in
     let total = ref 0 in
     Array.iteri
       (fun i idx ->
@@ -859,13 +731,6 @@ let shard_split_cmd =
     let map_file = out ^ ".map.json" in
     Smap.save map map_file;
     Printf.printf "%s: %d shards, %d entries\n" map_file n !total
-  in
-  let source =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"Source page file (written by $(b,build)/$(b,bulk-build)).")
   in
   let shards =
     Arg.(
@@ -890,13 +755,6 @@ let shard_split_cmd =
              recorded in the map, one per shard in range order — what \
              $(b,serve --shard-map) routes to.")
   in
-  let page_size = page_size_arg ~doc:"Shard page size." ~docv:"BYTES" () in
-  let fill =
-    Arg.(
-      value & opt float 0.9
-      & info [ "fill" ] ~docv:"FACTOR"
-          ~doc:"Bulk-load fill factor for the shard files, in (0, 1].")
-  in
   Cmd.v
     (Cmd.info "shard-split"
        ~doc:
@@ -905,15 +763,15 @@ let shard_split_cmd =
           its own page file, and write the shard map ($(b,serve \
           --shard-map) consumes it).  Exits 2 if the shards do not \
           exactly cover the source.")
-    Term.(const run $ source $ shards $ out $ endpoints $ page_size $ fill)
+    Term.(
+      const run
+      $ file_arg "Source page file (written by $(b,build))."
+      $ shards $ out $ endpoints $ page_size_arg $ fill_arg)
 
 (* --- recover: journal replay + integrity check ----------------------------- *)
 
 let recover_cmd =
   let run file =
-    if not (Sys.file_exists file) then (
-      Printf.eprintf "uindex-cli: no such file: %s\n" file;
-      exit 1);
     let status = Storage.Pager.recover_status file in
     (match status with
     | Storage.Pager.Replayed ->
@@ -943,16 +801,8 @@ let recover_cmd =
     | exception Storage.Storage_error.Corruption { detail; _ } ->
         Printf.eprintf "uindex-cli: %s: %s\n" file detail;
         exit 2
-    | exception (Invalid_argument msg | Failure msg) ->
-        Printf.eprintf "uindex-cli: %s: %s\n" file msg;
-        exit 1);
+    | exception (Invalid_argument msg | Failure msg) -> die "%s: %s" file msg);
     if status = Storage.Pager.Discarded_torn then exit 3
-  in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Page file written by $(b,build).")
   in
   Cmd.v
     (Cmd.info "recover"
@@ -961,7 +811,7 @@ let recover_cmd =
           and verify its invariants.  Exits 3 when a torn journal had to be \
           discarded (the last committed state is intact, but the in-flight \
           transaction is lost), 2 when the file is corrupt.")
-    Term.(const run $ file)
+    Term.(const run $ file_arg "Page file written by $(b,build).")
 
 (* --- check / salvage / corrupt: the corruption-robustness toolkit ----------- *)
 
@@ -970,7 +820,6 @@ module Verify = Uindex.Verify
 (* check/salvage regenerate the same deterministic database that `build`
    persisted (same -n / --seed), which doubles as the surviving object
    store the verifier cross-references and salvage rebuilds from. *)
-let regen n_vehicles seed = Dg.exp1 ~n_vehicles ~seed ()
 
 let print_report json report =
   if json then print_endline (Obs.Json.to_multiline (Verify.to_json report))
@@ -991,11 +840,8 @@ let unopenable_report ~component ?page detail =
   }
 
 let check_cmd =
-  let run file n_vehicles seed json query =
-    if not (Sys.file_exists file) then (
-      Printf.eprintf "uindex-cli: no such file: %s\n" file;
-      exit 1);
-    let e = regen n_vehicles seed in
+  let run file data json query =
+    let e = Lazy.force data in
     let b = e.Dg.ext.b in
     match
       let pager = Storage.Pager.open_file file in
@@ -1007,33 +853,20 @@ let check_cmd =
     | exception Storage.Storage_error.Corruption { page; component; detail } ->
         print_report json (unopenable_report ~component ?page detail);
         exit 2
-    | exception Invalid_argument msg ->
-        Printf.eprintf "uindex-cli: %s: %s\n" file msg;
-        exit 1
+    | exception Invalid_argument msg -> die "%s: %s" file msg
     | pager, ch ->
         let report = Verify.check ~store:e.Dg.store ch in
         print_report json report;
         (match query with
         | Some qstr when report.Verify.ok ->
             let q = parse_query b.schema qstr in
-            let o = Exec.run ~algo:`Parallel ch q in
-            Printf.printf "%d results, %d page reads, %d entries scanned\n"
-              (List.length o.Exec.bindings)
-              o.Exec.page_reads o.Exec.entries_scanned
+            print_endline (result_line (Exec.run ~algo:`Parallel ch q))
         | Some _ ->
             print_endline "(query skipped: the index failed verification)"
         | None -> ());
         Storage.Pager.close pager;
         if not report.Verify.ok then exit 2
   in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Page file written by $(b,build).")
-  in
-  let n = n_arg () in
-  let seed = seed_arg () in
   let json = json_arg "Print the report as JSON." in
   let query =
     Arg.(
@@ -1051,11 +884,14 @@ let check_cmd =
           B-tree invariants, entry decoding and COD validation, and a \
           cross-reference against the regenerated object store.  Exits 2 \
           when corruption is found.")
-    Term.(const run $ file $ n $ seed $ json $ query)
+    Term.(
+      const run
+      $ file_arg "Page file written by $(b,build)."
+      $ dataset_arg () $ json $ query)
 
 let salvage_cmd =
-  let run file n_vehicles seed page_size out json =
-    let e = regen n_vehicles seed in
+  let run file data page_size out json =
+    let e = Lazy.force data in
     let b = e.Dg.ext.b in
     let target, rename_over =
       match out with Some o -> (o, None) | None -> (file ^ ".salvage", Some file)
@@ -1084,15 +920,6 @@ let salvage_cmd =
       (match rename_over with Some dst -> dst | None -> target)
       entries pages
   in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Damaged page file to replace.")
-  in
-  let n = n_arg () in
-  let seed = seed_arg () in
-  let page_size = page_size_arg () in
   let out =
     Arg.(
       value
@@ -1108,7 +935,10 @@ let salvage_cmd =
        ~doc:
          "Rebuild the index from the surviving (regenerated) object store \
           onto a fresh page file, verify it, and atomically replace FILE.")
-    Term.(const run $ file $ n $ seed $ page_size $ out $ json)
+    Term.(
+      const run
+      $ file_arg ~exists:false "Damaged page file to replace."
+      $ dataset_arg () $ page_size_arg $ out $ json)
 
 let corrupt_cmd =
   let flip_conv =
@@ -1129,9 +959,6 @@ let corrupt_cmd =
     Arg.conv (parse, print)
   in
   let run file flips zeros truncate =
-    if not (Sys.file_exists file) then (
-      Printf.eprintf "uindex-cli: no such file: %s\n" file;
-      exit 1);
     let media =
       List.map
         (fun (page, bit) -> Storage.Pager.Flip_bit { page; bit })
@@ -1142,11 +969,8 @@ let corrupt_cmd =
       | Some keep -> [ Storage.Pager.Truncate_file { keep } ]
       | None -> []
     in
-    if media = [] then (
-      Printf.eprintf
-        "uindex-cli: nothing to do (use --flip-bit, --zero-page or \
-         --truncate)\n";
-      exit 1);
+    if media = [] then
+      die "nothing to do (use --flip-bit, --zero-page or --truncate)";
     match
       let pager = Storage.Pager.open_file file in
       ignore
@@ -1156,15 +980,7 @@ let corrupt_cmd =
       Storage.Pager.close pager
     with
     | () -> Printf.printf "%s: applied %d media fault(s)\n" file (List.length media)
-    | exception Invalid_argument msg ->
-        Printf.eprintf "uindex-cli: %s\n" msg;
-        exit 1
-  in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Page file to damage (in place).")
+    | exception Invalid_argument msg -> die "%s" msg
   in
   let flips =
     Arg.(
@@ -1191,20 +1007,18 @@ let corrupt_cmd =
        ~doc:
          "Deterministically damage a page file's committed state (for \
           exercising $(b,check), $(b,salvage) and the checksum layer).")
-    Term.(const run $ file $ flips $ zeros $ truncate)
+    Term.(
+      const run
+      $ file_arg "Page file to damage (in place)."
+      $ flips $ zeros $ truncate)
 
 (* --- bench-table1 ---------------------------------------------------------- *)
 
 let table1_cmd =
-  let run n_vehicles seed =
-    let e = Dg.exp1 ~n_vehicles ~seed () in
-    print_string (Ex.render_table1 (Ex.table1 e))
-  in
-  let n = n_arg () in
-  let seed = seed_arg ~default:20260706 () in
+  let run data = print_string (Ex.render_table1 (Ex.table1 (Lazy.force data))) in
   Cmd.v
     (Cmd.info "bench-table1" ~doc:"Regenerate Table 1 (visited nodes per query).")
-    Term.(const run $ n $ seed)
+    Term.(const run $ dataset_arg ~seed:20260706 ())
 
 (* --- bench-figures ------------------------------------------------------- *)
 
@@ -1262,15 +1076,6 @@ let addr_args =
   in
   Term.(const combine $ socket $ tcp)
 
-let parse_chaos_or_die = function
-  | None -> None
-  | Some spec -> (
-      match Chaos.parse spec with
-      | Ok s -> Some (Chaos.arm s)
-      | Error msg ->
-          Printf.eprintf "uindex-cli: %s\n" msg;
-          exit 1)
-
 (* the serve/router shutdown loop: announce the bound address, then wait
    for SIGTERM/SIGINT *)
 let announce_and_wait server =
@@ -1294,17 +1099,14 @@ let dump_slow_log slow =
       prerr_endline (Obs.Json.to_multiline slow)
   | _ -> ()
 
+let load_map file =
+  try Smap.load file with Sys_error msg | Invalid_argument msg -> die "%s" msg
+
 (* serve --shard-map without --shard-id: the scatter-gather router.  No
    database of its own — every query fans out to the shards the planner
    cannot prune. *)
 let run_router mapfile config telemetry =
-  let map =
-    match Smap.load mapfile with
-    | map -> map
-    | exception (Sys_error msg | Invalid_argument msg) ->
-        Printf.eprintf "uindex-cli: %s\n" msg;
-        exit 1
-  in
+  let map = load_map mapfile in
   let b = (Ps.extended ()).b in
   let backends =
     Array.mapi
@@ -1312,11 +1114,10 @@ let run_router mapfile config telemetry =
         match s.endpoint with
         | Some endpoint -> Router.Remote endpoint
         | None ->
-            Printf.eprintf
-              "uindex-cli: shard %d carries no endpoint in %s (re-run \
-               shard-split with --endpoints)\n"
-              i mapfile;
-            exit 1)
+            die
+              "shard %d carries no endpoint in %s (re-run shard-split with \
+               --endpoints)"
+              i mapfile)
       (Smap.shards map)
   in
   let timeout = config.Server.request_timeout in
@@ -1330,64 +1131,102 @@ let run_router mapfile config telemetry =
   Server.stop server;
   dump_slow_log (Router.slow_log_json ~limit:16 router)
 
-(* serve's terms that supervise forwards to its child *)
+(* serve the generated database: the arity-1 route from the on-file
+   index when [file] is given, else the in-memory one; a --file index
+   must have been built with the same -n/--seed so its entries match the
+   regenerated store.  A shard server takes its page file from the map
+   and restricts the arity-3 route to the same COD range, so every route
+   answers exactly this shard's slice. *)
+let run_server e ~file ~shard ~churn ~group_window ~scrub_every config
+    telemetry =
+  let b = e.Dg.ext.b in
+  let db = Uindex.Db.create e.store in
+  let attach_file f =
+    let pager = Storage.Pager.open_file (existing f) in
+    Uindex.Db.attach_index db
+      (Index.attach_class_hierarchy pager b.enc ~root:b.vehicle ~attr:"color");
+    Some pager
+  in
+  let file_pager =
+    match shard with
+    | Some (map, k) ->
+        let f =
+          match (Smap.get map k).Smap.file with
+          | Some f -> f
+          | None -> die "shard %d carries no page file in the map" k
+        in
+        let pager = attach_file f in
+        Uindex.Db.attach_index db
+          (Splitter.restrict ~source:e.path_age map k (Storage.Pager.create ()));
+        pager
+    | None -> (
+        Uindex.Db.attach_index db e.path_age;
+        match file with
+        | Some f -> attach_file f
+        | None ->
+            Uindex.Db.attach_index db e.ch_color;
+            None)
+  in
+  Uindex.Db.set_group_window db group_window;
+  let shard_info =
+    Option.map
+      (fun (map, k) ->
+        match Smap.topology_json map with
+        | Obs.Json.List l -> List.nth l k
+        | _ -> Obs.Json.Null)
+      shard
+  in
+  let svc = Service.create ~telemetry ?shard_info ~schema:b.schema db in
+  let server = Server.start svc config in
+  let scrub =
+    if scrub_every > 0. then
+      Some
+        (Scrub.start
+           ~config:{ Scrub.default_config with every = scrub_every }
+           db)
+    else None
+  in
+  (* --churn: in-process writer storm alongside the served readers.
+     The inserted colors are prefixed so they never match a benchmark
+     query: reader replies stay comparable to a churn-free run. *)
+  let churn_stop = Atomic.make false in
+  let churners =
+    List.init (max 0 churn) (fun w ->
+        Domain.spawn (fun () ->
+            let k = ref 0 in
+            while not (Atomic.get churn_stop) do
+              let color = Printf.sprintf "zz-churn-%d-%d" w !k in
+              ignore
+                (Uindex.Db.insert db ~cls:b.vehicle
+                   [ ("color", Value.Str color) ]);
+              ignore (Uindex.Db.commit db);
+              incr k
+            done;
+            !k))
+  in
+  announce_and_wait server;
+  Atomic.set churn_stop true;
+  let commits = List.fold_left (fun a d -> a + Domain.join d) 0 churners in
+  if churn > 0 then Printf.printf "churn writers committed %d times\n" commits;
+  Option.iter Scrub.stop scrub;
+  Server.stop server;
+  dump_slow_log (Service.slow_log_json ~limit:16 svc);
+  Option.iter Storage.Pager.close file_pager
 
-let workers_arg =
-  Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Worker domains.")
-
-let timeout_arg =
-  Arg.(
-    value & opt float 5.
-    & info [ "timeout" ] ~docv:"SECONDS"
-        ~doc:"Per-request deadline and socket timeout; 0 disables.")
-
-let churn_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "churn" ] ~docv:"N"
-        ~doc:
-          "Run $(i,N) in-process writer threads that insert and commit \
-           continuously while the server runs (group-commit exercise; \
-           the written values never match benchmark queries).")
-
-let group_window_arg =
-  Arg.(
-    value & opt float 0.002
-    & info [ "group-window" ] ~docv:"SECONDS"
-        ~doc:
-          "Group-commit window: how long a commit leader waits for \
-           followers before flushing; 0 flushes immediately.")
-
-let chaos_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chaos" ] ~docv:"SPEC"
-        ~doc:
-          "Arm the seeded fault injector on every connection.  \
-           $(docv) is comma-separated key=value pairs: $(b,seed=N), \
-           probabilities $(b,reset), $(b,partial), $(b,truncate), \
-           $(b,delay), $(b,slow-read), $(b,crash) in [0,1], and \
-           $(b,delay-ms=MS).  Example: \
-           seed=7,reset=0.05,partial=0.1,delay=0.2,delay-ms=3.")
-
-let scrub_every_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "scrub-every" ] ~docv:"SECONDS"
-        ~doc:
-          "Run the online background scrub this often: each pass \
-           re-verifies every serving index against a pinned snapshot \
-           (IO-throttled) and quarantines any damage it finds.  0 \
-           disables the scrub.")
-
-let serve_cmd =
-  let run n_vehicles seed addr workers backlog timeout file churn group_window
-      slow_ms slow_log trace_sample no_tracing chaos_spec scrub_every
-      restart_budget shard_map shard_id =
-    let chaos = parse_chaos_or_die chaos_spec in
-    let config = { (Server.default_config addr) with workers; backlog;
-                   request_timeout = timeout; chaos; restart_budget } in
+(* serve's options, checked: the page file it serves, if any, and the
+   server to start.  supervise checks its child's arguments with this
+   same term, so a bad address or chaos spec fails before any start. *)
+let serve_term =
+  let serve data addr workers backlog timeout file churn group_window slow_ms
+      slow_log trace_sample no_tracing chaos scrub_every restart_budget
+      shard_map shard_id =
+    let chaos =
+      Option.map (fun spec -> Chaos.arm (or_die (Chaos.parse spec))) chaos
+    in
+    let config =
+      { (Server.default_config addr) with workers; backlog;
+        request_timeout = timeout; chaos; restart_budget }
+    in
     let telemetry =
       {
         Service.tracing = not no_tracing;
@@ -1396,134 +1235,41 @@ let serve_cmd =
         slow_capacity = max 0 slow_log;
       }
     in
-    match (shard_map, shard_id) with
-    | None, Some _ ->
-        Printf.eprintf "uindex-cli: --shard-id requires --shard-map\n";
-        exit 1
-    | Some mapfile, None -> run_router mapfile config telemetry
-    | shard_role ->
-    let shard =
-      match shard_role with
-      | Some mapfile, Some k -> (
-          match Smap.load mapfile with
-          | map ->
-              if k < 0 || k >= Smap.count map then begin
-                Printf.eprintf
-                  "uindex-cli: shard id %d out of range (map has %d shards)\n"
-                  k (Smap.count map);
-                exit 1
-              end;
-              Some (map, k)
-          | exception (Sys_error msg | Invalid_argument msg) ->
-              Printf.eprintf "uindex-cli: %s\n" msg;
-              exit 1)
-      | _ -> None
-    in
-    let e = Dg.exp1 ~n_vehicles ~seed () in
-    let b = e.ext.b in
-    let db = Uindex.Db.create e.store in
-    (* arity-1 route: the on-file index when given, else the in-memory one;
-       a --file index must have been built with the same -n/--seed so its
-       entries match the regenerated store.  A shard server takes its page
-       file from the map and restricts the arity-3 route to the same COD
-       range, so every route answers exactly this shard's slice. *)
-    let file_pager =
-      match shard with
-      | Some (map, k) ->
-          let f =
-            match (Smap.get map k).Smap.file with
-            | Some f -> f
-            | None ->
-                Printf.eprintf
-                  "uindex-cli: shard %d carries no page file in the map\n" k;
-                exit 1
+    if shard_id <> None && shard_map = None then
+      die "--shard-id requires --shard-map";
+    let start () =
+      match (shard_map, shard_id) with
+      | Some mapfile, None -> run_router mapfile config telemetry
+      | _ ->
+          let shard =
+            Option.map
+              (fun mapfile ->
+                let map = load_map mapfile and k = Option.get shard_id in
+                if k < 0 || k >= Smap.count map then
+                  die "shard id %d out of range (map has %d shards)" k
+                    (Smap.count map);
+                (map, k))
+              shard_map
           in
-          if not (Sys.file_exists f) then begin
-            Printf.eprintf "uindex-cli: no such file: %s\n" f;
-            exit 1
-          end;
-          let pager = Storage.Pager.open_file f in
-          let ch =
-            Index.attach_class_hierarchy pager b.enc ~root:b.vehicle
-              ~attr:"color"
-          in
-          Uindex.Db.attach_index db ch;
-          Uindex.Db.attach_index db
-            (Splitter.restrict ~source:e.path_age map k
-               (Storage.Pager.create ()));
-          Some pager
-      | None -> (
-          Uindex.Db.attach_index db e.path_age;
-          match file with
-          | None ->
-              Uindex.Db.attach_index db e.ch_color;
-              None
-          | Some f ->
-              if not (Sys.file_exists f) then begin
-                Printf.eprintf "uindex-cli: no such file: %s\n" f;
-                exit 1
-              end;
-              let pager = Storage.Pager.open_file f in
-              let ch =
-                Index.attach_class_hierarchy pager b.enc ~root:b.vehicle
-                  ~attr:"color"
-              in
-              Uindex.Db.attach_index db ch;
-              Some pager)
+          run_server (Lazy.force data) ~file ~shard ~churn ~group_window
+            ~scrub_every config telemetry
     in
-    Uindex.Db.set_group_window db group_window;
-    let shard_info =
-      Option.map
-        (fun (map, k) ->
-          match Smap.topology_json map with
-          | Obs.Json.List l -> List.nth l k
-          | _ -> Obs.Json.Null)
-        shard
-    in
-    let svc = Service.create ~telemetry ?shard_info ~schema:b.schema db in
-    let server = Server.start svc config in
-    let scrub =
-      if scrub_every > 0. then
-        Some
-          (Scrub.start
-             ~config:{ Scrub.default_config with every = scrub_every }
-             db)
-      else None
-    in
-    (* --churn: in-process writer storm alongside the served readers.
-       The inserted colors are prefixed so they never match a benchmark
-       query: reader replies stay comparable to a churn-free run. *)
-    let churn_stop = Atomic.make false in
-    let churners =
-      List.init (max 0 churn) (fun w ->
-          Domain.spawn (fun () ->
-              let k = ref 0 in
-              while not (Atomic.get churn_stop) do
-                let color = Printf.sprintf "zz-churn-%d-%d" w !k in
-                ignore
-                  (Uindex.Db.insert db ~cls:b.vehicle
-                     [ ("color", Value.Str color) ]);
-                ignore (Uindex.Db.commit db);
-                incr k
-              done;
-              !k))
-    in
-    announce_and_wait server;
-    Atomic.set churn_stop true;
-    let commits = List.fold_left (fun a d -> a + Domain.join d) 0 churners in
-    if churn > 0 then Printf.printf "churn writers committed %d times\n" commits;
-    Option.iter Scrub.stop scrub;
-    Server.stop server;
-    dump_slow_log (Service.slow_log_json ~limit:16 svc);
-    Option.iter Storage.Pager.close file_pager
+    (file, start)
   in
-  let n = n_arg () in
-  let seed = seed_arg () in
+  let workers =
+    Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Worker domains.")
+  in
   let backlog =
     Arg.(
       value & opt int 64
       & info [ "backlog" ]
           ~doc:"Queued connections before shedding with an overloaded reply.")
+  in
+  let timeout =
+    Arg.(
+      value & opt float 5.
+      & info [ "timeout" ] ~docv:"SECONDS"
+          ~doc:"Per-request deadline and socket timeout; 0 disables.")
   in
   let file =
     Arg.(
@@ -1534,6 +1280,23 @@ let serve_cmd =
             "Serve the class-hierarchy index from this page file (written \
              by $(b,build) with the same $(b,-n)/$(b,--seed)) instead of \
              the in-memory one.")
+  in
+  let churn =
+    Arg.(
+      value & opt int 0
+      & info [ "churn" ] ~docv:"N"
+          ~doc:
+            "Run $(i,N) in-process writer threads that insert and commit \
+             continuously while the server runs (group-commit exercise; \
+             the written values never match benchmark queries).")
+  in
+  let group_window =
+    Arg.(
+      value & opt float 0.002
+      & info [ "group-window" ] ~docv:"SECONDS"
+          ~doc:
+            "Group-commit window: how long a commit leader waits for \
+             followers before flushing; 0 flushes immediately.")
   in
   let slow_ms =
     Arg.(
@@ -1568,6 +1331,29 @@ let serve_cmd =
              the slow-query log stay on; slow entries just carry no \
              span).")
   in
+  let chaos =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "chaos" ] ~docv:"SPEC"
+          ~doc:
+            "Arm the seeded fault injector on every connection.  \
+             $(docv) is comma-separated key=value pairs: $(b,seed=N), \
+             probabilities $(b,reset), $(b,partial), $(b,truncate), \
+             $(b,delay), $(b,slow-read), $(b,crash) in [0,1], and \
+             $(b,delay-ms=MS).  Example: \
+             seed=7,reset=0.05,partial=0.1,delay=0.2,delay-ms=3.")
+  in
+  let scrub_every =
+    Arg.(
+      value & opt float 0.
+      & info [ "scrub-every" ] ~docv:"SECONDS"
+          ~doc:
+            "Run the online background scrub this often: each pass \
+             re-verifies every serving index against a pinned snapshot \
+             (IO-throttled) and quarantines any damage it finds.  0 \
+             disables the scrub.")
+  in
   let restart_budget =
     Arg.(
       value & opt int 8
@@ -1596,21 +1382,25 @@ let serve_cmd =
              from the map, and the path index restricted to its COD \
              range.  [health] reports the shard's range.")
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Serve the generated vehicle database over a socket: snapshot-\
-          isolated readers on a fixed worker pool, with live telemetry \
-          on the admin protocol ($(b,stats)/$(b,health)/$(b,slow-queries) \
-          requests).  SIGTERM/SIGINT shut down gracefully (drain, sync, \
-          dump the slow-query log, exit 0).  With $(b,--shard-map) the \
-          process becomes a scatter-gather router (or, with \
-          $(b,--shard-id), one shard of the fleet).")
-    Term.(
-      const run $ n $ seed $ addr_args $ workers_arg $ backlog $ timeout_arg
-      $ file $ churn_arg $ group_window_arg $ slow_ms $ slow_log
-      $ trace_sample $ no_tracing $ chaos_arg $ scrub_every_arg
-      $ restart_budget $ shard_map $ shard_id)
+  Term.(
+    const serve $ dataset_arg () $ addr_args $ workers $ backlog $ timeout
+    $ (const (Option.map existing) $ file)
+    $ churn $ group_window $ slow_ms $ slow_log $ trace_sample $ no_tracing
+    $ chaos $ scrub_every $ restart_budget $ shard_map $ shard_id)
+
+let serve_info =
+  Cmd.info "serve"
+    ~doc:
+      "Serve the generated vehicle database over a socket: snapshot-\
+       isolated readers on a fixed worker pool, with live telemetry on the \
+       admin protocol ($(b,stats)/$(b,health)/$(b,slow-queries) requests).  \
+       SIGTERM/SIGINT shut down gracefully (drain, sync, dump the \
+       slow-query log, exit 0).  With $(b,--shard-map) the process becomes \
+       a scatter-gather router (or, with $(b,--shard-id), one shard of the \
+       fleet)."
+
+let serve_cmd =
+  Cmd.v serve_info Term.(const (fun (_, start) -> start ()) $ serve_term)
 
 let client_cmd =
   let run addr requests retry timeout retry_seed stable =
@@ -1641,9 +1431,7 @@ let client_cmd =
         match Client.connect ~timeout addr with
         | c -> (Client.request_raw c, fun () -> Client.close c)
         | exception Client.Error f ->
-            Printf.eprintf "uindex-cli: cannot connect: %s\n"
-              (Client.failure_to_string f);
-            exit 1
+            die "cannot connect: %s" (Client.failure_to_string f)
     in
     Fun.protect ~finally:close (fun () ->
         List.iter
@@ -1711,14 +1499,19 @@ let client_cmd =
 (* --- supervise: crash -> recover -> re-serve, automatically ----------------- *)
 
 let supervise_cmd =
-  let run file n seed addr workers chaos scrub_every churn group_window
-      timeout max_restarts =
-    if not (Sys.file_exists file) then begin
-      Printf.eprintf "uindex-cli: no such file: %s\n" file;
-      exit 1
-    end;
-    (* validate the chaos spec here, before a child ever sees it *)
-    ignore (parse_chaos_or_die chaos);
+  let run max_restarts serve_args =
+    (* serve's own term checks the child's arguments once, up front: a
+       bad one fails here, before any child starts *)
+    let file =
+      match
+        Cmd.eval_value'
+          ~argv:(Array.of_list ("serve" :: serve_args))
+          (Cmd.v serve_info serve_term)
+      with
+      | `Exit code -> exit code
+      | `Ok (Some file, _) -> file
+      | `Ok (None, _) -> die "supervise: serve needs a --file to recover"
+    in
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let stop = ref false in
     let child = ref None in
@@ -1733,26 +1526,7 @@ let supervise_cmd =
     in
     Sys.set_signal Sys.sigterm on_signal;
     Sys.set_signal Sys.sigint on_signal;
-    let argv =
-      Array.of_list
-        ([
-           Sys.executable_name; "serve"; "--file"; file;
-           "-n"; string_of_int n;
-           "--seed"; string_of_int seed;
-           "--workers"; string_of_int workers;
-           "--group-window"; Printf.sprintf "%g" group_window;
-           "--timeout"; Printf.sprintf "%g" timeout;
-           (match addr with
-           | Server.Tcp _ -> "--tcp"
-           | Server.Unix_sock _ -> "--socket");
-           Endpoint.to_string addr;
-         ]
-        @ (match chaos with Some c -> [ "--chaos"; c ] | None -> [])
-        @ (if scrub_every > 0. then
-             [ "--scrub-every"; Printf.sprintf "%g" scrub_every ]
-           else [])
-        @ (if churn > 0 then [ "--churn"; string_of_int churn ] else []))
-    in
+    let argv = Array.of_list (Sys.executable_name :: "serve" :: serve_args) in
     let rec waitpid pid =
       match Unix.waitpid [] pid with
       | _, status -> status
@@ -1799,12 +1573,8 @@ let supervise_cmd =
             (* crash exit: recover the page file, then re-serve — this
                is the process-level tier of the supervision story *)
             recover_file ();
-            if !restarts >= max_restarts then begin
-              Printf.eprintf
-                "uindex-cli: supervise: restart budget (%d) exhausted\n"
-                max_restarts;
-              exit 1
-            end;
+            if !restarts >= max_restarts then
+              die "supervise: restart budget (%d) exhausted" max_restarts;
             incr restarts;
             Unix.sleepf 0.2;
             loop ()
@@ -1812,15 +1582,6 @@ let supervise_cmd =
     in
     loop ()
   in
-  let file =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "file" ] ~docv:"FILE"
-          ~doc:"Page file the supervised server serves (and recovers).")
-  in
-  let n = n_arg () in
-  let seed = seed_arg () in
   let max_restarts =
     Arg.(
       value & opt int 3
@@ -1829,22 +1590,24 @@ let supervise_cmd =
             "Crash restarts before giving up (a crash loop should page \
              someone, not spin).")
   in
+  let serve_args =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"SERVE-ARGS"
+          ~doc:
+            "$(b,serve)'s arguments, after $(b,--): they must include \
+             $(b,--file), the page file that is recovered after a crash.")
+  in
   Cmd.v
     (Cmd.info "supervise"
        ~doc:
-         "Run $(b,serve) as a supervised child process: on a crash exit \
-          (a signal or a non-zero status), run journal recovery on the \
-          page file and start a fresh server, up to $(b,--max-restarts) \
-          times.  SIGTERM/SIGINT forward to the child for a graceful \
-          drain.  The address, $(b,-n)/$(b,--seed), $(b,--workers), \
-          $(b,--timeout), $(b,--chaos), $(b,--scrub-every), \
-          $(b,--churn) and $(b,--group-window) are passed to the child \
-          $(b,serve) as given.  Exits 2 if the recovered file is \
+         "Run $(b,serve) $(i,SERVE-ARGS) as a supervised child process: on \
+          a crash exit (a signal or a non-zero status), run journal \
+          recovery on the $(b,--file) page file and start a fresh server, \
+          up to $(b,--max-restarts) times.  SIGTERM/SIGINT forward to the \
+          child for a graceful drain.  Exits 2 if the recovered file is \
           corrupt, 1 when the restart budget is exhausted.")
-    Term.(
-      const run $ file $ n $ seed $ addr_args $ workers_arg $ chaos_arg
-      $ scrub_every_arg $ churn_arg $ group_window_arg $ timeout_arg
-      $ max_restarts)
+    Term.(const run $ max_restarts $ serve_args)
 
 (* --- top: a refreshing live dashboard over the admin protocol -------------- *)
 
@@ -1968,11 +1731,8 @@ let () =
             codes_cmd;
             demo_cmd;
             query_cmd;
-            run_cmd;
-            explain_cmd;
             stats_cmd;
             build_cmd;
-            bulk_build_cmd;
             shard_split_cmd;
             recover_cmd;
             check_cmd;

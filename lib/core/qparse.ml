@@ -112,11 +112,13 @@ let lex input =
 
 (* --- parser ------------------------------------------------------------------ *)
 
-type state = { mutable toks : (token * int) list }
+(* [len]: the input's length, the position reported once the tokens run
+   out *)
+type state = { mutable toks : (token * int) list; len : int }
 
 let peek st = match st.toks with [] -> None | (t, _) :: _ -> Some t
 
-let pos st = match st.toks with [] -> -1 | (_, p) :: _ -> p
+let pos st = match st.toks with [] -> st.len | (_, p) :: _ -> p
 
 let advance st =
   match st.toks with [] -> () | _ :: rest -> st.toks <- rest
@@ -243,7 +245,7 @@ let comp schema st =
   { Query.pat; slot }
 
 let parse schema input =
-  let st = { toks = lex input } in
+  let st = { toks = lex input; len = String.length input } in
   expect st Lparen "'('";
   let value = value_pred st in
   let rec comps acc =

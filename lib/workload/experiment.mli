@@ -25,8 +25,6 @@ type query_kind = Exact | Range of float
 type structure = [ `U | `Ch | `H | `Cg | `Nix ]
 (** The U-index, CH-tree, H-tree, CG-tree and NIX. *)
 
-val structure_name : structure -> string
-
 type structures
 (** An experiment-2 database under every {!structure}: the U-index and
     CG-tree of its {!Datagen.exp2}, and a CH-tree, H-tree and NIX over the

@@ -89,6 +89,20 @@ let test_errors () =
   expect_fail "(-4611686018427387905, Employee)";
   expect_fail "(50, Employee @99999999999999999999)"
 
+(* a query cut short reports where the input ended, not a sentinel *)
+let test_truncated () =
+  List.iter
+    (fun (s, want) ->
+      match parse s with
+      | exception Qparse.Parse_error m -> Alcotest.(check string) s want m
+      | _ -> Alcotest.failf "should not parse: %s" s)
+    [
+      ("(Red, Vehicle*", "at 14: expected ',' or ')'");
+      ("(Red", "at 4: expected ',' or ')'");
+      ("", "at 0: expected '('");
+      ("(Red, ", "at 6: expected a class name");
+    ]
+
 let test_end_to_end () =
   (* a parsed query runs and agrees with the hand-built one *)
   let base = Lazy.force b in
@@ -217,6 +231,7 @@ let () =
           Alcotest.test_case "class patterns" `Quick test_patterns;
           Alcotest.test_case "slots & paths" `Quick test_slots_and_paths;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "truncated input" `Quick test_truncated;
           Alcotest.test_case "end to end" `Quick test_end_to_end;
         ] );
       ("properties", qsuite);
