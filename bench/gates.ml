@@ -212,6 +212,33 @@ let table =
       (fun r ->
         Printf.sprintf "row %S: checksums changed page reads (%d on, %d off)"
           (str "id" r) (int "reads_on" r) (int "reads_off" r));
+    (* A6: the served walk under a shared pool.  Both are page counts,
+       deterministic for the bench's fixed queries *)
+    {
+      section = "buffer_pool";
+      name = "pager reads do not rise as the pool grows";
+      check =
+        (fun d ->
+          let rec rising = function
+            | (p, r) :: ((p', r') :: _ as rest) ->
+                if r' > r then
+                  Some
+                    (Printf.sprintf "%d pager reads with %d pool pages, over \
+                                     %d with %d" r' p' r p)
+                else rising rest
+            | [ _ ] | [] -> None
+          in
+          rising
+            (List.sort compare
+               (List.map
+                  (fun r -> (int "pool_pages" r, int "pager_reads" r))
+                  (rows "buffer_pool" d))));
+    };
+    every "buffer_pool" "Exec page reads = pool misses"
+      (fun r -> int "exec_page_reads" r = int "pager_reads" r)
+      (fun r ->
+        Printf.sprintf "%d pool pages: queries read %d pages, the pool missed %d"
+          (int "pool_pages" r) (int "exec_page_reads" r) (int "pager_reads" r));
     (* concurrent serving returns exactly the sequential answers; with
        >= 2 cores 4 workers keep up with 1, on one core they must not
        collapse below half *)

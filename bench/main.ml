@@ -628,62 +628,64 @@ let run_path_comparison () =
 
 (* --- Ablation A6: LRU buffer pool ------------------------------------------------ *)
 
+(* The served read path under a shared pool: the pool is attached to the
+   index and every query runs through [Exec.parallel], whose per-query
+   cache absorbs a query's own revisits before they reach the pool.
+   check_results gates that the outcomes' summed page reads are the
+   pool's misses, and that pager reads do not rise as the pool grows. *)
 let run_buffer_pool () =
   section
     "Ablation A6: steady-state U-index behaviour under a shared LRU buffer \
      pool (2% ranges, 10 near sets)";
   let d = dataset ~n_classes:40 ~distinct_keys:1000 in
   let tree = Index.tree d.uindex in
-  let total_pages = Storage.Pager.page_count (Btree.pager tree) in
-  let run_queries read =
-    let rng = Workload.Rng.create 17 in
-    for _ = 1 to if quick then 50 else 400 do
-      let sets = Qg.pick_sets rng Qg.Near ~classes:d.classes ~k:10 in
-      let lo, hi = Qg.range_bounds rng ~distinct_keys:1000 ~frac:0.02 in
-      let q =
+  let rng = Workload.Rng.create 17 in
+  let queries =
+    List.init (if quick then 50 else 400) (fun _ ->
+        let sets = Qg.pick_sets rng Qg.Near ~classes:d.classes ~k:10 in
+        let lo, hi = Qg.range_bounds rng ~distinct_keys:1000 ~frac:0.02 in
         Query.class_hierarchy
           ~value:(V_range (Some (Value.Int lo), Some (Value.Int hi)))
-          (Qg.union_of_classes sets)
-      in
-      let plan =
-        Uindex.Plan.compile ~enc:(Index.encoding d.uindex)
-          ~ty:(Index.attr_ty d.uindex) q
-      in
-      let sc = Btree.Scanner.create tree ~read in
-      let rec go = function
-        | Some (e : Btree.entry) -> (
-            match Uindex.Plan.classify plan e.Btree.key with
-            | Uindex.Plan.Accept { next = Uindex.Plan.Seek k; _ }
-            | Uindex.Plan.Reject (Uindex.Plan.Seek k) ->
-                go (Btree.Scanner.seek sc k)
-            | Uindex.Plan.Accept { next = Uindex.Plan.Advance; _ }
-            | Uindex.Plan.Reject Uindex.Plan.Advance ->
-                go (Btree.Scanner.next sc)
-            | Uindex.Plan.Accept { next = Uindex.Plan.Stop; _ }
-            | Uindex.Plan.Reject Uindex.Plan.Stop ->
-                ())
-        | None -> ()
-      in
-      match Uindex.Plan.lower plan with
-      | Some lo -> go (Btree.Scanner.seek sc lo)
-      | None -> ()
-    done
+          (Qg.union_of_classes sets))
   in
-  let rows =
-    List.map
-      (fun capacity ->
-        let pool = Storage.Buffer_pool.create ~capacity (Btree.pager tree) in
-        run_queries (Storage.Buffer_pool.read pool);
-        [
-          string_of_int capacity;
-          Printf.sprintf "%.1f%%" (100.0 *. Storage.Buffer_pool.hit_rate pool);
-          string_of_int (Storage.Buffer_pool.misses pool);
-        ])
-      [ 64; 256; 1024 ]
+  let run capacity =
+    let pool = Storage.Buffer_pool.create ~capacity (Btree.pager tree) in
+    Btree.set_pool tree (Some pool);
+    Fun.protect ~finally:(fun () -> Btree.set_pool tree None) @@ fun () ->
+    let reads =
+      List.fold_left
+        (fun n q -> n + (Exec.parallel d.uindex q).Exec.page_reads)
+        0 queries
+    in
+    (capacity, pool, reads)
   in
-  Printf.printf "index occupies %d pages\n" total_pages;
+  let rows = List.map run [ 64; 256; 1024 ] in
+  Printf.printf "index occupies %d pages\n"
+    (Storage.Pager.page_count (Btree.pager tree));
   print_string
-    (Tb.render ~header:[ "pool pages"; "hit rate"; "pager reads" ] ~rows)
+    (Tb.render
+       ~header:[ "pool pages"; "hit rate"; "pager reads"; "pool hits" ]
+       ~rows:
+         (List.map
+            (fun (capacity, pool, _) ->
+              [
+                string_of_int capacity;
+                Printf.sprintf "%.1f%%"
+                  (100.0 *. Storage.Buffer_pool.hit_rate pool);
+                string_of_int (Storage.Buffer_pool.misses pool);
+                string_of_int (Storage.Buffer_pool.hits pool);
+              ])
+            rows));
+  List.map
+    (fun (capacity, pool, reads) ->
+      Obs.Json.Obj
+        [
+          ("pool_pages", Int capacity);
+          ("pager_reads", Int (Storage.Buffer_pool.misses pool));
+          ("pool_hits", Int (Storage.Buffer_pool.hits pool));
+          ("exec_page_reads", Int reads);
+        ])
+    rows
 
 (* --- Ablation A7: entry layout (Section 3.2.1) ----------------------------------- *)
 
@@ -1231,8 +1233,8 @@ let json_path =
   Option.value ~default:"BENCH_results.json"
     (Sys.getenv_opt "UINDEX_BENCH_JSON")
 
-let write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~serve ~mixed
-    ~telemetry ~chaos ~bulk ~shard =
+let write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~buffer_pool
+    ~serve ~mixed ~telemetry ~chaos ~bulk ~shard =
   let open Obs.Json in
   let row (r : Ex.t1_row) =
     Obj
@@ -1285,7 +1287,7 @@ let write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~serve ~mixed
   let j =
     Obj
       [
-        ("schema_version", Int 10);
+        ("schema_version", Int 11);
         ("quick", Bool quick);
         ("reps", Int reps);
         ("objects", Int n_objects);
@@ -1294,6 +1296,7 @@ let write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~serve ~mixed
         ("table1", List (List.map row t1_rows));
         ("cache_ab", List (List.map ab_row cache_ab));
         ("checksum_ab", List (List.map ck_row checksum_ab));
+        ("buffer_pool", List buffer_pool);
         (* scaling assertions only make sense with real cores to scale
            onto; check_results keys its serve gate on this *)
         ("serve_cores", Int (Domain.recommended_domain_count ()));
@@ -1325,7 +1328,7 @@ let () =
   run_update_cost ();
   run_storage_cost ();
   run_path_comparison ();
-  run_buffer_pool ();
+  let buffer_pool = run_buffer_pool () in
   run_entry_layout ();
   run_timing ();
   let serve = run_serve_throughput e1 in
@@ -1341,5 +1344,5 @@ let () =
   let bulk = run_bulk_load () in
   (* last: its writers mutate e1's store *)
   let mixed = run_serve_mixed e1 in
-  write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~serve ~mixed
-    ~telemetry ~chaos ~bulk ~shard
+  write_results ~t1_rows ~t1_vehicles ~cache_ab ~checksum_ab ~buffer_pool
+    ~serve ~mixed ~telemetry ~chaos ~bulk ~shard

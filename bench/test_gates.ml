@@ -13,7 +13,7 @@ let expected =
 
 let passing =
   J.of_string
-    {|{"schema_version": 10, "quick": true, "reps": 10, "objects": 5000,
+    {|{"schema_version": 11, "quick": true, "reps": 10, "objects": 5000,
        "seed": 20260706, "table1_vehicles": 2000,
        "table1": [
          {"id": "1", "descr": "q1", "results": 10, "parallel": 12, "forward": 30},
@@ -24,6 +24,13 @@ let passing =
          {"id": "3", "cold_reads": 9, "warm_reads": 9, "warm_pool_hits": 3,
           "warm_hit_rate": 0.25}],
        "checksum_ab": [{"id": "1", "reads_on": 12, "reads_off": 12}],
+       "buffer_pool": [
+         {"pool_pages": 64, "pager_reads": 100, "pool_hits": 8,
+          "exec_page_reads": 100},
+         {"pool_pages": 256, "pager_reads": 93, "pool_hits": 15,
+          "exec_page_reads": 93},
+         {"pool_pages": 1024, "pager_reads": 93, "pool_hits": 15,
+          "exec_page_reads": 93}],
        "serve_cores": 2,
        "serve_throughput": [
          {"threads": 1, "qps": 800.0, "p50_us": 900.0, "p99_us": 5000.0, "digest": "d"},
@@ -138,6 +145,12 @@ let mutations =
     ("bulk_load: bulk build faster", set [ "bulk_load"; "bulk_ms" ] (f 300.));
     ("bulk_load: bulk pages at least as dense",
       set [ "bulk_load"; "bulk_avg_fill" ] (f 0.68));
+    ("buffer_pool: pager reads do not rise as the pool grows",
+      sets
+        [ ([ "buffer_pool"; "pool_pages=1024"; "pager_reads" ], i 94);
+          ([ "buffer_pool"; "pool_pages=1024"; "exec_page_reads" ], i 94) ]);
+    ("buffer_pool: Exec page reads = pool misses",
+      set [ "buffer_pool"; "pool_pages=64"; "exec_page_reads" ] (i 99));
   ]
 
 let failed results =

@@ -1282,6 +1282,11 @@ module Scanner = struct
   let key_bytes t = t.keybuf
   let key_length t = t.keylen
 
+  let value t =
+    match Node.leaf_value t.page (Node.leaf_payload_off t.page t.off) with
+    | v -> resolve_value t.read v
+    | exception (Invalid_argument d | Failure d) -> corrupt t.pid d
+
   let seek t key =
     ignore (seek_sub t key (String.length key));
     peek t

@@ -153,10 +153,10 @@ val scan_range :
 
     A scanner supports the paper's skip-scan: sequential advance plus
     re-seek to an arbitrary key.  It is the only way the library walks a
-    set of key intervals: both retrieval algorithms, their explain dry
-    run and the grouped layout's queries all run on it (see
-    [Uindex.Exec]), seeking to each interval or skip target and
-    advancing within it.
+    set of key intervals: [Uindex.Exec]'s one interval walk runs both
+    retrieval algorithms, their explain dry run and the grouped layout's
+    queries on it, seeking to each skip target and advancing between
+    them.
 
     A seek to a key strictly above the cursor is a finger seek: the
     scanner holds the root-to-leaf path of its current leaf (at most
@@ -215,6 +215,11 @@ module Scanner : sig
   (** The cursor key in place: bytes [[0, key_length t)] of
       [key_bytes t].  They are the scanner's scratch: valid until it
       next moves, and not to be written. *)
+
+  val value : t -> string
+  (** The payload of the entry under the cursor, overflow pages read
+      through the scanner's [read]: the [value ()] of the entry
+      {!seek} or {!next} would have built. *)
 
   val level : t -> int
   (** The tree level (root = 0) of the page the scanner last asked its

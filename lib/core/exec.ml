@@ -23,10 +23,20 @@ let head_oids o =
     o.bindings
   |> List.sort_uniq compare
 
-(* only accepted entries are copied out of the scanner and decoded *)
-let binding_of ~enc ~ty key len arity =
-  let d = Ukey.decode ~arity ~enc ~ty (Bytes.sub_string key 0 len) in
-  { value = d.value; comps = d.comps }
+type 'a row = Btree.Scanner.t -> int -> 'a list -> 'a list
+
+(* The single-value layout's row: only accepted entries are copied out
+   of the scanner and decoded, to the key's value and first [arity]
+   components.  The forward scan reads every leaf of the bracket, so it
+   meets the adjacent duplicate bindings a partial-path query produces
+   (the skips would have jumped past them) and drops them here. *)
+let binding_row ~dedup idx =
+  let enc = Index.encoding idx and ty = Index.attr_ty idx in
+  fun sc arity acc ->
+    let key = Btree.Scanner.key_bytes sc and len = Btree.Scanner.key_length sc in
+    let d = Ukey.decode ~arity ~enc ~ty (Bytes.sub_string key 0 len) in
+    let b = { value = d.value; comps = d.comps } in
+    match acc with p :: _ when dedup && p = b -> acc | _ -> b :: acc
 
 (* [page_reads] stays the pager-read delta whether or not a pool is
    attached: pool hits never reach the pager, misses do, so the paper's
@@ -187,49 +197,35 @@ let below upper sc =
       < 0
   | None -> true
 
-(* The one loop that walks a plan's interval set: one descent to
-   [Plan.lower], then classify every entry below [Plan.upper] where it
-   sits in the scanner's key scratch; only accepted entries are copied
-   and decoded.  With [skip] it is Algorithm 1 — a [`Seek] opens a new
-   descent segment, a [`Stop] ends the walk; without it, the forward
-   scan of Section 3.3, whose verdicts all advance, so it reads every
-   leaf of the bracket and must drop the adjacent duplicate bindings a
-   partial-path query produces (the skips would have jumped past them).
-   The page source is the scanner's [read]: a per-query [Pager.Cache]
-   makes revisits free, [Btree.raw_read] counts every one. *)
-let scan ?trace ~skip sc idx plan =
+(* The one interval walk (see the interface).  With [skip] a [`Seek]
+   opens a new descent segment and a [`Stop] ends the walk; without it
+   every verdict advances.  A per-query [Pager.Cache] as the scanner's
+   [read] makes revisits free, [Btree.raw_read] counts every one. *)
+let scan ?trace ~skip tree sc plan row =
   match Plan.lower plan with
   | None -> ([], 0)
   | Some lo ->
-      let tree = Index.tree idx in
-      let enc = Index.encoding idx and ty = Index.attr_ty idx in
       let seg = seg_make trace (Pager.stats (Btree.pager tree)) in
       let upper = Plan.upper plan in
-      let rec go acc n prev live =
+      let rec go acc n live =
         if live && below upper sc then begin
-          let key = Btree.Scanner.key_bytes sc in
-          let len = Btree.Scanner.key_length sc in
-          let r = Plan.classify_in_place plan ~skip key len in
+          let r =
+            Plan.classify_in_place plan ~skip (Btree.Scanner.key_bytes sc)
+              (Btree.Scanner.key_length sc)
+          in
           let arity = Plan.arity r in
           seg_entry seg ~accepted:(arity > 0);
-          if arity = 0 then step acc (n + 1) prev r
-          else
-            let b = binding_of ~enc ~ty key len arity in
-            if skip then step (b :: acc) (n + 1) prev r
-            else
-              let sb = Some b in
-              if sb = prev then step acc (n + 1) prev r
-              else step (b :: acc) (n + 1) sb r
+          step (if arity = 0 then acc else row sc arity acc) (n + 1) r
         end
         else (acc, n)
-      and step acc n prev r =
+      and step acc n r =
         match Plan.move r with
-        | `Advance -> go acc n prev (Btree.Scanner.advance sc)
+        | `Advance -> go acc n (Btree.Scanner.advance sc)
         | `Seek ->
             (* skip targets are always strictly beyond the current key,
                so the scanner serves them as finger seeks *)
             seg_open seg "descent";
-            go acc n prev
+            go acc n
               (Btree.Scanner.seek_bytes sc (Plan.target plan)
                  (Plan.target_length plan))
         | `Stop -> (acc, n)
@@ -239,7 +235,7 @@ let scan ?trace ~skip sc idx plan =
         Btree.Scanner.seek_bytes sc (Bytes.unsafe_of_string lo) (String.length lo)
       in
       if not skip then seg_open seg "scan";
-      let r = go [] 0 None first in
+      let r = go [] 0 first in
       seg_finish seg;
       merge_span trace r
 
@@ -255,8 +251,9 @@ let impl ?trace algo idx query =
     | `Forward -> (Btree.raw_read tree, false)
     | `Parallel -> (Pager.Cache.read (Btree.cached_read tree), true)
   in
+  let row = binding_row ~dedup:(not skip) idx in
   with_read_count tree (fun () ->
-      with_scanner tree read (fun sc -> scan ?trace ~skip sc idx plan))
+      with_scanner tree read (fun sc -> scan ?trace ~skip tree sc plan row))
 
 let algo_name = function `Forward -> "forward" | `Parallel -> "parallel"
 
@@ -357,7 +354,8 @@ let explain idx query =
   scanner := Some sc;
   Fun.protect
     ~finally:(fun () -> stats.Stats.reads <- reads0)
-    (fun () -> ignore (scan ~skip:true sc idx plan));
+    (fun () ->
+      ignore (scan ~skip:true tree sc plan (binding_row ~dedup:false idx)));
   List.rev !visits
 
 let pp_explain ppf visits =

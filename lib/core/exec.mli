@@ -40,6 +40,24 @@ type outcome = {
   entries_scanned : int;
 }
 
+type 'a row = Btree.Scanner.t -> int -> 'a list -> 'a list
+(** [row sc arity acc] adds the rows of the accepted entry under the
+    cursor ({!Btree.Scanner.key_bytes}, {!Btree.Scanner.value}) to
+    [acc], newest first; [arity] is the classifier's accepted arity. *)
+
+val scan :
+  ?trace:Obs.Trace.span ->
+  skip:bool -> Btree.t -> Btree.Scanner.t -> Plan.t -> 'a row -> 'a list * int
+(** [scan ~skip tree sc plan row]: the one loop that walks a plan's
+    interval set, with [sc] (a scanner over [tree]) as the page source.
+    Every entry of [[Plan.lower, Plan.upper)] it lands on is classified
+    in place and only accepted ones reach [row]; with [skip] it follows
+    the plan's skip targets (Algorithm 1), without it advances over all
+    of them (the forward scan).  Returns the rows, newest first, and the
+    entries classified; [trace] gets the segment spans {!analyze}
+    describes.  {!run} passes a row that decodes one {!binding},
+    {!Grouped.query} one that expands an OID list. *)
+
 val head_oids : outcome -> Objstore.Value.oid list
 (** The distinct OIDs of the last (head-class) component of each binding —
     e.g. "the vehicles" for a path query rooted at Vehicle. *)

@@ -87,70 +87,39 @@ let build t store =
 
 (* --- queries -------------------------------------------------------------- *)
 
-(* the value bytes may themselves contain 0x01 (e.g. [encode_int 1]), so
-   the separator position must come from the typed value decoder *)
-let split_key t key =
-  match Value.decode ~ty:t.ty key 0 with
-  | exception Invalid_argument _ -> None
-  | v, stop ->
-      let n = String.length key in
-      if stop >= n || key.[stop] <> '\x01' || key.[n - 1] <> '\x01' then None
-      else
-        Option.map
-          (fun cls -> (v, cls))
-          (Encoding.class_of_serialized t.enc
-             (String.sub key (stop + 1) (n - stop - 2)))
+(* An accepted entry's rows: its class is the code between the key's last
+   two separators (codes hold no 0x01, value bytes may), and the slot,
+   which a grouped plan does not test, filters its OID list. *)
+let row t (slot : Query.slot) sc _arity acc =
+  let key = Btree.Scanner.key_bytes sc and len = Btree.Scanner.key_length sc in
+  let start = Bytes.rindex_from key (len - 2) '\x01' + 1 in
+  match
+    Encoding.class_of_serialized t.enc
+      (Bytes.sub_string key start (len - 1 - start))
+  with
+  | None -> acc (* the classifier accepts known codes only *)
+  | Some cls ->
+      List.fold_left
+        (fun acc oid ->
+          if Query.slot_matches slot oid then (cls, oid) :: acc else acc)
+        acc
+        (decode_oids (Btree.Scanner.value sc))
 
 let query t (q : Query.t) =
-  let comp =
+  let slot =
     match q.comps with
-    | [ c ] -> c
+    | [ c ] -> c.slot
     | _ -> invalid_arg "Grouped.query: single-component queries only"
   in
-  let schema = Encoding.schema t.enc in
+  let plan = Plan.compile ~grouped:true ~enc:t.enc ~ty:t.ty q in
   let stats = Pager.stats (Btree.pager t.tree) in
   let before = Stats.snapshot stats in
-  let out = ref [] in
-  let consider (e : Btree.entry) =
-    match split_key t e.key with
-    | Some (v, cls)
-      when Query.pat_matches schema comp.pat cls
-           && Query.value_matches q.value v ->
-        List.iter
-          (fun oid ->
-            if Query.slot_matches comp.slot oid then out := (cls, oid) :: !out)
-          (decode_oids (e.value ()))
-    | Some _ | None -> ()
-  in
-  (* one scanner over a per-query page cache, as the single-value
-     layout's parallel walk: seek to each interval's start, scan to its
-     end *)
-  let plan = Plan.compile ~enc:t.enc ~ty:t.ty q in
-  let ivs =
-    match (Plan.intervals plan, Plan.bracket plan) with
-    | Some ivs, _ -> List.map (fun (lo, hi) -> (lo, Some hi)) ivs
-    | None, Some iv -> [ iv ]
-    | None, None -> []
-  in
   let sc =
     Btree.Scanner.create t.tree
       ~read:(Pager.Cache.read (Btree.cached_read t.tree))
   in
-  List.iter
-    (fun (lo, hi) ->
-      let rec walk = function
-        | Some (e : Btree.entry)
-          when match hi with
-               | Some h -> String.compare e.key h < 0
-               | None -> true ->
-            consider e;
-            walk (Btree.Scanner.next sc)
-        | Some _ | None -> ()
-      in
-      walk (Btree.Scanner.seek sc lo))
-    ivs;
-  let reads = (Stats.diff ~before ~after:(Stats.snapshot stats)).Stats.reads in
-  (List.rev !out, reads)
+  let rows, _ = Exec.scan ~skip:true t.tree sc plan (row t slot) in
+  (List.rev rows, (Stats.diff ~before ~after:(Stats.snapshot stats)).Stats.reads)
 
 let entry_count t =
   let n = ref 0 in

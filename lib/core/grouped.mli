@@ -13,9 +13,9 @@
     store OIDs more densely but pay read-modify-write maintenance and
     lose per-OID key compression.
 
-    Keys are [value-bytes 0x01 serialized-code], so all the clustering
-    properties (value groups, contiguous class subtrees) are identical to
-    the single-value layout's. *)
+    Keys are [value-bytes 0x01 serialized-code 0x01], so all the
+    clustering properties (value groups, contiguous class subtrees) are
+    identical to the single-value layout's, and one walk serves both. *)
 
 module Schema := Oodb_schema.Schema
 module Encoding := Oodb_schema.Encoding
@@ -41,10 +41,11 @@ val query :
   t -> Query.t -> (Schema.class_id * int) list * int
 (** [(results, page_reads)] for a single-component query (the value
     predicate and class pattern of a {!Query.class_hierarchy} query; the
-    slot restricts the OID list).  Walks the plan's key intervals (or,
-    for a contiguous value range, its one bracket) with a single
-    {!Btree.Scanner} over a per-query page cache, so [page_reads] counts
-    distinct pages, as {!Exec.parallel} does for the single-value
-    layout. *)
+    slot restricts the OID list), in key order and list order.  The
+    query is compiled for the grouped key form ([Plan.compile
+    ~grouped:true]) and run by {!Exec.scan}'s Algorithm 1 walk over a
+    per-query page cache, so [page_reads] counts distinct pages, as
+    {!Exec.parallel} does for the single-value layout.  A key that does
+    not decode is skipped and counted in [exec.undecodable_entries]. *)
 
 val entry_count : t -> int

@@ -22,7 +22,7 @@ type ctest = { ivs : cspec array; slot : slot_test }
 
 type t = {
   ty : Schema.attr_type;
-  q : Query.t;
+  oid_width : int;  (* bytes after each component's terminator: 4, or 0 grouped *)
   vspec : vspec;
   cspecs : cspec array;
       (* the first component's intervals over the component zone (the
@@ -48,8 +48,6 @@ type t = {
       (* per component: bit 0 known code; bit 1 tested against the query
          component of the same position, bit 2 inside its intervals *)
 }
-
-let query t = t.q
 
 (* --- compilation -------------------------------------------------------- *)
 
@@ -121,7 +119,14 @@ let compile_comp enc (c : Query.comp) =
 
 let max_len f xs = List.fold_left (fun m x -> max m (String.length (f x))) 0 xs
 
-let compile ~enc ~ty (q : Query.t) =
+let compile ?(grouped = false) ~enc ~ty (q : Query.t) =
+  (* a grouped key holds no oid, so its plan tests no slot: the entry's
+     reader applies it to the OID list *)
+  let q =
+    if not grouped then q
+    else
+      { q with comps = List.map (fun c -> { c with Query.slot = S_any }) q.comps }
+  in
   (match ty with
   | Schema.Int | Schema.String -> ()
   | Schema.Ref _ | Schema.Ref_set _ ->
@@ -140,7 +145,7 @@ let compile ~enc ~ty (q : Query.t) =
   in
   {
     ty;
-    q;
+    oid_width = (if grouped then 0 else 4);
     vspec;
     cspecs = Array.of_list cspecs;
     comps = Array.of_list (List.map (compile_comp enc) q.comps);
@@ -354,9 +359,6 @@ let upper t =
       | Vs_contig (_, Some hi) -> Some (hi ^ "\x01" ^ chi)
       | Vs_contig (_, None) -> None)
 
-let bracket t =
-  match lower t with None -> None | Some lo -> Some (lo, upper t)
-
 let intervals t =
   match t.vspec with
   | Vs_contig _ -> None
@@ -457,7 +459,8 @@ let remember t key len vend vok count =
   t.m_count <- count
 
 (* One pass over the key's components.  Every one must decode — be
-   terminated, carry a known code and a whole oid — for any verdict but
+   terminated, carry a known code and a whole oid (a grouped key has
+   none) — for any verdict but
    an undecodable entry's reject-and-advance; the query's components are
    tested in order until one fails or all have matched.
 
@@ -476,7 +479,7 @@ let classify_in_place t ~skip key len =
     else value_end t.ty key len
   in
   let vok = if vend >= 0 && vend = t.prev_vend && vend < same then t.prev_vok else -1 in
-  let ncomp = Array.length t.comps in
+  let ncomp = Array.length t.comps and w = t.oid_width in
   let ok = ref (vend >= 0) and pos = ref (vend + 1) and seen = ref 0 in
   let matched = ref 0 and match_end = ref 0 in
   (* 0: no failure; 1: the first component's class; 2: a later class or
@@ -498,7 +501,7 @@ let classify_in_place t ~skip key len =
       end
     end;
     let oid_at = Array.unsafe_get t.m_end j in
-    if (not !ok) || t.m_flags.(j) land 1 = 0 || oid_at + 4 > len then ok := false
+    if (not !ok) || t.m_flags.(j) land 1 = 0 || oid_at + w > len then ok := false
     else begin
       (if !fail = 0 && !matched < ncomp then begin
          (* no failure yet, so [matched = j] *)
@@ -513,15 +516,15 @@ let classify_in_place t ~skip key len =
          end
          else if not (slot_ok c.slot key oid_at) then begin
            fail := 2;
-           fail_end := oid_at + 4
+           fail_end := oid_at + w
          end
          else begin
            incr matched;
-           match_end := oid_at + 4
+           match_end := oid_at + w
          end
        end);
       incr seen;
-      pos := oid_at + 4
+      pos := oid_at + w
     end
   done;
   if (not !ok) || !seen = 0 then begin

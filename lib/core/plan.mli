@@ -2,8 +2,8 @@
 
     A compiled plan drives both retrieval algorithms of the paper:
 
-    - {e forward scanning} uses {!bracket}: one contiguous key interval
-      from the first to the last possibly-relevant entry;
+    - {e forward scanning} walks [[lower, upper)]: one contiguous key
+      interval from the first to the last possibly-relevant entry;
     - the {e parallel algorithm} (Algorithm 1) asks the classifier for
       an accept/skip decision on every key it lands on, and follows its
       skip targets — the smallest admissible position past the key
@@ -20,11 +20,16 @@ module Encoding := Oodb_schema.Encoding
 
 type t
 
-val compile : enc:Encoding.t -> ty:Schema.attr_type -> Query.t -> t
+val compile :
+  ?grouped:bool -> enc:Encoding.t -> ty:Schema.attr_type -> Query.t -> t
 (** Raises [Invalid_argument] if the query has no components or uses a
-    non-indexable value. *)
+    non-indexable value.
 
-val query : t -> Query.t
+    With [grouped] (default [false]) the plan is for the grouped entry
+    layout of Section 3.2.1, whose keys are [value 0x01 code 0x01] with
+    no oid (see {!Grouped}): its intervals and classifier test the value
+    and the class codes only, and the query's slots are left to the
+    reader of each accepted entry's OID list. *)
 
 val lower : t -> string option
 (** First admissible position; [None] when the plan is empty (e.g. an
@@ -33,17 +38,13 @@ val lower : t -> string option
 val upper : t -> string option
 (** Exclusive upper bound of all admissible keys; [None] = unbounded. *)
 
-val bracket : t -> (string * string option) option
-(** [(lower, upper)]: the one key interval that holds every admissible
-    key — the span both retrieval algorithms walk. *)
-
 val intervals : t -> (string * string) list option
 (** The finite set of admissible key intervals — one per (value, code
     interval) pair — when the value spec is enumerable ([V_eq]/[V_in]);
     [None] for contiguous ranges, whose candidates are generated lazily
-    during the scan.  Sorted and disjoint.  The grouped layout's query
-    seeks to each; the executor reports their count in its [plan]
-    span. *)
+    during the scan.  Sorted and disjoint.  The executor reports their
+    count in its [plan] span; its walk finds them through the
+    classifier's skip targets. *)
 
 val next_candidate : t -> string -> string option
 (** Smallest admissible position [>=] the given byte string.  The result

@@ -288,8 +288,11 @@ let free_chain_page t ~next =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let check_page_size page_size =
+  if page_size < 64 then invalid_arg "Pager.create: page_size < 64"
+
 let make ~page_size ~checksums backend =
-  if page_size < 64 then invalid_arg "Pager.create: page_size < 64";
+  check_page_size page_size;
   {
     page_size;
     checksums;
@@ -316,16 +319,30 @@ let make ~page_size ~checksums backend =
 let create ?(page_size = 1024) ?(checksums = false) () =
   make ~page_size ~checksums (Memory { pages = Array.make 64 None })
 
+(* Nothing is touched before the arguments are known good.  A journal an
+   earlier database left at this path would be replayed onto the new file
+   by {!open_file}, so it goes first: removed before the old file is
+   truncated, a crash in between leaves no journal to replay onto the
+   empty file. *)
 let create_file ?(page_size = 1024) ?(checksums = true) path =
+  check_page_size page_size;
+  let jpath = journal_path path in
+  if Sys.file_exists jpath then Sys.remove jpath;
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let t =
-    make ~page_size ~checksums
-      (File { fd; path; live_map = Array.make 64 false; dirty = Hashtbl.create 64 })
-  in
-  (* a freshly created file is immediately a valid (empty) page file *)
-  pwrite_buf fd ~off:0 (encode_header t) page_size;
-  Unix.fsync fd;
-  t
+  match
+    let t =
+      make ~page_size ~checksums
+        (File { fd; path; live_map = Array.make 64 false; dirty = Hashtbl.create 64 })
+    in
+    (* a freshly created file is immediately a valid (empty) page file *)
+    pwrite_buf fd ~off:0 (encode_header t) page_size;
+    Unix.fsync fd;
+    t
+  with
+  | t -> t
+  | exception e ->
+      Unix.close fd;
+      raise e
 
 (* --- journal recovery ----------------------------------------------- *)
 

@@ -135,8 +135,11 @@ val create : ?page_size:int -> ?checksums:bool -> unit -> t
 val create_file : ?page_size:int -> ?checksums:bool -> string -> t
 (** [create_file path] creates (or truncates) a file-backed pager.  The
     header is written immediately, so the file is a valid empty store
-    even before the first {!sync}.  [checksums] defaults to [true].
-    Raises [Unix.Unix_error] on I/O failure. *)
+    even before the first {!sync}; a journal left beside [path] by an
+    earlier database is removed first, so {!open_file} never replays it
+    onto the new one.  [checksums] defaults to [true].  Raises
+    [Invalid_argument] on a page size under 64, before the file is
+    touched, and [Unix.Unix_error] on I/O failure. *)
 
 val open_file : ?page_size:int -> string -> t
 (** [open_file path] reopens a file written by {!create_file}, after

@@ -42,11 +42,11 @@ let test_empty_plans () =
          (P_subtree b.vehicle))
   in
   Alcotest.(check bool) "inverted range has no bracket" true
-    (Plan.bracket empty_range = None);
+    (Plan.lower empty_range = None);
   let empty_in =
     compile b (Query.class_hierarchy ~value:(V_in []) (P_subtree b.vehicle))
   in
-  Alcotest.(check bool) "empty V_in" true (Plan.bracket empty_in = None)
+  Alcotest.(check bool) "empty V_in" true (Plan.lower empty_in = None)
 
 let test_next_candidate_jumps_value () =
   let b, code = setup () in

@@ -137,6 +137,78 @@ let prop_crash_recovery =
                 (Smap.cardinal attempted);
           true))
 
+(* [create_file] over a crashed database's debris — its page file and
+   whatever journal the crash left — makes a new database: reopened
+   before its first sync it is the new empty file, after it the new
+   contents, never the old database's last transaction. *)
+let prop_create_over_debris =
+  QCheck.Test.make ~count:100 ~name:"create_file over a crash starts afresh"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let ops = gen_workload rng in
+      let sync_every = 8 + Rng.int rng 16 in
+      let torn = Rng.int rng 2 = 0 in
+      let setup_writes, total_writes =
+        with_temp_pages (fun path ->
+            match run_workload ~path ~ops ~sync_every ~fault:None with
+            | `Completed, _, _, w0, w -> (w0, w)
+            | `Crashed, _, _, _, _ -> QCheck.Test.fail_report "clean run crashed")
+      in
+      let fault =
+        {
+          Pager.no_faults with
+          fail_write =
+            Some (setup_writes + 1 + Rng.int rng (total_writes - setup_writes));
+          torn;
+        }
+      in
+      let fresh = Smap.of_list [ ("fresh-a", "1"); ("fresh-b", "2") ] in
+      with_temp_pages (fun path ->
+          let crash_then_create ~synced =
+            (match run_workload ~path ~ops ~sync_every ~fault:(Some fault) with
+            | `Crashed, _, _, _, _ -> ()
+            | `Completed, _, _, _, _ ->
+                QCheck.Test.fail_report "fault never fired");
+            let pager = Pager.create_file ~page_size:256 path in
+            let t = Btree.create pager in
+            Smap.iter (fun key value -> Btree.insert t ~key ~value) fresh;
+            if synced then Btree.sync t;
+            (* the process dies here: the files keep what they hold now,
+               whatever [close]'s own sync writes after *)
+            let image =
+              List.map
+                (fun p ->
+                  ( p,
+                    if Sys.file_exists p then
+                      Some (In_channel.with_open_bin p In_channel.input_all)
+                    else None ))
+                [ path; Pager.journal_path path ]
+            in
+            Pager.close pager;
+            List.iter
+              (fun (p, bytes) ->
+                match bytes with
+                | Some b -> Out_channel.with_open_bin p (fun oc -> output_string oc b)
+                | None -> if Sys.file_exists p then Sys.remove p)
+              image
+          in
+          crash_then_create ~synced:false;
+          let pager = Pager.open_file path in
+          let empty = Pager.meta pager = "" && Pager.page_count pager = 0 in
+          Pager.close pager;
+          if not empty then
+            QCheck.Test.fail_report "before the first sync: not the empty file";
+          crash_then_create ~synced:true;
+          let pager = Pager.open_file path in
+          let got = tree_contents (Btree.reattach pager) in
+          Pager.close pager;
+          if not (Smap.equal String.equal got fresh) then
+            QCheck.Test.fail_reportf
+              "after the first sync: %d entries, not the new file's %d"
+              (Smap.cardinal got) (Smap.cardinal fresh);
+          true))
+
 (* A pager crash must also never corrupt free-list state: crash during a
    commit that frees pages, recover, and allocation still works with no
    page handed out twice. *)
@@ -420,7 +492,12 @@ let status_suite =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_crash_recovery; prop_crash_free_list; prop_group_commit_crash ]
+    [
+      prop_crash_recovery;
+      prop_create_over_debris;
+      prop_crash_free_list;
+      prop_group_commit_crash;
+    ]
 
 let () =
   Alcotest.run "recovery"

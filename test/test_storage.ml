@@ -166,6 +166,25 @@ let test_file_pager () =
       Alcotest.check_raises "closed" (Invalid_argument "Pager: store is closed")
         (fun () -> ignore (Pager.read p b)))
 
+(* An invalid page size is rejected before the file is touched: an
+   existing page file keeps its bytes and no descriptor is left open. *)
+let test_create_file_bad_size () =
+  with_temp_pages "uindex_badsize" (fun path ->
+      let p = Pager.create_file ~page_size:128 path in
+      Pager.write p (Pager.alloc p) (Bytes.make 128 'x');
+      Pager.sync p;
+      Pager.close p;
+      let contents () = In_channel.with_open_bin path In_channel.input_all in
+      let before = contents () in
+      let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+      let fds0 = fds () in
+      Alcotest.check_raises "page size 16"
+        (Invalid_argument "Pager.create: page_size < 64") (fun () ->
+          ignore (Pager.create_file ~page_size:16 path));
+      Alcotest.(check int) "no descriptor leaked" fds0 (fds ());
+      Alcotest.(check bool) "file keeps its bytes" true
+        (String.length before > 0 && contents () = before))
+
 let test_free_list_reopen () =
   (* regression: pages freed in one session must be reused in the next *)
   with_temp_pages "uindex_freelist" (fun path ->
@@ -665,6 +684,8 @@ let () =
           Alcotest.test_case "cache distinct counting" `Quick
             test_cache_counts_distinct;
           Alcotest.test_case "file backend" `Quick test_file_pager;
+          Alcotest.test_case "create_file validates first" `Quick
+            test_create_file_bad_size;
           Alcotest.test_case "file-backed btree" `Quick test_file_pager_btree;
           Alcotest.test_case "file reopen" `Quick test_file_pager_reopen;
           Alcotest.test_case "free list reopen" `Quick test_free_list_reopen;
