@@ -34,7 +34,6 @@ let n_objects = env_int "UINDEX_BENCH_OBJECTS" (if quick then 20_000 else 150_00
 let seed = 20260706
 
 let section title = print_string (Tb.section title)
-let subsection title = print_string (Tb.subsection title)
 
 (* --- Table 1 ----------------------------------------------------------------- *)
 
@@ -70,6 +69,22 @@ let run_table1 () =
 
 (* --- cold vs warm A/B on Table-1 query classes ------------------------------- *)
 
+(* the Table-1 query classes both A/B sections run *)
+let ab_queries (e : Dg.exp1) =
+  [
+    ( "1",
+      "all Buses (subtree), all colors",
+      Query.class_hierarchy ~value:Query.V_any (P_subtree e.ext.bus) );
+    ( "1a",
+      "all Buses (subtree), Red",
+      Query.class_hierarchy
+        ~value:(Query.V_eq (Value.Str "Red"))
+        (P_subtree e.ext.bus) );
+    ( "3",
+      "Automobiles (subtree), all colors",
+      Query.class_hierarchy ~value:Query.V_any (P_subtree e.ext.b.automobile) );
+  ]
+
 (* The paper's counts are cold: every query starts from an empty buffer.
    Re-running the same query classes against a shared LRU pool measures
    the steady-state behaviour a real system would see.  Cold runs use the
@@ -88,22 +103,7 @@ type ab_row = {
 
 let run_cache_ab (e : Dg.exp1) =
   section "Cache A/B: cold (uncached) vs warm (shared LRU pool) page reads";
-  let b = e.ext.b in
-  let queries =
-    [
-      ( "1",
-        "all Buses (subtree), all colors",
-        Query.class_hierarchy ~value:Query.V_any (P_subtree e.ext.bus) );
-      ( "1a",
-        "all Buses (subtree), Red",
-        Query.class_hierarchy
-          ~value:(Query.V_eq (Value.Str "Red"))
-          (P_subtree e.ext.bus) );
-      ( "3",
-        "Automobiles (subtree), all colors",
-        Query.class_hierarchy ~value:Query.V_any (P_subtree b.automobile) );
-    ]
-  in
+  let queries = ab_queries e in
   let idx = e.ch_color in
   let rows =
     List.map
@@ -164,21 +164,7 @@ type ck_row = {
 let run_checksum_ab (e : Dg.exp1) =
   section "Checksum A/B: page reads and wall-clock, checksums on vs off";
   let b = e.ext.b in
-  let queries =
-    [
-      ( "1",
-        "all Buses (subtree), all colors",
-        Query.class_hierarchy ~value:Query.V_any (P_subtree e.ext.bus) );
-      ( "1a",
-        "all Buses (subtree), Red",
-        Query.class_hierarchy
-          ~value:(Query.V_eq (Value.Str "Red"))
-          (P_subtree e.ext.bus) );
-      ( "3",
-        "Automobiles (subtree), all colors",
-        Query.class_hierarchy ~value:Query.V_any (P_subtree b.automobile) );
-    ]
-  in
+  let queries = ab_queries e in
   let with_file_index ~checksums f =
     let path = Filename.temp_file "uindex_bench_ck" ".pages" in
     Fun.protect
@@ -239,509 +225,30 @@ let run_checksum_ab (e : Dg.exp1) =
     \ no extra fetches on the read path)\n";
   rows
 
-(* --- Figures 5-8 -------------------------------------------------------------- *)
+(* --- Figures 5-8 and ablations A1-A7 -------------------------------------- *)
 
-(* datasets are shared by figures 5-8 and the ablations *)
+(* datasets are shared by figures 5-8, the ablations and the wall-clock
+   section *)
 let datasets = Ex.datasets ~n_objects ~seed
 
-let dataset = Ex.dataset datasets
-
-(* set UINDEX_BENCH_CSV=<dir> to also emit one CSV per panel *)
-let write_csv dir (p : Ex.panel) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out (Filename.concat dir (p.name ^ ".csv")) in
-  Printf.fprintf oc "sets,%s\n" (String.concat "," (List.map fst p.series));
-  List.iter
-    (fun (x, _) ->
-      Printf.fprintf oc "%d" x;
-      List.iter
-        (fun (_, pts) -> Printf.fprintf oc ",%.2f" (List.assoc x pts))
-        p.series;
-      output_char oc '\n')
-    (snd (List.hd p.series));
-  close_out oc
-
 let run_figures () =
-  let panels = Ex.figures datasets ~reps in
-  print_string (Ex.render_figures panels);
-  Option.iter
-    (fun dir -> List.iter (write_csv dir) panels)
-    (Sys.getenv_opt "UINDEX_BENCH_CSV")
+  print_string (Ex.render_figures (Ex.figures datasets ~reps))
 
-(* --- Ablation A1: front compression ------------------------------------------- *)
-
-let run_ablation_compression () =
-  section "Ablation A1: front compression on/off (U-index storage & reads)";
-  let d = dataset ~n_classes:40 ~distinct_keys:1000 in
-  let build ~front_coding =
-    let pager = Storage.Pager.create ~page_size:d.cfg.page_size () in
-    let config =
-      { (Btree.default_config ~page_size:d.cfg.page_size) with front_coding }
-    in
-    let idx =
-      Index.create_class_hierarchy ~config pager d.enc ~root:d.root ~attr:"k"
-    in
-    Array.iter
-      (fun (k, cls, oid) ->
-        Index.insert_entry idx ~value:(Value.Int k) [ (cls, oid) ])
-      d.entries;
-    idx
-  in
-  (* both builds see the same draws: one stream per placement, structure
-     and set count *)
-  let measure idx =
-    ( Storage.Pager.page_count (Btree.pager (Index.tree idx)),
-      Ex.average
-        (Ex.structures { d with uindex = idx })
-        `U Qg.Near ~kind:(Ex.Range 0.02) ~k:10 ~reps ~seed )
-  in
-  let on_idx = build ~front_coding:true in
-  let on_pages, on_reads = measure on_idx in
-  let off_pages, off_reads = measure (build ~front_coding:false) in
-  print_string
-    (Tb.render
-       ~header:
-         [ "front coding"; "index pages"; "avg reads (2% range, 10 near sets)" ]
-       ~rows:
-         [
-           [ "on"; string_of_int on_pages; Tb.fmt_f on_reads ];
-           [ "off"; string_of_int off_pages; Tb.fmt_f off_reads ];
-         ]);
-  let cs = Btree.compression_stats (Index.tree on_idx) in
-  Printf.printf
-    "key bytes: %d raw -> %d stored (%.1f%%); avg compressed prefix %.1f B\n"
-    cs.Btree.raw_key_bytes cs.Btree.stored_key_bytes
-    (100.0
-    *. float_of_int cs.Btree.stored_key_bytes
-    /. float_of_int (max 1 cs.Btree.raw_key_bytes))
-    cs.Btree.avg_prefix_len
-
-(* --- Ablation A2: four-way shootout -------------------------------------------- *)
-
-let run_shootout () =
-  section
-    "Ablation A2: U-index vs CH-tree vs H-tree vs CG-tree (class-hierarchy \
-     case, 40 classes, 1000 keys)";
-  print_string
-    (Ex.shootout
-       (Ex.structures (dataset ~n_classes:40 ~distinct_keys:1000))
-       [ `U; `Ch; `H; `Cg ]
-       ~queries:
-         [
-           ("exact match", Ex.Exact);
-           ("range 10%", Ex.Range 0.10);
-           ("range 2%", Ex.Range 0.02);
-         ]
-       ~set_counts:[ 1; 10; 20; 40 ] ~reps ~seed)
-
-(* --- Ablation A3: update cost (Section 4.2) ------------------------------------ *)
-
-let run_update_cost () =
-  section
-    "Ablation A3: update cost — page writes+reads per operation (Section 4.2)";
-  let d = dataset ~n_classes:40 ~distinct_keys:1000 in
-  let entries =
-    Array.to_list d.entries
-    |> List.map (fun (k, cls, oid) -> (Value.Int k, cls, oid))
-  in
-  let page_size = d.cfg.page_size in
-  (* fresh copies so the shared dataset stays untouched *)
-  let upager = Storage.Pager.create ~page_size () in
-  let u = Index.create_class_hierarchy upager d.enc ~root:d.root ~attr:"k" in
-  Array.iter
-    (fun (k, cls, oid) -> Index.insert_entry u ~value:(Value.Int k) [ (cls, oid) ])
-    d.entries;
-  let ch = Baselines.Ch_tree.create (Storage.Pager.create ~page_size ()) in
-  Baselines.Ch_tree.build ch entries;
-  let ht =
-    Baselines.H_tree.create
-      (Storage.Pager.create ~page_size ())
-      ~classes:(Array.to_list d.classes)
-  in
-  Baselines.H_tree.build ht entries;
-  let cg = Baselines.Cg_tree.create (Storage.Pager.create ~page_size ()) in
-  Baselines.Cg_tree.build cg entries;
-  let ops = if quick then 200 else 2000 in
-  let measure pager f =
-    let s = Storage.Pager.stats pager in
-    Storage.Stats.reset s;
-    let rng = Workload.Rng.create 99 in
-    for i = 0 to ops - 1 do
-      let k = Workload.Rng.int rng 1000
-      and cls = Workload.Rng.pick rng d.classes in
-      f i k cls
-    done;
-    ( float_of_int s.Storage.Stats.reads /. float_of_int ops,
-      float_of_int s.Storage.Stats.writes /. float_of_int ops )
-  in
-  let base = 1_000_000 in
-  let rows =
-    [
-      ( "U-index",
-        measure upager (fun i k cls ->
-            Index.insert_entry u ~value:(Value.Int k) [ (cls, base + i) ]) );
-      ( "CH-tree",
-        measure
-          (Baselines.Ch_tree.pager ch)
-          (fun i k cls ->
-            Baselines.Ch_tree.insert ch ~value:(Value.Int k) ~cls (base + i)) );
-      ( "H-tree",
-        measure (Baselines.H_tree.pager ht) (fun i k cls ->
-            Baselines.H_tree.insert ht ~value:(Value.Int k) ~cls (base + i)) );
-      ( "CG-tree",
-        measure (Baselines.Cg_tree.pager cg) (fun i k cls ->
-            Baselines.Cg_tree.insert cg ~value:(Value.Int k) ~cls (base + i)) );
-    ]
-  in
-  print_string
-    (Tb.render
-       ~header:[ "structure"; "reads/insert"; "writes/insert" ]
-       ~rows:
-         (List.map
-            (fun (n, (r, w)) -> [ n; Tb.fmt_f r; Tb.fmt_f w ])
-            rows));
-  (* the mid-path update: presidents switch companies; batched B-tree
-     maintenance keeps it to a handful of page writes (Section 3.5) *)
-  subsection "mid-path update: a company replaces its president (path index)";
-  let pd = Dg.path_db ~n_vehicles:(if quick then 2_000 else 12_000) ~seed:7 () in
-  let store = pd.e1.store in
-  let b = pd.e1.ext.b in
-  let db = Uindex.Db.create store in
-  Uindex.Db.add_index db pd.e1.path_age;
-  let companies = Objstore.Store.extent store ~deep:true b.company in
-  let employees = Array.of_list (Objstore.Store.extent store ~deep:true b.employee) in
-  let stats = Storage.Pager.stats (Btree.pager (Index.tree pd.e1.path_age)) in
-  let rng = Workload.Rng.create 5 in
-  let n = min 200 (List.length companies) in
-  Storage.Stats.reset stats;
-  List.iteri
-    (fun i c ->
-      if i < n then
-        Uindex.Db.set_attr db c "president"
-          (Value.Ref (Workload.Rng.pick rng employees)))
-    companies;
-  Printf.printf
-    "%d president replacements: %.1f page reads, %.1f page writes per switch\n"
-    n
-    (float_of_int stats.Storage.Stats.reads /. float_of_int n)
-    (float_of_int stats.Storage.Stats.writes /. float_of_int n);
-  (* end-of-path inserts: the U-index writes one leaf; NIX also maintains
-     its auxiliary structures (Section 4.4's update expectation) *)
-  subsection "end-of-path object insertion: U-index path vs NIX";
-  let enc = b.enc in
-  let code c = Oodb_schema.Encoding.code enc c in
-  ignore code;
-  let rng = Workload.Rng.create 31 in
-  let employees' = employees in
-  let sample_chain i =
-    let e = Workload.Rng.pick rng employees' in
-    let c = List.nth companies (Workload.Rng.int rng (List.length companies)) in
-    let age =
-      match Objstore.Store.attr store e "age" with
-      | Value.Int a -> a
-      | _ -> 40
-    in
-    (Value.Int age, [ (Objstore.Store.class_of store e, e);
-                      (Objstore.Store.class_of store c, c);
-                      (b.vehicle, 2_000_000 + i) ])
-  in
-  let chains = List.init (if quick then 100 else 1000) sample_chain in
-  let u_stats = Storage.Pager.stats (Btree.pager (Index.tree pd.e1.path_age)) in
-  Storage.Stats.reset u_stats;
-  List.iter
-    (fun (v, chain) -> Index.insert_entry pd.e1.path_age ~value:v chain)
-    chains;
-  let u_w = float_of_int u_stats.Storage.Stats.writes /. float_of_int (List.length chains) in
-  let nix_stats = Storage.Pager.stats (Baselines.Nix.pager pd.nix) in
-  Storage.Stats.reset nix_stats;
-  List.iter
-    (fun (v, chain) -> Baselines.Nix.insert_chain pd.nix ~value:v chain)
-    chains;
-  let nix_w =
-    float_of_int nix_stats.Storage.Stats.writes /. float_of_int (List.length chains)
-  in
-  Printf.printf "U-index: %.1f page writes/insert; NIX: %.1f (primary + auxiliary)\n"
-    u_w nix_w
-
-(* --- Ablation A4: storage cost (Section 4.2) ------------------------------------ *)
-
-let run_storage_cost () =
-  section "Ablation A4: storage cost — pages per structure (Section 4.2)";
-  let d = dataset ~n_classes:40 ~distinct_keys:1000 in
-  let entries =
-    Array.to_list d.entries
-    |> List.map (fun (k, cls, oid) -> (Value.Int k, cls, oid))
-  in
-  let page_size = d.cfg.page_size in
-  let u_pages ~front_coding =
-    let pager = Storage.Pager.create ~page_size () in
-    let config =
-      { (Btree.default_config ~page_size) with front_coding }
-    in
-    let idx =
-      Index.create_class_hierarchy ~config pager d.enc ~root:d.root ~attr:"k"
-    in
-    Array.iter
-      (fun (k, cls, oid) ->
-        Index.insert_entry idx ~value:(Value.Int k) [ (cls, oid) ])
-      d.entries;
-    Storage.Pager.page_count pager
-  in
-  let ch_pager = Storage.Pager.create ~page_size () in
-  let ch = Baselines.Ch_tree.create ch_pager in
-  Baselines.Ch_tree.build ch entries;
-  let ht_pager = Storage.Pager.create ~page_size () in
-  let ht = Baselines.H_tree.create ht_pager ~classes:(Array.to_list d.classes) in
-  Baselines.H_tree.build ht entries;
-  let cg_pager = Storage.Pager.create ~page_size () in
-  let cg = Baselines.Cg_tree.create cg_pager in
-  Baselines.Cg_tree.build cg entries;
-  print_string
-    (Tb.render
-       ~header:[ "structure"; "pages (1 KiB)" ]
-       ~rows:
-         [
-           [ "U-index (front-coded)"; string_of_int (u_pages ~front_coding:true) ];
-           [ "U-index (uncompressed)"; string_of_int (u_pages ~front_coding:false) ];
-           [ "CH-tree"; string_of_int (Storage.Pager.page_count ch_pager) ];
-           [ "H-tree"; string_of_int (Storage.Pager.page_count ht_pager) ];
-           [ "CG-tree"; string_of_int (Storage.Pager.page_count cg_pager) ];
-         ])
-
-(* --- Ablation A5: path indexes vs NIX (Section 4.4) ------------------------------ *)
-
-let run_path_comparison () =
-  section
-    "Ablation A5: path queries — U-index vs NIX vs Bertino-Kim indexes \
-     (Section 4.4)";
-  let pd = Dg.path_db ~n_vehicles:(if quick then 3_000 else 12_000) ~seed:13 () in
-  let b = pd.e1.ext.b in
-  let u = pd.e1.path_age in
-  let reps' = if quick then 20 else 100 in
-  let counted pager f =
-    let s = Storage.Pager.stats pager in
-    Storage.Stats.reset s;
-    let n = f () in
-    (s.Storage.Stats.reads, n)
-  in
-  let avg f =
-    let rng = Workload.Rng.create 21 in
-    let total = ref 0 and results = ref 0 in
-    for _ = 1 to reps' do
-      let age = 20 + Workload.Rng.int rng 51 in
-      let reads, n = f age in
-      total := !total + reads;
-      results := !results + n
-    done;
-    ( float_of_int !total /. float_of_int reps',
-      float_of_int !results /. float_of_int reps' )
-  in
-  let vehicle_sets =
-    Workload.Paper_schema.vehicle_leaf_classes pd.e1.ext |> Array.to_list
-  in
-  let japanese_sets =
-    Oodb_schema.Schema.subtree b.schema b.japanese_auto_company
-  in
-  let u_query age comps =
-    let o = Exec.parallel u (Query.path ~value:(V_eq (Value.Int age)) comps) in
-    (o.Exec.page_reads, List.length (Exec.head_oids o))
-  in
-  let full_path age =
-    u_query age
-      [
-        Query.comp (P_subtree b.employee);
-        Query.comp (P_subtree b.company);
-        Query.comp (P_subtree b.vehicle);
-      ]
-  in
-  (* 1. exact head retrieval: "vehicles whose president is AGE" *)
-  let nix_exact age =
-    counted (Baselines.Nix.pager pd.nix) (fun () ->
-        Baselines.Nix.exact pd.nix ~value:(Value.Int age) ~sets:vehicle_sets
-        |> List.length)
-  in
-  let bk what age =
-    let idx = match what with `Path -> pd.bk_path | `Nested -> pd.bk_nested in
-    counted (Baselines.Path_index.pager idx) (fun () ->
-        List.length (Baselines.Path_index.exact idx ~value:(Value.Int age)))
-  in
-  (* 2. combined query: vehicles of Japanese auto companies with that
-     president age — NIX joins its per-class lists through the auxiliary
-     parent structures *)
-  let u_combined age =
-    u_query age
-      [
-        Query.comp (P_subtree b.employee);
-        Query.comp (P_subtree b.japanese_auto_company);
-        Query.comp (P_subtree b.vehicle);
-      ]
-  in
-  let nix_combined age =
-    counted (Baselines.Nix.pager pd.nix) (fun () ->
-        Baselines.Nix.exact pd.nix ~value:(Value.Int age) ~sets:japanese_sets
-        |> List.concat_map (fun (cls, c) -> Baselines.Nix.parents pd.nix ~cls c)
-        |> List.sort_uniq compare |> List.length)
-  in
-  let bk_combined age =
-    (* the BK path index scans its path records and filters *)
-    let japanese c = List.mem c japanese_sets in
-    counted (Baselines.Path_index.pager pd.bk_path) (fun () ->
-        Baselines.Path_index.exact_restricted pd.bk_path ~value:(Value.Int age)
-          ~pred:(fun inner ->
-            match inner with
-            | c :: _ -> japanese (Objstore.Store.class_of pd.e1.store c)
-            | [] -> false)
-        |> List.length)
-  in
-  let row label cells =
-    label :: List.map (fun (r, _) -> Tb.fmt_f r) cells
-    @ [ Tb.fmt_f (snd (List.hd cells)) ]
-  in
-  let cells_of f = avg f in
-  print_string
-    (Tb.render
-       ~header:[ "query"; "U-index"; "NIX"; "BK path"; "BK nested"; "avg results" ]
-       ~rows:
-         [
-           row "exact head retrieval"
-             [
-               cells_of full_path;
-               cells_of nix_exact;
-               cells_of (bk `Path);
-               cells_of (bk `Nested);
-             ];
-           (let u = cells_of u_combined
-            and nx = cells_of nix_combined
-            and bp = cells_of bk_combined in
-            [
-              "combined (Japanese makers)";
-              Tb.fmt_f (fst u);
-              Tb.fmt_f (fst nx);
-              Tb.fmt_f (fst bp);
-              "-";
-              Tb.fmt_f (snd u);
-            ]);
-         ]);
-  Printf.printf
-    "(NIX answers the combined query through its auxiliary parent trees;\n\
-    \ the nested index cannot answer it at all — Section 4.4)\n"
-
-(* --- Ablation A6: LRU buffer pool ------------------------------------------------ *)
-
-(* The served read path under a shared pool: the pool is attached to the
-   index and every query runs through [Exec.parallel], whose per-query
-   cache absorbs a query's own revisits before they reach the pool.
-   check_results gates that the outcomes' summed page reads are the
-   pool's misses, and that pager reads do not rise as the pool grows. *)
-let run_buffer_pool () =
-  section
-    "Ablation A6: steady-state U-index behaviour under a shared LRU buffer \
-     pool (2% ranges, 10 near sets)";
-  let d = dataset ~n_classes:40 ~distinct_keys:1000 in
-  let tree = Index.tree d.uindex in
-  let rng = Workload.Rng.create 17 in
-  let queries =
-    List.init (if quick then 50 else 400) (fun _ ->
-        let sets = Qg.pick_sets rng Qg.Near ~classes:d.classes ~k:10 in
-        let lo, hi = Qg.range_bounds rng ~distinct_keys:1000 ~frac:0.02 in
-        Query.class_hierarchy
-          ~value:(V_range (Some (Value.Int lo), Some (Value.Int hi)))
-          (Qg.union_of_classes sets))
-  in
-  let run capacity =
-    let pool = Storage.Buffer_pool.create ~capacity (Btree.pager tree) in
-    Btree.set_pool tree (Some pool);
-    Fun.protect ~finally:(fun () -> Btree.set_pool tree None) @@ fun () ->
-    let reads =
-      List.fold_left
-        (fun n q -> n + (Exec.parallel d.uindex q).Exec.page_reads)
-        0 queries
-    in
-    (capacity, pool, reads)
-  in
-  let rows = List.map run [ 64; 256; 1024 ] in
-  Printf.printf "index occupies %d pages\n"
-    (Storage.Pager.page_count (Btree.pager tree));
-  print_string
-    (Tb.render
-       ~header:[ "pool pages"; "hit rate"; "pager reads"; "pool hits" ]
-       ~rows:
-         (List.map
-            (fun (capacity, pool, _) ->
-              [
-                string_of_int capacity;
-                Printf.sprintf "%.1f%%"
-                  (100.0 *. Storage.Buffer_pool.hit_rate pool);
-                string_of_int (Storage.Buffer_pool.misses pool);
-                string_of_int (Storage.Buffer_pool.hits pool);
-              ])
-            rows));
+(* A6's rows feed check_results: the queries' summed page reads are the
+   pool's misses, and pager reads do not rise as the pool grows *)
+let run_ablations () =
+  let a = Ex.ablations datasets ~reps in
+  print_string (Ex.render_ablations a);
   List.map
-    (fun (capacity, pool, reads) ->
+    (fun (r : Ex.pool_row) ->
       Obs.Json.Obj
         [
-          ("pool_pages", Int capacity);
-          ("pager_reads", Int (Storage.Buffer_pool.misses pool));
-          ("pool_hits", Int (Storage.Buffer_pool.hits pool));
-          ("exec_page_reads", Int reads);
+          ("pool_pages", Int r.pool_pages);
+          ("pager_reads", Int r.pager_reads);
+          ("pool_hits", Int r.pool_hits);
+          ("exec_page_reads", Int r.exec_page_reads);
         ])
-    rows
-
-(* --- Ablation A7: entry layout (Section 3.2.1) ----------------------------------- *)
-
-let run_entry_layout () =
-  section
-    "Ablation A7: single-value vs grouped (OID-list) entries (Section 3.2.1)";
-  List.iter
-    (fun distinct_keys ->
-      let d = dataset ~n_classes:40 ~distinct_keys in
-      let g =
-        Uindex.Grouped.create
-          (Storage.Pager.create ~page_size:d.cfg.page_size ())
-          d.enc ~root:d.root ~attr:"k"
-      in
-      Array.iter
-        (fun (k, cls, oid) ->
-          Uindex.Grouped.insert g ~value:(Value.Int k) ~cls oid)
-        d.entries;
-      let single_pages =
-        Storage.Pager.page_count (Btree.pager (Index.tree d.uindex))
-      in
-      let grouped_pages =
-        Storage.Pager.page_count (Btree.pager (Uindex.Grouped.tree g))
-      in
-      let avg kind =
-        let rng = Workload.Rng.create 77 in
-        let ts = ref 0 and tg = ref 0 in
-        for _ = 1 to reps do
-          let sets = Qg.pick_sets rng Qg.Near ~classes:d.classes ~k:10 in
-          let value =
-            match kind with
-            | `Exact ->
-                Query.V_eq
-                  (Value.Int (Qg.exact_value rng ~distinct_keys))
-            | `Range ->
-                let lo, hi = Qg.range_bounds rng ~distinct_keys ~frac:0.02 in
-                Query.V_range (Some (Value.Int lo), Some (Value.Int hi))
-          in
-          let q = Query.class_hierarchy ~value (Qg.union_of_classes sets) in
-          ts := !ts + (Exec.parallel d.uindex q).Exec.page_reads;
-          tg := !tg + snd (Uindex.Grouped.query g q)
-        done;
-        ( float_of_int !ts /. float_of_int reps,
-          float_of_int !tg /. float_of_int reps )
-      in
-      let es, eg = avg `Exact and rs, rg = avg `Range in
-      Printf.printf "\n%d distinct keys:\n" distinct_keys;
-      print_string
-        (Tb.render
-           ~header:[ "layout"; "pages"; "exact (10 near sets)"; "2% range" ]
-           ~rows:
-             [
-               [ "single-value"; string_of_int single_pages; Tb.fmt_f es; Tb.fmt_f rs ];
-               [ "grouped"; string_of_int grouped_pages; Tb.fmt_f eg; Tb.fmt_f rg ];
-             ]))
-    [ 100; 1000 ]
+    (Ex.pool_rows a)
 
 (* --- wall-clock: six figure queries ----------------------------------------- *)
 
@@ -750,9 +257,10 @@ let run_entry_layout () =
    [round_ns]. *)
 let run_timing () =
   section "Wall-clock: ns per query, best of 5 rounds";
-  let d = dataset ~n_classes:40 ~distinct_keys:1000 in
+  let s = Ex.dataset datasets ~n_classes:40 ~distinct_keys:1000 in
   let sets =
-    Qg.pick_sets (Workload.Rng.create seed) Qg.Near ~classes:d.classes ~k:10
+    Qg.pick_sets (Workload.Rng.create seed) Qg.Near
+      ~classes:(Ex.database s).classes ~k:10
   in
   let round_ns = if quick then 50_000_000 else 200_000_000 in
   let round run =
@@ -765,7 +273,6 @@ let run_timing () =
   in
   List.iter
     (fun (name, structure, kind, lo, hi) ->
-      let s = Ex.structures d in
       let run () = ignore (Ex.page_reads s structure ~kind ~sets ~lo ~hi) in
       Printf.printf "%-20s %10d ns\n" name
         (List.fold_left min max_int (List.init 5 (fun _ -> round run))))
@@ -1323,13 +830,7 @@ let () =
   let cache_ab = run_cache_ab e1 in
   let checksum_ab = run_checksum_ab e1 in
   run_figures ();
-  run_ablation_compression ();
-  run_shootout ();
-  run_update_cost ();
-  run_storage_cost ();
-  run_path_comparison ();
-  let buffer_pool = run_buffer_pool () in
-  run_entry_layout ();
+  let buffer_pool = run_ablations () in
   run_timing ();
   let serve = run_serve_throughput e1 in
   (* telemetry must run before serve_mixed mutates e1's store: its digest

@@ -13,7 +13,8 @@
      salvage      rebuild a damaged index from the (regenerated) object store
      corrupt      inflict deterministic media damage on a page file
      bench-table1 regenerate Table 1 (small/full size)
-     bench-figures regenerate Figures 5-8 at a small size, checking their shapes
+     bench-figures regenerate Figures 5-8 and ablations A1-A7 at a small size,
+                  checking their claims
      serve        serve the generated database over a socket (worker pool)
      client       send request lines to a running server
      supervise    run serve as a child process, recovering and respawning it
@@ -1025,14 +1026,15 @@ let table1_cmd =
 (* Pinned in [dune runtest] against test/figures.expected.  Every shape
    of [Ex.shape_failures] holds from 8,500 objects up; at 10,000 the
    near/non-near cell (0.86 of non-near) is clear of its 0.9 bound.  The
-   full-size figures come from bench/main.exe. *)
+   full-size figures and ablations come from bench/main.exe. *)
 let figures_cmd =
   let run () =
-    let panels =
-      Ex.figures (Ex.datasets ~n_objects:10_000 ~seed:20260706) ~reps:10
-    in
+    let datasets = Ex.datasets ~n_objects:10_000 ~seed:20260706 in
+    let panels = Ex.figures datasets ~reps:10 in
     print_string (Ex.render_figures panels);
-    match Ex.shape_failures panels with
+    let ablations = Ex.ablations datasets ~reps:10 in
+    print_string (Ex.render_ablations ablations);
+    match Ex.shape_failures panels @ Ex.ablation_failures ablations with
     | [] -> ()
     | failures ->
         List.iter (Printf.eprintf "shape does not hold: %s\n") failures;
@@ -1041,8 +1043,9 @@ let figures_cmd =
   Cmd.v
     (Cmd.info "bench-figures"
        ~doc:
-         "Regenerate Figures 5-8 (U-index vs CG-tree page reads) at 10,000 \
-          objects and 10 repetitions, and check the paper's shapes on them.")
+         "Regenerate Figures 5-8 (U-index vs CG-tree page reads) and \
+          ablations A1-A7 at 10,000 objects and 10 repetitions, and check \
+          the paper's shapes and the ablations' claims on them.")
     Term.(const run $ const ())
 
 (* --- serve / client: the concurrent query service --------------------------- *)
@@ -1134,39 +1137,32 @@ let run_router mapfile config telemetry =
 (* serve the generated database: the arity-1 route from the on-file
    index when [file] is given, else the in-memory one; a --file index
    must have been built with the same -n/--seed so its entries match the
-   regenerated store.  A shard server takes its page file from the map
-   and restricts the arity-3 route to the same COD range, so every route
-   answers exactly this shard's slice. *)
+   regenerated store.  A shard server serves its shard's page file from
+   the map ([serve_term] resolves it into [file]) and restricts the
+   arity-3 route to the same COD range, so every route answers exactly
+   this shard's slice. *)
 let run_server e ~file ~shard ~churn ~group_window ~scrub_every config
     telemetry =
   let b = e.Dg.ext.b in
   let db = Uindex.Db.create e.store in
-  let attach_file f =
-    let pager = Storage.Pager.open_file (existing f) in
-    Uindex.Db.attach_index db
-      (Index.attach_class_hierarchy pager b.enc ~root:b.vehicle ~attr:"color");
-    Some pager
-  in
   let file_pager =
-    match shard with
-    | Some (map, k) ->
-        let f =
-          match (Smap.get map k).Smap.file with
-          | Some f -> f
-          | None -> die "shard %d carries no page file in the map" k
-        in
-        let pager = attach_file f in
-        Uindex.Db.attach_index db
-          (Splitter.restrict ~source:e.path_age map k (Storage.Pager.create ()));
-        pager
-    | None -> (
-        Uindex.Db.attach_index db e.path_age;
-        match file with
-        | Some f -> attach_file f
-        | None ->
-            Uindex.Db.attach_index db e.ch_color;
-            None)
+    Option.map (fun f -> Storage.Pager.open_file (existing f)) file
   in
+  let attach_file pager =
+    Uindex.Db.attach_index db
+      (Index.attach_class_hierarchy pager b.enc ~root:b.vehicle ~attr:"color")
+  in
+  (match (shard, file_pager) with
+  | Some (map, k), _ ->
+      Option.iter attach_file file_pager;
+      Uindex.Db.attach_index db
+        (Splitter.restrict ~source:e.path_age map k (Storage.Pager.create ()))
+  | None, Some pager ->
+      Uindex.Db.attach_index db e.path_age;
+      attach_file pager
+  | None, None ->
+      Uindex.Db.attach_index db e.path_age;
+      Uindex.Db.attach_index db e.ch_color);
   Uindex.Db.set_group_window db group_window;
   let shard_info =
     Option.map
@@ -1215,7 +1211,8 @@ let run_server e ~file ~shard ~churn ~group_window ~scrub_every config
 
 (* serve's options, checked: the page file it serves, if any, and the
    server to start.  supervise checks its child's arguments with this
-   same term, so a bad address or chaos spec fails before any start. *)
+   same term, so a bad address or chaos spec fails before any start, and
+   recovers the page file it returns. *)
 let serve_term =
   let serve data addr workers backlog timeout file churn group_window slow_ms
       slow_log trace_sample no_tracing chaos scrub_every restart_budget
@@ -1235,22 +1232,25 @@ let serve_term =
         slow_capacity = max 0 slow_log;
       }
     in
-    if shard_id <> None && shard_map = None then
-      die "--shard-id requires --shard-map";
-    let start () =
+    (* a shard server serves its map entry's page file, a router none *)
+    let shard, file =
       match (shard_map, shard_id) with
+      | None, Some _ -> die "--shard-id requires --shard-map"
+      | None, None -> (None, file)
+      | Some _, None -> (None, None)
+      | Some mapfile, Some k ->
+          let map = load_map mapfile in
+          if k < 0 || k >= Smap.count map then
+            die "shard id %d out of range (map has %d shards)" k
+              (Smap.count map);
+          (match (Smap.get map k).Smap.file with
+          | Some f -> (Some (map, k), Some f)
+          | None -> die "shard %d carries no page file in the map" k)
+    in
+    let start () =
+      match (shard_map, shard) with
       | Some mapfile, None -> run_router mapfile config telemetry
       | _ ->
-          let shard =
-            Option.map
-              (fun mapfile ->
-                let map = load_map mapfile and k = Option.get shard_id in
-                if k < 0 || k >= Smap.count map then
-                  die "shard id %d out of range (map has %d shards)" k
-                    (Smap.count map);
-                (map, k))
-              shard_map
-          in
           run_server (Lazy.force data) ~file ~shard ~churn ~group_window
             ~scrub_every config telemetry
     in
@@ -1510,7 +1510,10 @@ let supervise_cmd =
       with
       | `Exit code -> exit code
       | `Ok (Some file, _) -> file
-      | `Ok (None, _) -> die "supervise: serve needs a --file to recover"
+      | `Ok (None, _) ->
+          die
+            "supervise: serve needs a page file to recover (--file, or \
+             --shard-map with --shard-id)"
     in
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let stop = ref false in
@@ -1595,15 +1598,16 @@ let supervise_cmd =
       value & pos_all string []
       & info [] ~docv:"SERVE-ARGS"
           ~doc:
-            "$(b,serve)'s arguments, after $(b,--): they must include \
-             $(b,--file), the page file that is recovered after a crash.")
+            "$(b,serve)'s arguments, after $(b,--): they must name the page \
+             file that is recovered after a crash, with $(b,--file) or, for \
+             a shard server, $(b,--shard-map) and $(b,--shard-id).")
   in
   Cmd.v
     (Cmd.info "supervise"
        ~doc:
          "Run $(b,serve) $(i,SERVE-ARGS) as a supervised child process: on \
           a crash exit (a signal or a non-zero status), run journal \
-          recovery on the $(b,--file) page file and start a fresh server, \
+          recovery on the served page file and start a fresh server, \
           up to $(b,--max-restarts) times.  SIGTERM/SIGINT forward to the \
           child for a graceful drain.  Exits 2 if the recovered file is \
           corrupt, 1 when the restart budget is exhausted.")
