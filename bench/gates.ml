@@ -5,7 +5,9 @@
    a checked-in expectation file (expected_table1_quick.json for the
    UINDEX_BENCH_QUICK=1 smoke run), so a page-layout, descent or
    planner change fails the build until the expectations are
-   regenerated on purpose.  Every other section carries invariants:
+   regenerated on purpose; so are the serve, mixed and shard digests,
+   so a change of reply bytes does too.  Every other section carries
+   invariants:
    digests that must agree, counts that must be non-zero, and wall-clock
    ratios whose thresholds depend on the host's core count. *)
 
@@ -112,6 +114,20 @@ let matches_serve section key v =
       mine serve
   in
   { section; name = "digest equals serve_throughput's"; check }
+
+(* The section's digest equals the one pinned in the expectations: the
+   rows digests_agree compares with each other are also the bytes the
+   parent build served, so a reply-format change fails here until the
+   expectations are regenerated on purpose. *)
+let pinned section =
+  let check d =
+    let mine = str "digest" (List.hd (rows section d)) in
+    let want = str section (member "digests" d.expected) in
+    unless (mine = want)
+      "digest %s differs from the pinned %s (regenerate %s if intentional)"
+      mine want d.expected_path
+  in
+  { section; name = "digest equals the pinned digest"; check }
 
 (* 4-way qps against 1-way, with a floor that depends on the cores the
    host has to spread onto. *)
@@ -246,11 +262,13 @@ let table =
       "concurrent readers returned different rows";
     scaling "serve_throughput" ~key:"threads" ~floor:(fun cores ->
         if cores >= 2 then 1.0 else 0.5);
+    pinned "serve_throughput";
     (* group commit: writers insert values no query matches, so reader
        digests agree, every row commits, and at >= 4 writers the journal
        issues fewer than one fsync per commit *)
     digests_agree "serve_mixed" ~key:"writers"
       "writers leaked into snapshot reads";
+    pinned "serve_mixed";
     every "serve_mixed" "every row commits"
       (fun r -> int "commits" r > 0)
       (fun r ->
@@ -320,6 +338,7 @@ let table =
       "partitioning changed query results";
     scaling "shard_scaling" ~key:"shards" ~floor:(fun cores ->
         if cores >= 8 then 2.0 else if cores >= 2 then 1.0 else 0.5);
+    pinned "shard_scaling";
     (* a bottom-up build equals entry-at-a-time insertion, beats it, and
        packs pages at least as densely *)
     bulk "trees identical"

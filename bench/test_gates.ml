@@ -7,6 +7,8 @@ module J = Obs.Json
 let expected =
   J.of_string
     {|{"quick": true, "table1_vehicles": 2000, "seed": 20260706,
+       "digests": {"serve_throughput": "d", "serve_mixed": "m",
+                   "shard_scaling": "s"},
        "table1": [
          {"id": "1", "descr": "q1", "results": 10, "parallel": 12, "forward": 30},
          {"id": "2", "descr": "q2", "results": 4, "parallel": 7, "forward": 9}]}|}
@@ -151,6 +153,16 @@ let mutations =
           ([ "buffer_pool"; "pool_pages=1024"; "exec_page_reads" ], i 94) ]);
     ("buffer_pool: Exec page reads = pool misses",
       set [ "buffer_pool"; "pool_pages=64"; "exec_page_reads" ] (i 99));
+    (* every section that must equal serve_throughput's moves with it *)
+    ("serve_throughput: digest equals the pinned digest",
+      sets
+        [ ([ "serve_throughput"; "*"; "digest" ], s "x");
+          ([ "telemetry_overhead"; "*"; "digest" ], s "x");
+          ([ "chaos_resilience"; "*"; "digest" ], s "x") ]);
+    ("serve_mixed: digest equals the pinned digest",
+      set [ "serve_mixed"; "*"; "digest" ] (s "x"));
+    ("shard_scaling: digest equals the pinned digest",
+      set [ "shard_scaling"; "*"; "digest" ] (s "x"));
   ]
 
 let failed results =

@@ -1498,6 +1498,33 @@ let client_cmd =
 
 (* --- supervise: crash -> recover -> re-serve, automatically ----------------- *)
 
+(* A signal as an operator knows it.  OCaml reports the signals it names
+   by its own negative numbers; the system numbers printed are the ones
+   POSIX fixes, and any other signal keeps the number the system gave. *)
+let signal_name s =
+  let named =
+    [
+      (Sys.sighup, "SIGHUP", Some 1); (Sys.sigint, "SIGINT", Some 2);
+      (Sys.sigquit, "SIGQUIT", Some 3); (Sys.sigill, "SIGILL", Some 4);
+      (Sys.sigtrap, "SIGTRAP", Some 5); (Sys.sigabrt, "SIGABRT", Some 6);
+      (Sys.sigfpe, "SIGFPE", Some 8); (Sys.sigkill, "SIGKILL", Some 9);
+      (Sys.sigsegv, "SIGSEGV", Some 11); (Sys.sigpipe, "SIGPIPE", Some 13);
+      (Sys.sigalrm, "SIGALRM", Some 14); (Sys.sigterm, "SIGTERM", Some 15);
+      (Sys.sigbus, "SIGBUS", None); (Sys.sigusr1, "SIGUSR1", None);
+      (Sys.sigusr2, "SIGUSR2", None); (Sys.sigchld, "SIGCHLD", None);
+      (Sys.sigcont, "SIGCONT", None); (Sys.sigstop, "SIGSTOP", None);
+      (Sys.sigtstp, "SIGTSTP", None); (Sys.sigttin, "SIGTTIN", None);
+      (Sys.sigttou, "SIGTTOU", None); (Sys.sigvtalrm, "SIGVTALRM", None);
+      (Sys.sigprof, "SIGPROF", None); (Sys.sigpoll, "SIGPOLL", None);
+      (Sys.sigsys, "SIGSYS", None); (Sys.sigurg, "SIGURG", None);
+      (Sys.sigxcpu, "SIGXCPU", None); (Sys.sigxfsz, "SIGXFSZ", None);
+    ]
+  in
+  match List.find_opt (fun (n, _, _) -> n = s) named with
+  | Some (_, name, Some num) -> Printf.sprintf "%s (%d)" name num
+  | Some (_, name, None) -> name
+  | None -> Printf.sprintf "signal %d" s
+
 let supervise_cmd =
   let run max_restarts serve_args =
     (* serve's own term checks the child's arguments once, up front: a
@@ -1567,8 +1594,8 @@ let supervise_cmd =
           let describe =
             match status with
             | Unix.WEXITED n -> Printf.sprintf "exit code %d" n
-            | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
-            | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
+            | Unix.WSIGNALED s -> "killed by " ^ signal_name s
+            | Unix.WSTOPPED s -> "stopped by " ^ signal_name s
           in
           Printf.eprintf "supervise: server died (%s)\n%!" describe;
           if !stop then ()

@@ -9,12 +9,14 @@ type binding = {
   comps : (Schema.class_id * Value.oid) list;
 }
 
-type outcome = {
-  bindings : binding list;
+type 'a result = {
+  bindings : 'a list;
   page_reads : int;
   pool_hits : int;
   entries_scanned : int;
 }
+
+type outcome = binding result
 
 let head_oids o =
   List.filter_map
@@ -25,18 +27,35 @@ let head_oids o =
 
 type 'a row = Btree.Scanner.t -> int -> 'a list -> 'a list
 
-(* The single-value layout's row: only accepted entries are copied out
-   of the scanner and decoded, to the key's value and first [arity]
-   components.  The forward scan reads every leaf of the bracket, so it
-   meets the adjacent duplicate bindings a partial-path query produces
-   (the skips would have jumped past them) and drops them here. *)
-let binding_row ~dedup idx =
+(* The single-value layout's row for library callers: only accepted
+   entries are copied out of the scanner and decoded, to the key's value
+   and first [arity] components. *)
+let binding_row idx =
   let enc = Index.encoding idx and ty = Index.attr_ty idx in
   fun sc arity acc ->
     let key = Btree.Scanner.key_bytes sc and len = Btree.Scanner.key_length sc in
     let d = Ukey.decode ~arity ~enc ~ty (Bytes.sub_string key 0 len) in
-    let b = { value = d.value; comps = d.comps } in
-    match acc with p :: _ when dedup && p = b -> acc | _ -> b :: acc
+    { value = d.value; comps = d.comps } :: acc
+
+(* The forward scan reads every leaf of the bracket, so it meets the
+   adjacent duplicate bindings a partial-path query produces (the skips
+   would have jumped past them).  Two bindings are equal exactly when
+   their keys agree up to the end of the [arity]-th component, so an
+   accepted key whose prefix is the last accepted key's adds no row. *)
+let dedup plan row =
+  let last = ref Bytes.empty and last_len = ref (-1) in
+  fun sc arity acc ->
+    let key = Btree.Scanner.key_bytes sc and n = Plan.prefix_length plan arity in
+    if n = !last_len
+       && Storage.Bytes_util.match_len key 0 (Bytes.unsafe_to_string !last) 0 n
+          = n
+    then acc
+    else begin
+      if Bytes.length !last < n then last := Bytes.create (2 * n);
+      Bytes.blit key 0 !last 0 n;
+      last_len := n;
+      row sc arity acc
+    end
 
 (* [page_reads] stays the pager-read delta whether or not a pool is
    attached: pool hits never reach the pager, misses do, so the paper's
@@ -242,7 +261,7 @@ let scan ?trace ~skip tree sc plan row =
 let compile idx query =
   Plan.compile ~enc:(Index.encoding idx) ~ty:(Index.attr_ty idx) query
 
-let impl ?trace algo idx query =
+let impl ?trace algo idx query make_row =
   let plan = compile idx query in
   plan_span trace plan;
   let tree = Index.tree idx in
@@ -251,7 +270,8 @@ let impl ?trace algo idx query =
     | `Forward -> (Btree.raw_read tree, false)
     | `Parallel -> (Pager.Cache.read (Btree.cached_read tree), true)
   in
-  let row = binding_row ~dedup:(not skip) idx in
+  let row = make_row idx in
+  let row = if skip then row else dedup plan row in
   with_read_count tree (fun () ->
       with_scanner tree read (fun sc -> scan ?trace ~skip tree sc plan row))
 
@@ -272,7 +292,7 @@ let h_alloc =
   Obs.Metrics.histogram ~subsystem:"exec"
     ~help:"minor-heap words allocated per query" "alloc_per_query"
 
-let record (o : outcome) =
+let record (o : _ result) =
   Obs.Metrics.incr m_queries;
   Obs.Metrics.observe h_page_reads o.page_reads;
   Obs.Metrics.observe h_entries o.entries_scanned;
@@ -288,23 +308,25 @@ let with_alloc_accounting f =
   Obs.Metrics.observe h_alloc (int_of_float (Gc.minor_words () -. w0));
   o
 
-let finish_root sp (o : outcome) =
+let finish_root sp (o : _ result) =
   Trace.add_field sp "bindings" (List.length o.bindings);
   Trace.add_field sp "entries_scanned" o.entries_scanned
 
 (* Public entry points trace into the global sink when one is installed
    (see Obs.Trace.with_collector); with the default null sink they run
    the bare algorithms. *)
-let run ~algo idx query =
+let run_rows ~algo ~row idx query =
   with_alloc_accounting @@ fun () ->
   match Trace.scope () with
-  | None -> record (impl algo idx query)
+  | None -> record (impl algo idx query row)
   | Some sink ->
       let sp = Trace.span (algo_name algo) in
-      let o = impl ~trace:sp algo idx query in
+      let o = impl ~trace:sp algo idx query row in
       finish_root sp o;
       Trace.emit sink sp;
       record o
+
+let run ~algo idx query = run_rows ~algo ~row:binding_row idx query
 
 let forward idx query = run ~algo:`Forward idx query
 let parallel idx query = run ~algo:`Parallel idx query
@@ -313,7 +335,7 @@ let analyze ~algo idx query =
   with_alloc_accounting @@ fun () ->
   let sp = Trace.span (algo_name algo) in
   let undecodable0 = Plan.undecodable_entries () in
-  let o = impl ~trace:sp algo idx query in
+  let o = impl ~trace:sp algo idx query binding_row in
   finish_root sp o;
   (if o.pool_hits > 0 then Trace.add_field sp "pool_hits_total" o.pool_hits);
   let undecodable = Plan.undecodable_entries () - undecodable0 in
@@ -355,7 +377,7 @@ let explain idx query =
   Fun.protect
     ~finally:(fun () -> stats.Stats.reads <- reads0)
     (fun () ->
-      ignore (scan ~skip:true tree sc plan (binding_row ~dedup:false idx)));
+      ignore (scan ~skip:true tree sc plan (fun _ _ acc -> acc)));
   List.rev !visits
 
 let pp_explain ppf visits =

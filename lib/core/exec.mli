@@ -28,8 +28,10 @@ type binding = {
           truncated to the query's arity for partial-path queries *)
 }
 
-type outcome = {
-  bindings : binding list;
+type 'a result = {
+  bindings : 'a list;
+      (** one row per accepted binding, in key order: a {!binding} for
+          {!run}, whatever the row function builds for {!run_rows} *)
   page_reads : int;
       (** the paper's "visited nodes" / "page reads": pager reads only.
           With a shared buffer pool attached to the index, hits are
@@ -39,6 +41,8 @@ type outcome = {
   pool_hits : int;  (** reads served by the shared buffer pool (0 if none) *)
   entries_scanned : int;
 }
+
+type outcome = binding result
 
 type 'a row = Btree.Scanner.t -> int -> 'a list -> 'a list
 (** [row sc arity acc] adds the rows of the accepted entry under the
@@ -55,7 +59,8 @@ val scan :
     the plan's skip targets (Algorithm 1), without it advances over all
     of them (the forward scan).  Returns the rows, newest first, and the
     entries classified; [trace] gets the segment spans {!analyze}
-    describes.  {!run} passes a row that decodes one {!binding},
+    describes.  {!run} passes a row that decodes one {!binding}, the
+    server one that prints a JSON row from the key bytes ({!Keyrow}),
     {!Grouped.query} one that expands an OID list. *)
 
 val head_oids : outcome -> Objstore.Value.oid list
@@ -70,6 +75,19 @@ val run : algo:[ `Forward | `Parallel ] -> Index.t -> Query.t -> outcome
     when one is installed (see {!Obs.Trace.with_collector}); with the
     default null sink they run untraced, at the cost of one option match
     per descent segment. *)
+
+val run_rows :
+  algo:[ `Forward | `Parallel ] ->
+  row:(Index.t -> 'a row) ->
+  Index.t ->
+  Query.t ->
+  'a result
+(** {!run} with its row function: [row idx] is called once per query
+    and builds that query's row for each accepted entry.  The same walk,
+    spans, page-read accounting and [exec.*] instruments as {!run}; the
+    forward scan drops a binding equal to the one before it (same key
+    bytes up to the end of the accepted arity's last component) before
+    the row function sees it. *)
 
 val analyze :
   algo:[ `Forward | `Parallel ] -> Index.t -> Query.t -> outcome * Obs.Trace.span

@@ -548,6 +548,8 @@ let classify_in_place t ~skip key len =
       (ncomp lsl 2) lor seek_or_stop (candidate_past t key !match_end)
   end
 
+let prefix_length t n = t.m_end.(n - 1) + t.oid_width
+
 type next = Seek of string | Advance | Stop
 
 type verdict = Accept of { arity : int; next : next } | Reject of next

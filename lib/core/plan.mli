@@ -131,3 +131,9 @@ val target : t -> Bytes.t
 val target_length : t -> int
 (** The last seek target: bytes [[0, target_length t)] of [target t],
     valid until the plan classifies again. *)
+
+val prefix_length : t -> int -> int
+(** [prefix_length t n], after {!classify_in_place} accepted a key at
+    arity [a >= n]: the length of that key's prefix that holds its value
+    and first [n] components.  Two accepted keys bind the same value and
+    components at arity [n] exactly when these prefixes are equal. *)

@@ -2,6 +2,7 @@
     databases (Gudes, Information Systems 22(4), 1997).
 
     - {!Ukey}: composite-key encoding of index entries
+    - {!Keyrow}: result rows printed straight from entry key bytes
     - {!Query}: the query language (values, class patterns, path slots)
     - {!Qparse}: the textual query format of Section 3.4
     - {!Plan}: query compilation to key-space navigation
@@ -15,6 +16,7 @@
       (Section 4.1) *)
 
 module Ukey = Ukey
+module Keyrow = Keyrow
 module Query = Query
 module Qparse = Qparse
 module Plan = Plan

@@ -18,10 +18,10 @@ let escaped = function
   | c -> Printf.sprintf "\\u%04x" (Char.code c)
 
 (* the bytes between two escapes are copied as one run *)
-let escape buf s =
+let add_quoted buf s off len =
   Buffer.add_char buf '"';
-  let run = ref 0 in
-  for i = 0 to String.length s - 1 do
+  let run = ref off in
+  for i = off to off + len - 1 do
     match String.unsafe_get s i with
     | ('"' | '\\' | '\x00' .. '\x1f') as c ->
         Buffer.add_substring buf s !run (i - !run);
@@ -29,8 +29,10 @@ let escape buf s =
         run := i + 1
     | _ -> ()
   done;
-  Buffer.add_substring buf s !run (String.length s - !run);
+  Buffer.add_substring buf s !run (off + len - !run);
   Buffer.add_char buf '"'
+
+let escape buf s = add_quoted buf s 0 (String.length s)
 
 let float_str f =
   if Float.is_integer f && Float.abs f < 1e15 then

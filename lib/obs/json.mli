@@ -20,6 +20,12 @@ type t =
 val to_string : t -> string
 (** Compact single-line rendering (no insignificant whitespace). *)
 
+val add_quoted : Buffer.t -> string -> int -> int -> unit
+(** [add_quoted buf s off len] appends [s.[off, off + len)] as a JSON
+    string literal, quotes included: the escaper {!to_string} prints
+    every [Str] with, for writers that print rows without building a
+    [t]. *)
+
 val to_multiline : t -> string
 (** Line-oriented rendering: one top-level object member per line —
     greppable output for [BENCH_results.json] and [uindex-cli stats

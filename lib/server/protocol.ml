@@ -222,20 +222,37 @@ let merge_rows =
 type answer = Doc of Json.t | Rows of rows
 
 (* the bytes [Json.to_string] gives the rows document, written without
-   building it: the rows are already rendered *)
+   building it: the rows are already rendered, and each is copied once
+   into a reply of exact size *)
 let rows_to_string ?trace_id r =
-  let buf =
-    Buffer.create
-      (List.fold_left (fun n s -> n + String.length s + 1) 160 r.rendered)
+  let n = List.length r.rendered in
+  let head = Printf.sprintf {|{"ok":true,"type":"rows","count":%d,"rows":[|} n
+  and tail =
+    Printf.sprintf {|],"page_reads":%d,"pool_hits":%d,"entries_scanned":%d%s}|}
+      r.page_reads r.pool_hits r.entries_scanned
+      (match trace_id with
+      | Some id -> Printf.sprintf {|,"trace_id":"%x"|} id
+      | None -> "")
   in
-  Printf.bprintf buf {|{"ok":true,"type":"rows","count":%d,"rows":[|}
-    (List.length r.rendered);
-  Buffer.add_string buf (String.concat "," r.rendered);
-  Printf.bprintf buf {|],"page_reads":%d,"pool_hits":%d,"entries_scanned":%d|}
-    r.page_reads r.pool_hits r.entries_scanned;
-  Option.iter (Printf.bprintf buf {|,"trace_id":"%x"|}) trace_id;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let size =
+    List.fold_left
+      (fun size s -> size + String.length s)
+      (String.length head + max 0 (n - 1) + String.length tail)
+      r.rendered
+  in
+  let b = Bytes.create size and pos = ref 0 in
+  let put s =
+    Bytes.blit_string s 0 b !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  put head;
+  List.iteri
+    (fun i s ->
+      if i > 0 then put ",";
+      put s)
+    r.rendered;
+  put tail;
+  Bytes.unsafe_to_string b
 
 let answer_to_string ?trace_id ans =
   match (ans, trace_id) with

@@ -27,12 +27,16 @@ let h_pin =
     ~help:"snapshot-session pin latency (ns)" "session_pin_ns"
 
 let h_exec =
-  Metrics.histogram ~subsystem:"server" ~help:"query execution latency (ns)"
+  Metrics.histogram ~subsystem:"server"
+    ~help:"query execution latency, reply rows rendered included (ns)"
     "exec_ns"
 
 let h_render =
   Metrics.histogram ~subsystem:"server"
-    ~help:"response JSON rendering latency (ns)" "render_ns"
+    ~help:
+      "reply writing latency: rendered rows joined, or an admin document \
+       printed (ns)"
+    "render_ns"
 
 let h_bytes =
   Metrics.histogram ~subsystem:"server" ~help:"response payload bytes"
@@ -329,24 +333,16 @@ let create ?telemetry ?shard_info ~schema db =
 
 let db t = t.db
 
-let value_json = function
-  | Value.Null -> Json.Null
-  | Value.Int i -> Json.Int i
-  | Value.Str s -> Json.Str s
-  | Value.Ref o -> Json.Obj [ ("ref", Json.Int o) ]
-  | Value.Ref_set os -> Json.List (List.map (fun o -> Json.Int o) os)
-
-let binding_json schema (b : Uindex.Exec.binding) =
-  Json.Obj
-    [
-      ("value", value_json b.value);
-      ( "comps",
-        Json.List
-          (List.map
-             (fun (cls, oid) ->
-               Json.List [ Json.Str (Schema.name schema cls); Json.Int oid ])
-             b.comps) );
-    ]
+(* Each accepted entry becomes its reply row where the scanner holds it:
+   printed from the key bytes, with no decode and no Json.t. *)
+let json_row idx =
+  let r =
+    Uindex.Keyrow.create ~enc:(Index.encoding idx) ~ty:(Index.attr_ty idx)
+  in
+  fun sc arity acc ->
+    Uindex.Keyrow.render r (Btree.Scanner.key_bytes sc)
+      (Btree.Scanner.key_length sc) ~arity
+    :: acc
 
 let health_fields t () =
   let acked = Db.acked_lsn t.db and durable = Db.durable_lsn t.db in
@@ -406,11 +402,13 @@ let query_answer t ~root ~line:_ ~deadline:_ ~algo q =
           0 (Db.session_indexes s)
       in
       let exec0 = Obs.Clock.now_ns () in
+      let run () =
+        Uindex.Exec.run_rows ~algo ~row:json_row (Db.session_view s idx) q
+      in
       let out, children =
         match root with
-        | None -> (Db.session_query ~algo s idx q, [])
-        | Some _ ->
-            Trace.with_collector (fun () -> Db.session_query ~algo s idx q)
+        | None -> (run (), [])
+        | Some _ -> Trace.with_collector run
       in
       let exec_ns = Obs.Clock.since_ns exec0 in
       Metrics.observe h_pin pin_ns;
@@ -425,10 +423,7 @@ let query_answer t ~root ~line:_ ~deadline:_ ~algo q =
       | None -> ());
       Rows
         (Protocol.rows ~page_reads:out.page_reads ~pool_hits:out.pool_hits
-           ~entries_scanned:out.entries_scanned
-           (List.map
-              (fun b -> Json.to_string (binding_json t.pipe.schema b))
-              out.bindings))
+           ~entries_scanned:out.entries_scanned out.bindings)
 
 let serve_line ?queued_ns ?deadline t line =
   serve_core ?queued_ns ?deadline t.pipe ~health:(health_fields t)

@@ -7,8 +7,10 @@
     {!Uindex.Db.session}, so every request sees one committed snapshot no
     matter what the writer does meanwhile.
 
-    Each row is rendered once and the rendered rows are sorted into the
-    canonical order {!Protocol.rows} defines, so two replies to the same
+    Each row is printed once, straight from its index entry's key bytes
+    ({!Uindex.Keyrow}, inside execution, so [server.exec_ns] includes
+    it), and the rendered rows are sorted into the canonical order
+    {!Protocol.rows} defines, so two replies to the same
     query against the same snapshot are byte-identical regardless of
     which worker (or process) produced them.
 

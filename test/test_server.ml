@@ -646,6 +646,180 @@ let test_page_read_reconciliation () =
       Alcotest.(check int) "pager.reads reconciles with per-request spans"
         (delta "pager.reads") attributed)
 
+(* --- served rows against the decoding pipeline -------------------------- *)
+
+module Ps = Workload.Paper_schema
+module Index = Uindex.Index
+module Router = Uindex_shard.Router
+module Splitter = Uindex_shard.Splitter
+module Smap = Uindex_shard.Shard_map
+
+(* A query reply as the server built it before rows were printed from
+   key bytes: [Exec.run]'s bindings, each built into a Json.t and
+   printed ({!Row_oracle}), then the same sort and rows writer.  [None]
+   when no index serves the query's arity. *)
+let decoded_reply db schema line =
+  match Protocol.parse_line line with
+  | Ok (_, Protocol.Query { algo; text }) -> (
+      let q = Uindex.Qparse.parse schema text in
+      let arity = List.length q.Uindex.Query.comps in
+      match List.find_opt (fun i -> Index.arity i = arity) (Db.indexes db) with
+      | None -> None
+      | Some idx ->
+          Db.with_session db (fun s ->
+              let o = Db.session_query ~algo s idx q in
+              Some
+                (Protocol.answer_to_string
+                   (Protocol.Rows
+                      (Protocol.rows ~page_reads:o.page_reads
+                         ~pool_hits:o.pool_hits
+                         ~entries_scanned:o.entries_scanned
+                         (List.map (Row_oracle.row schema) o.bindings))))))
+  | _ -> Alcotest.failf "not a query line: %S" line
+
+(* A partial-path query (fewer components than any index) is not
+   served, so its rows are compared where the executor builds them:
+   [Exec.run_rows] with the served row function against the parallel
+   [Exec.run], whose skips meet each binding once — so a forward scan
+   that let an adjacent duplicate through fails here. *)
+let partial_rows_agree idx schema line =
+  match Protocol.parse_line line with
+  | Ok (_, Protocol.Query { algo; text }) ->
+      let q = Uindex.Qparse.parse schema text in
+      let key_row idx =
+        let r =
+          Uindex.Keyrow.create ~enc:(Index.encoding idx) ~ty:(Index.attr_ty idx)
+        in
+        fun sc arity acc ->
+          Uindex.Keyrow.render r (Btree.Scanner.key_bytes sc)
+            (Btree.Scanner.key_length sc) ~arity
+          :: acc
+      in
+      (Uindex.Exec.run_rows ~algo ~row:key_row idx q).bindings
+      = List.map (Row_oracle.row schema)
+          (Uindex.Exec.run ~algo:`Parallel idx q).bindings
+  | _ -> false
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* a colour that needs every kind of escape the rows carry *)
+let odd_color = "Re\"d\\\t\x1f\xc3\xa9"
+
+(* One store with a vehicle of [odd_color], served unsharded and by two
+   in-process shards behind a router. *)
+let served_fleet () =
+  let e = Dg.exp1 ~n_vehicles:600 ~seed:11 () in
+  let b = e.ext.b in
+  let db = Db.create e.store in
+  Db.attach_index db e.ch_color;
+  Db.attach_index db e.path_age;
+  ignore (Db.insert db ~cls:b.truck [ ("color", Value.Str odd_color) ]);
+  ignore (Db.commit db);
+  let svc = Service.create ~schema:b.schema db in
+  let bounds = Splitter.choose_boundaries ~source:e.ch_color ~shards:2 in
+  let map =
+    Smap.make
+      (List.map2
+         (fun lo hi -> { Smap.lo; hi; file = None; endpoint = None })
+         ("" :: bounds)
+         (List.map Option.some bounds @ [ None ]))
+  in
+  let shards =
+    Array.init (Smap.count map) (fun i ->
+        let sdb = Db.create e.store in
+        let restrict src = Splitter.restrict ~source:src map i (Storage.Pager.create ()) in
+        Db.attach_index sdb (restrict e.ch_color);
+        Db.attach_index sdb (restrict e.path_age);
+        Router.Local (Service.create ~schema:b.schema sdb))
+  in
+  let router = Router.create ~schema:b.schema ~enc:b.enc ~map ~backends:shards () in
+  (e, db, svc, router)
+
+let gen_query_line =
+  let colors = Array.to_list Ps.colors @ [ "*"; "[Q-S]" ] in
+  let classes =
+    [ "Vehicle*"; "Truck*"; "Bus*"; "Automobile"; "CompactAutomobile*"; "[Bus* | Truck]" ]
+  in
+  QCheck.Gen.(
+    let* verb = oneofl [ "query"; "query-forward" ] in
+    let* a = int_range 20 70 and* w = int_bound 3 in
+    let+ body =
+      oneof
+        [
+          map2 (Printf.sprintf "(%s, %s)") (oneofl colors) (oneofl classes);
+          return (Printf.sprintf "([%d-%d], Employee*, Company*, Vehicle*)" a (a + w));
+          return (Printf.sprintf "(%d, Employee*, Company*)" a);
+          return (Printf.sprintf "([%d-%d], Employee*, AutoCompany*)" a (a + w));
+        ]
+    in
+    verb ^ " " ^ body)
+
+let prop_served_rows =
+  let e, db, svc, router = served_fleet () in
+  let schema = e.ext.b.schema in
+  QCheck.Test.make ~count:150 ~name:"served rows = decoded rows, direct and routed"
+    (QCheck.make ~print:Fun.id gen_query_line)
+    (fun line ->
+      let served = Service.serve_line svc line in
+      match decoded_reply db schema line with
+      | None ->
+          Protocol.response_error_kind (Json.of_string served)
+          = Some "unroutable"
+          && partial_rows_agree e.path_age schema line
+      | Some expected ->
+          if served <> expected then
+            QCheck.Test.fail_reportf "served %s@.decoded %s" served expected;
+          Router.canonical_projection (Router.serve_line router line)
+          = Router.canonical_projection expected)
+
+(* The odd colour's row, and rows of a class added after the service
+   first answered. *)
+let test_served_rows_escapes_and_new_class () =
+  let e, db, svc, _ = served_fleet () in
+  let b = e.ext.b in
+  let same line =
+    Alcotest.(check (option string)) line (decoded_reply db b.schema line)
+      (Some (Service.serve_line svc line))
+  in
+  same "query (*, Truck*)";
+  let reply = Service.serve_line svc "query (*, Truck*)" in
+  let escaped = {|"Re\"d\\\t\u001f|} ^ "\xc3\xa9\"" in
+  if not (contains reply escaped) then
+    Alcotest.failf "no escaped colour %s in %s" escaped reply;
+  let late =
+    Oodb_schema.Schema.add_class b.schema ~parent:b.truck ~name:"LateTruck"
+      ~attrs:[]
+  in
+  Oodb_schema.Encoding.assign_new_class b.enc late;
+  let oid = Db.insert db ~cls:late [ ("color", Value.Str "Red") ] in
+  ignore (Db.commit db);
+  List.iter same
+    [ "query (Red, Truck*)"; "query-forward (Red, Vehicle*)"; "query (*, LateTruck)" ];
+  let reply = Service.serve_line svc "query (Red, LateTruck)" in
+  let row = Printf.sprintf {|[["LateTruck",%d]]|} oid in
+  if not (contains reply row) then Alcotest.failf "no row %s in %s" row reply
+
+(* A served query runs through the executor's instruments: one request
+   moves each exec.* count and histogram. *)
+let test_served_exec_metrics () =
+  let _, _, svc, _ = served_fleet () in
+  let count name =
+    match Obs.Metrics.find_summary Obs.Metrics.default name with
+    | Some s -> s.Obs.Metrics.count
+    | None -> Alcotest.failf "no histogram %s" name
+  in
+  let queries () = Option.value ~default:0 (Obs.Metrics.find Obs.Metrics.default "exec.queries") in
+  let names = [ "exec.page_reads"; "exec.entries_scanned"; "exec.alloc_per_query" ] in
+  let q0 = queries () and before = List.map count names in
+  ignore (Service.serve_line svc "query (Red, Vehicle*)");
+  Alcotest.(check int) "exec.queries" (q0 + 1) (queries ());
+  List.iter2
+    (fun name n -> Alcotest.(check int) name (n + 1) (count name))
+    names before
+
 let test_concurrent_clients () =
   with_server ~workers:4 @@ fun path _server ->
   (* a sequential baseline, then 8 concurrent clients must match it *)
@@ -1174,6 +1348,14 @@ let () =
             test_monotone_counters_under_commits;
           Alcotest.test_case "page-read reconciliation" `Quick
             test_page_read_reconciliation;
+          Alcotest.test_case "served queries move exec.*" `Quick
+            test_served_exec_metrics;
+        ] );
+      ( "rows",
+        [
+          QCheck_alcotest.to_alcotest prop_served_rows;
+          Alcotest.test_case "escapes and a class added later" `Quick
+            test_served_rows_escapes_and_new_class;
         ] );
       ( "format",
         List.map QCheck_alcotest.to_alcotest

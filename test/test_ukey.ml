@@ -114,7 +114,130 @@ let prop_roundtrip =
       && d.Ukey.comps
          = [ (b.employee, oid); (b.company, oid + 1); (b.vehicle, oid + 2) ])
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_roundtrip ]
+(* --- rows from key bytes (Keyrow) against the decoding path ------------- *)
+
+module Keyrow = Uindex.Keyrow
+
+(* text values as the key format admits them (bytes >= 0x08): quotes,
+   backslashes, the control bytes JSON escapes, UTF-8 and high bytes *)
+let gen_text =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_bound 8)
+         (frequency
+            [
+              (4, map (String.make 1) (char_range ' ' '~'));
+              (1, oneofl [ "\""; "\\"; "\x7f"; "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x9a\x97" ]);
+              (1, map (fun c -> String.make 1 (Char.chr c)) (int_range 0x08 0x1f));
+              (1, map (fun c -> String.make 1 (Char.chr c)) (int_range 0x80 0xff));
+            ])))
+
+let gen_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ 0; -1; 1; min_int; max_int; min_int + 1; max_int - 1 ]);
+        (2, int);
+        (2, int_range (-1000) 1000);
+      ])
+
+let gen_oid =
+  QCheck.Gen.(oneof [ oneofl [ 0; 9; 10; 0xFFFFFFFF ]; int_bound 0xFFFFFF; map (fun i -> i land 0xFFFFFFFF) int ])
+
+(* a key of either value type over 1-4 distinct classes of the paper's
+   schema, in ascending code order *)
+let gen_key (b : Ps.t) =
+  let classes = Oodb_schema.Schema.all_classes b.schema in
+  QCheck.Gen.(
+    let* value =
+      oneof [ map (fun i -> Value.Int i) gen_int; map (fun s -> Value.Str s) gen_text ]
+    in
+    let* picked = shuffle_l classes >>= fun cs -> map (fun k -> List.filteri (fun i _ -> i < k) cs) (int_range 1 4) in
+    let* oids = list_repeat (List.length picked) gen_oid in
+    let comps =
+      List.sort (fun (a, _) (c, _) -> Code.compare a c)
+        (List.map2 (fun cls oid -> (Encoding.code b.enc cls, oid)) picked oids)
+    in
+    return (value, Ukey.entry_key ~value comps, List.length comps))
+
+let ty_of = function Value.Int _ -> Schema.Int | _ -> Schema.String
+
+let outcome f = match f () with s -> Ok s | exception e -> Error (Printexc.to_string e)
+
+(* one renderer per value type for the whole run, so the value-group and
+   code memos carry over from key to key; the key sits in a larger
+   buffer whose tail must not be read *)
+let renderers (b : Ps.t) =
+  let int = Keyrow.create ~enc:b.enc ~ty:Schema.Int
+  and str = Keyrow.create ~enc:b.enc ~ty:Schema.String in
+  fun ty key ~arity ->
+    let buf = Bytes.of_string (key ^ "\x01garbage") in
+    Keyrow.render
+      (if ty = Schema.Int then int else str)
+      buf (String.length key) ~arity
+
+let prop_keyrow_oracle =
+  let b, _ = setup () in
+  let render = renderers b in
+  QCheck.Test.make ~count:1000 ~name:"Keyrow.render = Json of Ukey.decode"
+    (QCheck.make ~print:(fun (_, k, n) -> Printf.sprintf "%S (%d comps)" k n) (gen_key b))
+    (fun (value, key, n) ->
+      let ty = ty_of value in
+      List.for_all
+        (fun arity ->
+          render ty key ~arity
+          = Row_oracle.key_row ~enc:b.enc ~ty ~arity key)
+        (List.init n (fun i -> i + 1)))
+
+(* a byte replaced, dropped or inserted, or the key cut short: the
+   renderer prints the decoding path's row or raises its exception *)
+let prop_keyrow_malformed =
+  let b, _ = setup () in
+  let render = renderers b in
+  QCheck.Test.make ~count:1000 ~name:"Keyrow.render fails where Ukey.decode does"
+    (QCheck.make ~print:(fun (k, _, _) -> Printf.sprintf "%S" k)
+       QCheck.Gen.(
+         let* value, key, n = gen_key b in
+         let* edit = int_bound 3 and* pos = nat and* c = char in
+         let len = String.length key in
+         let i = pos mod len in
+         let key =
+           match edit with
+           | 0 -> String.mapi (fun k x -> if k = i then c else x) key
+           | 1 -> String.sub key 0 i ^ String.sub key (i + 1) (len - i - 1)
+           | 2 -> String.sub key 0 i ^ String.make 1 c ^ String.sub key i (len - i)
+           | _ -> String.sub key 0 i
+         in
+         return (key, ty_of value, n)))
+    (fun (key, ty, n) ->
+      List.for_all
+        (fun arity ->
+          outcome (fun () -> render ty key ~arity)
+          = outcome (fun () -> Row_oracle.key_row ~enc:b.enc ~ty ~arity key))
+        (List.init (n + 1) (fun i -> i + 1)))
+
+(* A class added after the renderer built its name table: the miss
+   rebuilds the table, and a name that needs escaping prints escaped. *)
+let test_keyrow_new_class () =
+  let b, code = setup () in
+  let r = Keyrow.create ~enc:b.enc ~ty:Schema.String in
+  let render key = Keyrow.render r (Bytes.of_string key) (String.length key) ~arity:2 in
+  let known = Ukey.entry_key ~value:(Value.Str "Red") [ (code b.truck, 5) ] in
+  Alcotest.(check string) "known class" (Row_oracle.key_row ~enc:b.enc ~ty:Schema.String ~arity:2 known) (render known);
+  let odd =
+    Oodb_schema.Schema.add_class b.schema ~parent:b.truck ~name:"Odd\"Truck\\\t" ~attrs:[]
+  in
+  Encoding.assign_new_class b.enc odd;
+  let key =
+    Ukey.entry_key ~value:(Value.Str "Re\"d") [ (code b.employee, 1); (code odd, 7) ]
+  in
+  let expected = Row_oracle.key_row ~enc:b.enc ~ty:Schema.String ~arity:2 key in
+  Alcotest.(check string) "new class" expected (render key);
+  Alcotest.(check string) "escaped" {|{"value":"Re\"d","comps":[["Employee",1],["Odd\"Truck\\\t",7]]}|} expected
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_roundtrip; prop_keyrow_oracle; prop_keyrow_malformed ]
 
 let () =
   Alcotest.run "ukey"
@@ -127,6 +250,8 @@ let () =
           Alcotest.test_case "decode roundtrip" `Quick test_decode_roundtrip;
           Alcotest.test_case "decode offsets" `Quick test_decode_offsets;
           Alcotest.test_case "malformed keys" `Quick test_decode_malformed;
+          Alcotest.test_case "rows for a class added later" `Quick
+            test_keyrow_new_class;
         ] );
       ("properties", qsuite);
     ]
