@@ -116,7 +116,7 @@ let corrupt id detail =
     (Storage.Storage_error.Corruption
        { page = Some id; component = "btree.node"; detail })
 
-let attach ?config ?pool pager ~root =
+let attach ?config ?pool ?height pager ~root =
   let cfg =
     match config with
     | Some c -> c
@@ -131,7 +131,7 @@ let attach ?config ?pool pager ~root =
     | Node.Leaf _ -> h
     | Node.Internal n -> descend n.children.(0) (h + 1)
   in
-  t.height <- descend root 1;
+  t.height <- (match height with Some h -> h | None -> descend root 1);
   t
 
 (* The root page id is the only state outside the pager; persist it in the
@@ -142,9 +142,9 @@ let sync t =
   Pager.set_meta t.pager (meta_tag ^ Bu.encode_u32 t.root);
   Pager.sync t.pager
 
-let reattach ?config ?pool pager =
+let committed_root pager =
   let m = Pager.meta pager in
-  if String.length m <> 7 || String.sub m 0 3 <> meta_tag then
+  if String.length m <> 7 || not (String.starts_with ~prefix:meta_tag m) then
     raise
       (Storage.Storage_error.Corruption
          {
@@ -152,15 +152,19 @@ let reattach ?config ?pool pager =
            component = "btree.meta";
            detail = "Btree.reattach: pager metadata does not name a tree root";
          });
-  attach ?config ?pool pager ~root:(Bu.decode_u32 m 3)
+  Bu.decode_u32 m 3
+
+let reattach ?config ?pool pager =
+  attach ?config ?pool pager ~root:(committed_root pager)
 
 (* Borrowed reads: the tree never mutates a page it has read (all
    updates re-encode into fresh buffers and go through [write_page]), so
-   pool hits can hand out the resident bytes without copying. *)
+   pool hits, and a snapshot's in-memory images, can be handed out
+   without copying. *)
 let raw_read t id =
   match t.pool with
   | Some p -> Buffer_pool.read_ro p id
-  | None -> Pager.read t.pager id
+  | None -> Pager.read_ro t.pager id
 
 let cached_read t = Pager.Cache.of_read (raw_read t)
 

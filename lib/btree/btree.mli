@@ -50,11 +50,18 @@ val root : t -> int
     this is all the state needed to re-open the tree. *)
 
 val attach :
-  ?config:config -> ?pool:Storage.Buffer_pool.t -> Storage.Pager.t -> root:int -> t
+  ?config:config ->
+  ?pool:Storage.Buffer_pool.t ->
+  ?height:int ->
+  Storage.Pager.t ->
+  root:int ->
+  t
 (** [attach pager ~root] re-opens a tree previously built on this pager's
     pages (e.g. after {!Storage.Pager.open_file}); the height is recovered
-    by walking to the leftmost leaf.  The configuration must match the one
-    the tree was built with — in particular [front_coding]. *)
+    by walking to the leftmost leaf, unless the caller already knows it
+    ([?height], e.g. cached per snapshot epoch: no page is read then).
+    The configuration must match the one the tree was built with — in
+    particular [front_coding]. *)
 
 val sync : t -> unit
 (** Records the current root in the pager's header metadata and commits
@@ -69,6 +76,10 @@ val reattach : ?config:config -> ?pool:Storage.Buffer_pool.t -> Storage.Pager.t 
     {!Storage.Pager.open_file}.  Raises {!Storage.Storage_error.Corruption}
     when the metadata does not name a tree (no {!sync} ever ran, or the
     header was damaged). *)
+
+val committed_root : Storage.Pager.t -> int
+(** The root a previous {!sync} recorded in the pager's metadata, read
+    without touching a page; raises like {!reattach}. *)
 
 val pager : t -> Storage.Pager.t
 val config : t -> config
@@ -88,8 +99,9 @@ val height : t -> int
 
 val raw_read : t -> int -> Bytes.t
 (** Reads through the tree's page source: the pager directly (counting
-    every call), or the attached pool (hits served without a pager
-    read). *)
+    every call; {!Storage.Pager.read_ro}, so a snapshot's in-memory
+    images are borrowed, not copied), or the attached pool (hits served
+    without a pager read).  The bytes must not be mutated. *)
 
 val cached_read : t -> Storage.Pager.Cache.t
 (** A fresh per-query cache over this tree's page source. *)

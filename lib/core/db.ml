@@ -139,7 +139,7 @@ let sync t = ignore (commit t)
 (* --- snapshot sessions ---------------------------------------------------- *)
 
 type session = {
-  views : (Index.t * Index.t) list;  (* (live index, pinned view) *)
+  pins : Index.pin list;  (* registration order; views attach on use *)
   mutable open_ : bool;
 }
 
@@ -150,47 +150,53 @@ let session_count = Atomic.make 0
 
 let g_sessions =
   Obs.Metrics.gauge ~subsystem:"db"
-    ~help:"snapshot sessions currently pinned" "active_sessions"
+    ~help:
+      "snapshot sessions currently pinned (each holds its indexes' epochs: \
+       a nonzero value at rest is a leaked session)"
+    "active_sessions"
 
 let active_sessions () = Atomic.get session_count
 
 let open_session t =
-  (* pin under the writer lock: all views see the same committed cut,
-     never a half-applied mutation *)
+  (* pin under the writer lock: all indexes share the same committed cut,
+     never a half-applied mutation.  A pin reads no page; each index is
+     attached by its first [session_view]. *)
   with_writer t @@ fun () ->
-  let views = ref [] in
-  (try
-     List.iter
-       (fun idx -> views := (idx, Index.snapshot_view idx) :: !views)
-       t.indexes
+  let pins = ref [] in
+  (try List.iter (fun idx -> pins := Index.pin idx :: !pins) t.indexes
    with e ->
-     List.iter (fun (_, v) -> Index.release_view v) !views;
+     List.iter Index.release_pin !pins;
      raise e);
   Obs.Metrics.set g_sessions (Atomic.fetch_and_add session_count 1 + 1);
-  { views = List.rev !views; open_ = true }
+  { pins = List.rev !pins; open_ = true }
 
 let close_session s =
   if s.open_ then begin
     s.open_ <- false;
     Obs.Metrics.set g_sessions (Atomic.fetch_and_add session_count (-1) - 1);
-    List.iter (fun (_, v) -> Index.release_view v) s.views
+    List.iter Index.release_pin s.pins
   end
 
 let with_session t f =
   let s = open_session t in
   Fun.protect ~finally:(fun () -> close_session s) (fun () -> f s)
 
+let is_view_of idx p =
+  match Index.attached p with Some v -> v == idx | None -> false
+
 let session_view s idx =
   if not s.open_ then invalid_arg "Db.session_view: session is closed";
-  match List.assq_opt idx s.views with
-  | Some v -> v
-  | None ->
-      if List.exists (fun (_, v) -> v == idx) s.views then idx
-      else
-        invalid_arg
-          "Db.session_view: index was not registered when the session opened"
+  let rec find = function
+    | p :: rest -> if Index.pinned p == idx then Index.pin_view p else find rest
+    | [] ->
+        if List.exists (is_view_of idx) s.pins then idx
+        else
+          invalid_arg
+            "Db.session_view: index was not registered when the session opened"
+  in
+  find s.pins
 
-let session_indexes s = List.map snd s.views
+let session_indexes s = List.map Index.pin_view s.pins
 
 let session_query ?(algo = `Parallel) s idx q =
   Exec.run ~algo (session_view s idx) q

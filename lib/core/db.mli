@@ -12,12 +12,15 @@
     mutating operation ({!insert}, {!delete}, {!set_attr}, {!sync},
     index (de)registration) serializes on an internal writer lock, so
     writers may come from any thread.  Readers open a {!session}, which
-    pins — atomically with respect to writers — a snapshot view of every
-    registered index; queries through the session see exactly the
-    committed state at pin time (snapshot isolation) no matter how the
-    writer proceeds.  {!query} (without a session) reads the {e live}
-    index and belongs to the writer side: do not call it concurrently
-    with mutations. *)
+    pins — atomically with respect to writers — a snapshot of every
+    registered index at one committed cut; queries through the session
+    see exactly the committed state at pin time (snapshot isolation) no
+    matter how the writer proceeds.  A pin costs a reference-count bump
+    on the pager's epoch; an index is attached over its pin on first
+    use ({!session_view}), so damage that fails one index's attach fails
+    only the queries that use it.  {!query} (without a session) reads
+    the {e live} index and belongs to the writer side: do not call it
+    concurrently with mutations. *)
 
 module Schema := Oodb_schema.Schema
 module Store := Objstore.Store
@@ -106,19 +109,20 @@ val check : t -> unit
 (** {1 Snapshot sessions} *)
 
 type session
-(** A reader's handle: a snapshot view of every index, all pinned at the
-    same committed cut.  One session belongs to one thread; any number
-    of sessions may run concurrently with each other and with the
-    writer. *)
+(** A reader's handle: a snapshot of every index, all pinned at the same
+    committed cut, each attached as a view on first use.  One session
+    belongs to one thread; any number of sessions may run concurrently
+    with each other and with the writer. *)
 
 val open_session : t -> session
 (** Pins a session at the current committed state (taking the writer
-    lock briefly, so the cut is never mid-mutation).  File-backed
-    indexes must have been synced at least once.  Release with
-    {!close_session}. *)
+    lock briefly, so the cut is never mid-mutation).  Reads no page and
+    allocates the same few words whatever the indexes' sizes, once the
+    pagers' current epochs are frozen ({!Storage.Pager.snapshot}).
+    Release with {!close_session}. *)
 
 val close_session : session -> unit
-(** Releases every pinned view (idempotent).  Queries through a closed
+(** Releases every pin and view (idempotent).  Queries through a closed
     session raise [Invalid_argument]. *)
 
 val with_session : t -> (session -> 'a) -> 'a
@@ -136,8 +140,13 @@ val session_query :
 
 val session_view : session -> Index.t -> Index.t
 (** The session's pinned view of a live index (a view argument is
-    returned unchanged).  Raises [Invalid_argument] if the index was not
-    registered when the session opened. *)
+    returned unchanged), attached on the session's first call
+    ({!Index.pin_view}: the first attach of an index in an epoch reads
+    its leftmost path, into the view's stats).  Raises [Invalid_argument]
+    if the index was not registered when the session opened, and
+    {!Storage.Storage_error.Corruption} if the attach trips over damage
+    (file-backed indexes must have been synced at least once). *)
 
 val session_indexes : session -> Index.t list
-(** Every pinned view, in registration order. *)
+(** Every pinned view, in registration order — attaching each that is
+    not yet, so it raises like {!session_view}. *)

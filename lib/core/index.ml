@@ -276,28 +276,62 @@ let build ?fill t store =
 
 (* --- snapshot views ------------------------------------------------------ *)
 
-let snapshot_view t =
-  let parent = Btree.pager t.tree in
-  let snap = Storage.Pager.snapshot parent in
-  let tree =
-    try
-      if Storage.Pager.durable parent then
-        (* the committed B-tree root is named by the committed header
+type pin = {
+  pinned : t;
+  snap : Storage.Pager.t;
+  live_root : int;
+      (* the live root at pin time: a memory pager commits every write
+         immediately, so this is the committed root of the pinned image
+         (its header metadata may be stale between Btree.syncs) *)
+  mutable view : t option;
+}
+
+let pin t =
+  {
+    pinned = t;
+    snap = Storage.Pager.snapshot (Btree.pager t.tree);
+    live_root = Btree.root t.tree;
+    view = None;
+  }
+
+let pinned p = p.pinned
+let attached p = p.view
+
+let pin_view p =
+  match p.view with
+  | Some v -> v
+  | None ->
+      let snap = p.snap and config = Btree.config p.pinned.tree in
+      let root =
+        (* a file pager's committed root is named by the committed header
            metadata (recorded by Btree.sync) *)
-        Btree.reattach ~config:(Btree.config t.tree) snap
-      else
-        (* memory pagers commit every write immediately, so the live root
-           is the committed root (the header metadata may be stale
-           between Btree.syncs) *)
-        Btree.attach ~config:(Btree.config t.tree) snap
-          ~root:(Btree.root t.tree)
-    with e ->
-      Storage.Pager.release_snapshot snap;
+        if Storage.Pager.durable snap then Btree.committed_root snap
+        else p.live_root
+      in
+      let tree =
+        match Storage.Pager.epoch_tree snap with
+        | Some (r, height) when r = root ->
+            Btree.attach ~config ~height snap ~root
+        | Some _ | None ->
+            let tree = Btree.attach ~config snap ~root in
+            Storage.Pager.set_epoch_tree snap (root, Btree.height tree);
+            tree
+      in
+      (* no pool: a pool caches the live image, which may be ahead of the
+         pinned snapshot *)
+      let v = { p.pinned with tree } in
+      p.view <- Some v;
+      v
+
+let release_pin p = Storage.Pager.release_snapshot p.snap
+
+let snapshot_view t =
+  let p = pin t in
+  match pin_view p with
+  | v -> v
+  | exception e ->
+      release_pin p;
       raise e
-  in
-  (* no pool: a pool caches the live image, which may be ahead of the
-     pinned snapshot *)
-  { t with tree }
 
 let release_view v =
   let pager = Btree.pager v.tree in

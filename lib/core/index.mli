@@ -158,5 +158,38 @@ val release_view : t -> unit
     accounting into the parent pager's stats.  Raises
     [Invalid_argument] if the argument is not a view. *)
 
+(** {2 Pins: a snapshot now, its view on first use}
+
+    {!snapshot_view} in two steps.  {!pin} reads no page and allocates
+    a few words whatever the tree's size (the pager shares one frozen
+    image among every pin of the same commit), so a caller can pin many
+    indexes at one cut and attach only those it queries.  {!pin_view}
+    attaches: the first attach in an epoch walks the leftmost path to
+    learn the tree's height and caches it in the epoch
+    ({!Storage.Pager.epoch_tree}); later ones read no page. *)
+
+type pin
+
+val pin : t -> pin
+(** Pins the index's last committed image (as {!snapshot_view}) without
+    attaching a tree over it. *)
+
+val pinned : pin -> t
+(** The (live) index the pin was taken of. *)
+
+val pin_view : pin -> t
+(** The pin's view, attached on the first call and returned again
+    after.  Its page reads — the leftmost walk when this is the epoch's
+    first attach — land in the view's own pager stats.  Raises
+    {!Storage.Storage_error.Corruption} when the attach trips over
+    damage (the next call tries again) or the file-backed index was
+    never synced. *)
+
+val attached : pin -> t option
+(** The view, if {!pin_view} has attached it. *)
+
+val release_pin : pin -> unit
+(** Releases the pin's snapshot (idempotent); the view, if any, with it. *)
+
 val entry_count : t -> int
 val pp_stats : Format.formatter -> t -> unit

@@ -52,33 +52,34 @@ let record_issue (i : Verify.issue) =
 
 let run_pass t =
   let issues_found = ref 0 in
-  (match Db.open_session t.db with
-  | exception Storage.Storage_error.Corruption { page; component; detail } ->
-      (* pinning itself tripped a checksum (e.g. a damaged root path):
-         that is a finding, not a scrub failure *)
-      incr issues_found;
-      Metrics.incr c_issues;
-      Quarantine.record ~source:"scrub" ?page ~component ~detail ()
-  | s ->
-      Fun.protect ~finally:(fun () -> Db.close_session s) @@ fun () ->
-      let seen = ref 0 in
-      let throttle _page =
-        incr seen;
-        Metrics.incr c_pages;
-        if
-          t.cfg.pause > 0.
-          && !seen mod max 1 t.cfg.pause_every = 0
-          && not (Atomic.get t.stopping)
-        then Unix.sleepf t.cfg.pause
-      in
-      List.iter
-        (fun view ->
-          let report = Verify.check ~throttle view in
-          if not report.Verify.ok then begin
-            List.iter record_issue report.Verify.issues;
-            issues_found := !issues_found + List.length report.Verify.issues
-          end)
-        (Db.session_indexes s));
+  (let s = Db.open_session t.db in
+   Fun.protect ~finally:(fun () -> Db.close_session s) @@ fun () ->
+   match Db.session_indexes s with
+   | exception Storage.Storage_error.Corruption { page; component; detail } ->
+       (* attaching tripped a checksum (e.g. a damaged root path): that
+          is a finding, not a scrub failure *)
+       incr issues_found;
+       Metrics.incr c_issues;
+       Quarantine.record ~source:"scrub" ?page ~component ~detail ()
+   | views ->
+       let seen = ref 0 in
+       let throttle _page =
+         incr seen;
+         Metrics.incr c_pages;
+         if
+           t.cfg.pause > 0.
+           && !seen mod max 1 t.cfg.pause_every = 0
+           && not (Atomic.get t.stopping)
+         then Unix.sleepf t.cfg.pause
+       in
+       List.iter
+         (fun view ->
+           let report = Verify.check ~throttle view in
+           if not report.Verify.ok then begin
+             List.iter record_issue report.Verify.issues;
+             issues_found := !issues_found + List.length report.Verify.issues
+           end)
+         views);
   Metrics.incr c_passes;
   Metrics.set g_last_issues !issues_found;
   Atomic.incr t.done_passes;

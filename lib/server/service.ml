@@ -24,7 +24,11 @@ let h_queue_wait =
 
 let h_pin =
   Metrics.histogram ~subsystem:"server"
-    ~help:"snapshot-session pin latency (ns)" "session_pin_ns"
+    ~help:
+      "snapshot-session latency before execution (ns): pinning every index \
+       at one cut, then attaching the queried one (a leftmost-path walk \
+       only on the first attach in an epoch)"
+    "session_pin_ns"
 
 let h_exec =
   Metrics.histogram ~subsystem:"server"
@@ -386,25 +390,20 @@ let query_answer t ~root ~line:_ ~deadline:_ ~algo q =
       let pin0 = Obs.Clock.now_ns () in
       let s = Db.open_session t.db in
       Fun.protect ~finally:(fun () -> Db.close_session s) @@ fun () ->
+      (* only the queried index is attached: damage under another index
+         cannot fail this request *)
+      let view = Db.session_view s idx in
       let pin_ns = Obs.Clock.since_ns pin0 in
-      (* pinning itself reads pages: each snapshot view's Btree.attach
-         walks the leftmost path to recover the tree height, before the
-         executor's stats baseline.  Charge those reads to the root span
-         — exec children carry only descent reads, so
-         [Trace.total root "page_reads"] equals every pager read the
-         request issued, across all pinned indexes. *)
+      (* the first attach of an index in an epoch reads its leftmost path
+         to learn the tree's height, before the executor's stats
+         baseline.  Charge those reads to the root span — exec children
+         carry only descent reads, so [Trace.total root "page_reads"]
+         equals every pager read the request issued. *)
       let pin_reads =
-        List.fold_left
-          (fun acc v ->
-            acc
-            + (Storage.Pager.stats (Btree.pager (Index.tree v)))
-                .Storage.Stats.reads)
-          0 (Db.session_indexes s)
+        (Storage.Pager.stats (Btree.pager (Index.tree view))).Storage.Stats.reads
       in
       let exec0 = Obs.Clock.now_ns () in
-      let run () =
-        Uindex.Exec.run_rows ~algo ~row:json_row (Db.session_view s idx) q
-      in
+      let run () = Uindex.Exec.run_rows ~algo ~row:json_row view q in
       let out, children =
         match root with
         | None -> (run (), [])

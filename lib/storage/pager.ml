@@ -117,16 +117,36 @@ type backend =
     }
   | Snap of snap
 
-(* An immutable read view of the parent's last committed image.  The
-   snapshot starts empty and reads through to the parent's committed
-   storage; when the writer is about to overwrite a committed page (a
-   Memory write/free, or a File checkpoint), the old image is stashed
-   into the overlay of every live snapshot that can still see it
-   (copy-on-commit).  Overlay entries are immutable once added. *)
+(* One frozen committed image of a pager, shared by every snapshot
+   pinned at that cut.  The first pin after a commit freezes it (one
+   copy of the liveness map and of the checksum table); later pins of
+   the same cut only bump [pins].  The epoch ends when the image it
+   froze stops being the committed one — any write, alloc, free or meta
+   change of a memory pager, a committing sync of a file pager — and a
+   new pin then freezes a new one.  Reads go through to the parent's
+   committed storage; when the writer is about to overwrite a committed
+   page (a Memory write/free, or a File checkpoint), the old image is
+   stashed into the overlay of every epoch still pinned that can see it
+   (copy-on-commit), once per epoch however many sessions share it.
+   Overlay entries are immutable once added. *)
+and epoch = {
+  e_used : int;
+  e_live : int;
+  e_free : int list;
+  e_meta : string;
+  e_live_map : bool array;  (* committed liveness of [0, e_used) *)
+  e_sums : Bytes.t;  (* committed checksums: rot under a pin is detected *)
+  overlay : (int, Bytes.t) Hashtbl.t;  (* stashed committed images *)
+  mutable pins : int;  (* unreleased snapshots of this epoch *)
+  tree : (int * int) option Atomic.t;  (* see [epoch_tree] *)
+}
+
+(* A read view of one epoch.  Only the [released] flag and the
+   snapshot's own [Stats.t] (in the enclosing record) are per pin, so
+   per-query page reads stay exact when sessions share an epoch. *)
 and snap = {
   parent : t;
-  overlay : (int, Bytes.t) Hashtbl.t;  (* stashed committed images *)
-  snap_live : bool array;  (* committed liveness at pin time *)
+  ep : epoch;
   mutable released : bool;
 }
 
@@ -147,8 +167,10 @@ and t = {
   stats : Stats.t;
   lock : Mutex.t;
       (* serializes every state-touching operation on this pager with the
-         reads of snapshots pinned on it (they share the fd / page array) *)
-  mutable snaps : t list;  (* live snapshots pinned on this pager *)
+         reads of snapshots pinned on it (they share the fd / page array);
+         a snapshot shares its parent's *)
+  mutable current : epoch option;  (* the committed image a pin shares *)
+  mutable pinned : epoch list;  (* epochs with [pins > 0] *)
   (* last committed allocation state (File backend; for Memory the live
      fields are the committed state, and for Snap these are frozen) *)
   mutable committed_meta : string;
@@ -309,7 +331,8 @@ let make ~page_size ~checksums backend =
     faults = None;
     stats = Stats.create ();
     lock = Mutex.create ();
-    snaps = [];
+    current = None;
+    pinned = [];
     committed_meta = "";
     committed_used = 0;
     committed_free = [];
@@ -544,15 +567,15 @@ let apply_stale t =
   | _ -> ()
 
 (* Called with [t.lock] held, just before page [id]'s committed image is
-   overwritten: preserve that image in the overlay of every live snapshot
-   that pinned it and has not stashed it yet.  [fetch] reads the current
-   committed image lazily (at most once per call); overlays may share the
-   fetched buffer because committed images are replaced, never mutated in
-   place, and overlay reads hand out copies. *)
+   overwritten: preserve that image in the overlay of every pinned epoch
+   that can see it and has not stashed it yet — once per epoch, however
+   many snapshots share it.  [fetch] reads the current committed image
+   lazily (at most once per call); overlays may share the fetched buffer
+   because committed images are replaced, never mutated in place. *)
 let stash_committed t id fetch =
-  match t.snaps with
+  match t.pinned with
   | [] -> ()
-  | snaps ->
+  | epochs ->
       let cached = ref None in
       let get () =
         match !cached with
@@ -563,16 +586,15 @@ let stash_committed t id fetch =
             b
       in
       List.iter
-        (fun s ->
-          match s.backend with
-          | Snap sn
-            when (not sn.released)
-                 && id < s.used
-                 && sn.snap_live.(id)
-                 && not (Hashtbl.mem sn.overlay id) ->
-              Hashtbl.add sn.overlay id (get ())
-          | _ -> ())
-        snaps
+        (fun e ->
+          if id < e.e_used && e.e_live_map.(id) && not (Hashtbl.mem e.overlay id)
+          then Hashtbl.add e.overlay id (get ()))
+        epochs
+
+(* Called with [t.lock] held once the committed image has changed (or is
+   about to, with its old pages already stashed): the next pin freezes a
+   new epoch.  Pinned epochs live on in [t.pinned]. *)
+let end_epoch t = t.current <- None
 
 let sync_locked t =
   check_open t;
@@ -699,7 +721,8 @@ let sync_locked t =
         t.committed_meta <- t.meta;
         t.committed_used <- t.used;
         t.committed_free <- t.free_list;
-        t.committed_live <- t.live
+        t.committed_live <- t.live;
+        end_epoch t
       end);
   apply_stale t
 
@@ -720,11 +743,11 @@ let durable t =
   | Memory _ -> false
   | Snap sn -> ( match sn.parent.backend with File _ -> true | _ -> false)
 
-let live_snapshots t = with_lock t (fun () -> List.length t.snaps)
+let live_snapshots t =
+  with_lock t (fun () -> List.fold_left (fun n e -> n + e.pins) 0 t.pinned)
 
-let snapshot t =
-  with_lock t @@ fun () ->
-  check_open t;
+(* The committed image as an epoch: O(pages), once per commit *)
+let freeze t =
   let used, live, free_list, meta, snap_live =
     match t.backend with
     | Snap _ -> invalid_arg "Pager.snapshot: cannot snapshot a snapshot"
@@ -743,41 +766,54 @@ let snapshot t =
           t.committed_meta,
           sl )
   in
-  let s =
-    {
-      page_size = t.page_size;
-      checksums = t.checksums;
-      backend =
-        Snap
-          {
-            parent = t;
-            overlay = Hashtbl.create 16;
-            snap_live;
-            released = false;
-          };
-      used;
-      free_list;
-      live;
-      closed = false;
-      meta;
-      meta_dirty = false;
-      free_dirty = false;
-      phys_writes = 0;
-      (* the pinned checksums: a media fault that rots a committed page
-         under a snapshot is still detected on that snapshot's reads *)
-      sums = Bytes.copy t.sums;
-      faults = None;
-      stats = Stats.create ();
-      lock = Mutex.create ();  (* unused: snapshot ops take the parent's *)
-      snaps = [];
-      committed_meta = meta;
-      committed_used = used;
-      committed_free = free_list;
-      committed_live = live;
-    }
+  {
+    e_used = used;
+    e_live = live;
+    e_free = free_list;
+    e_meta = meta;
+    e_live_map = snap_live;
+    e_sums = Bytes.copy t.sums;
+    overlay = Hashtbl.create 16;
+    pins = 0;
+    tree = Atomic.make None;
+  }
+
+let snapshot t =
+  with_lock t @@ fun () ->
+  check_open t;
+  let e =
+    match t.current with
+    | Some e -> e
+    | None ->
+        let e = freeze t in
+        t.current <- Some e;
+        e
   in
-  t.snaps <- s :: t.snaps;
-  s
+  if e.pins = 0 then t.pinned <- e :: t.pinned;
+  e.pins <- e.pins + 1;
+  {
+    page_size = t.page_size;
+    checksums = t.checksums;
+    backend = Snap { parent = t; ep = e; released = false };
+    used = e.e_used;
+    free_list = e.e_free;
+    live = e.e_live;
+    closed = false;
+    meta = e.e_meta;
+    meta_dirty = false;
+    free_dirty = false;
+    phys_writes = 0;
+    sums = e.e_sums;
+    faults = None;
+    stats = Stats.create ();
+    lock = t.lock;
+    current = None;
+    pinned = [];
+    committed_meta = e.e_meta;
+    committed_used = e.e_used;
+    committed_free = e.e_free;
+    committed_live = e.e_live;
+  }
 
 let release_snapshot s =
   match s.backend with
@@ -786,10 +822,21 @@ let release_snapshot s =
       if not sn.released then begin
         sn.released <- true;
         s.closed <- true;
-        sn.parent.snaps <- List.filter (fun x -> x != s) sn.parent.snaps;
+        let e = sn.ep in
+        e.pins <- e.pins - 1;
+        if e.pins = 0 then
+          sn.parent.pinned <- List.filter (fun x -> x != e) sn.parent.pinned;
         Stats.merge_into ~into:sn.parent.stats s.stats
       end
   | Memory _ | File _ -> invalid_arg "Pager.release_snapshot: not a snapshot"
+
+let epoch_tree t =
+  match t.backend with Snap sn -> Atomic.get sn.ep.tree | Memory _ | File _ -> None
+
+let set_epoch_tree t shape =
+  match t.backend with
+  | Snap sn -> Atomic.set sn.ep.tree (Some shape)
+  | Memory _ | File _ -> invalid_arg "Pager.set_epoch_tree: not a snapshot"
 
 let close t =
   match t.backend with
@@ -841,7 +888,8 @@ let set_meta t m =
     invalid_arg "Pager.set_meta: metadata does not fit in the header page";
   if m <> t.meta then begin
     t.meta <- m;
-    t.meta_dirty <- true
+    t.meta_dirty <- true;
+    match t.backend with Memory _ -> end_epoch t | File _ | Snap _ -> ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -922,7 +970,7 @@ let is_live t id =
   match t.backend with
   | Memory m -> m.pages.(id) <> None
   | File f -> f.live_map.(id)
-  | Snap sn -> sn.snap_live.(id)
+  | Snap sn -> sn.ep.e_live_map.(id)
 
 let high_water t = t.used
 let free_pages t = t.free_list
@@ -949,6 +997,7 @@ let alloc t =
   in
   (match t.backend with
   | Memory m ->
+      end_epoch t;
       if id >= Array.length m.pages then m.pages <- grow_array m.pages None;
       m.pages.(id) <- Some (Bytes.make t.page_size '\000');
       if t.checksums then
@@ -966,37 +1015,53 @@ let check_live t id =
   if id < 0 || id >= t.used then invalid_arg "Pager: page id out of range";
   if not (is_live t id) then invalid_arg "Pager: page not allocated"
 
+(* [id]'s image as pinned by [sn], with the parent's lock held: the
+   stashed image if the writer has replaced it since, else the parent's
+   committed storage.  A memory-backed or stashed image is the committed
+   buffer itself ([copy] = false) or a copy of it; a file-backed one is
+   always pread into a fresh buffer (bypassing the writer's dirty table). *)
+let snap_image ~copy t sn id =
+  if sn.released then invalid_arg "Pager.read: snapshot was released";
+  let own b = if copy then Bytes.copy b else b in
+  match Hashtbl.find_opt sn.ep.overlay id with
+  | Some b -> own b
+  | None -> (
+      if sn.parent.closed then invalid_arg "Pager.read: parent pager is closed";
+      match sn.parent.backend with
+      | Memory m -> (
+          match m.pages.(id) with
+          | Some b -> own b
+          | None -> assert false (* stashed before the free *))
+      | File f ->
+          let b = Bytes.create t.page_size in
+          pread_buf f.fd ~off:(data_phys t id * t.page_size) b t.page_size;
+          b
+      | Snap _ -> assert false)
+
+(* The snapshot's own bounds/liveness/sums are frozen, so only the fetch
+   from the parent's shared storage takes the parent's lock (by hand: no
+   closure on the scan's hot path). *)
+let snap_read ~copy t sn id =
+  check_live t id;
+  Obs.Metrics.incr m_reads;
+  t.stats.reads <- t.stats.reads + 1;
+  let lock = sn.parent.lock in
+  Mutex.lock lock;
+  let b =
+    match snap_image ~copy t sn id with
+    | b ->
+        Mutex.unlock lock;
+        b
+    | exception e ->
+        Mutex.unlock lock;
+        raise e
+  in
+  verify_page t id b;
+  b
+
 let read t id =
   match t.backend with
-  | Snap sn ->
-      (* the snapshot's own bounds/liveness/sums are frozen, so only the
-         fetch from the parent's shared storage needs the parent's lock *)
-      check_live t id;
-      Obs.Metrics.incr m_reads;
-      t.stats.reads <- t.stats.reads + 1;
-      let b =
-        with_lock sn.parent @@ fun () ->
-        if sn.released then invalid_arg "Pager.read: snapshot was released";
-        match Hashtbl.find_opt sn.overlay id with
-        | Some b -> Bytes.copy b
-        | None -> (
-            if sn.parent.closed then
-              invalid_arg "Pager.read: parent pager is closed";
-            match sn.parent.backend with
-            | Memory m -> (
-                match m.pages.(id) with
-                | Some b -> Bytes.copy b
-                | None -> assert false (* stashed before the free *))
-            | File f ->
-                (* committed image: bypass the writer's dirty table *)
-                let b = Bytes.create t.page_size in
-                pread_buf f.fd ~off:(data_phys t id * t.page_size) b
-                  t.page_size;
-                b
-            | Snap _ -> assert false)
-      in
-      verify_page t id b;
-      b
+  | Snap sn -> snap_read ~copy:true t sn id
   | Memory _ | File _ -> (
       with_lock t @@ fun () ->
       check_live t id;
@@ -1020,6 +1085,11 @@ let read t id =
               b)
       | Snap _ -> assert false)
 
+let read_ro t id =
+  match t.backend with
+  | Snap sn -> snap_read ~copy:false t sn id
+  | Memory _ | File _ -> read t id
+
 let write t id b =
   (match t.backend with
   | Snap _ -> invalid_arg "Pager.write: snapshot is read-only"
@@ -1036,6 +1106,7 @@ let write t id b =
          pinned snapshots before it is replaced *)
       stash_committed t id (fun () ->
           match m.pages.(id) with Some o -> o | None -> assert false);
+      end_epoch t;
       inject_write t
         ~full:(fun () ->
           m.pages.(id) <- Some (Bytes.copy b);
@@ -1064,6 +1135,7 @@ let free t id =
   | Memory m ->
       stash_committed t id (fun () ->
           match m.pages.(id) with Some o -> o | None -> assert false);
+      end_epoch t;
       m.pages.(id) <- None
   | File f ->
       f.live_map.(id) <- false;

@@ -55,14 +55,20 @@
     {!snapshot} pins an immutable read view of the pager's last committed
     image as a read-only pager: file-backed pagers pin the on-disk state
     of the last {!sync}, in-memory pagers (whose writes apply
-    immediately) pin the current state.  Snapshots are copy-on-commit:
+    immediately) pin the current state.  Every snapshot of one committed
+    image shares one {e epoch}: the first pin after a commit freezes the
+    image's liveness map, checksum table (so media rot under a pinned
+    page is still detected), metadata and free list, once; later pins of
+    the same image are a reference-count bump.  The epoch ends at any
+    write, alloc, free or metadata change of an in-memory pager and at a
+    committing {!sync} of a file pager.  Snapshots are copy-on-commit:
     when the writer is about to overwrite a committed page — an in-memory
     write/free, or a file checkpoint — the old image is stashed into the
-    overlay of every snapshot that can still see it, so snapshot reads
-    cost nothing until the writer actually commits over them.  A snapshot
-    carries its own {!Stats.t} (so per-query read accounting works
-    unchanged on a view) and its own pinned checksum table (so media rot
-    under a pinned page is still detected); {!release_snapshot} folds its
+    overlay of every pinned epoch that can still see it, once per epoch,
+    so snapshot reads cost nothing until the writer actually commits
+    over them and a write costs the same however many sessions are
+    pinned.  A snapshot carries its own {!Stats.t} (so per-query read
+    accounting works unchanged on a view); {!release_snapshot} folds its
     stats back into the parent.
 
     The concurrency contract is {e single writer, many snapshot
@@ -190,6 +196,15 @@ val read : t -> int -> Bytes.t
     or has been freed, {!Storage_error.Corruption} if checksums are
     enabled and the committed content fails verification. *)
 
+val read_ro : t -> int -> Bytes.t
+(** [read_ro t id] is {!read} without the copy where the page already
+    sits in memory, immutable: on a snapshot, a memory-backed or stashed
+    image is handed out itself (committed images are replaced, never
+    mutated in place).  The caller must not mutate the result.  The
+    page is verified and counted exactly as by {!read}; a file-backed
+    snapshot still preads into a fresh buffer, and a non-snapshot pager
+    returns a copy. *)
+
 val write : t -> int -> Bytes.t -> unit
 (** [write t id b] replaces the page contents and increments the write
     counter.  [Bytes.length b] must equal the page size.  File-backed
@@ -239,8 +254,19 @@ val durable : t -> bool
     {!meta} for durable pagers, in the live tree for in-memory ones. *)
 
 val live_snapshots : t -> int
-(** Number of currently pinned, unreleased snapshots — for asserting
-    that sessions drain. *)
+(** Number of currently pinned, unreleased snapshots (over all epochs) —
+    for asserting that sessions drain. *)
+
+val epoch_tree : t -> (int * int) option
+(** On a snapshot: the [(root, height)] of a tree some reader attached
+    over this snapshot's epoch, if one has ({!set_epoch_tree}) — every
+    snapshot of the same committed image sees it, so the leftmost
+    descent that finds a tree's height runs once per epoch.  [None] on
+    other pagers. *)
+
+val set_epoch_tree : t -> int * int -> unit
+(** Records [(root, height)] in a snapshot's epoch (see {!epoch_tree}).
+    Raises [Invalid_argument] on a non-snapshot. *)
 
 (** {1 Metadata and introspection} *)
 

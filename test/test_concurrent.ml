@@ -290,6 +290,60 @@ let test_db_sessions () =
     (Invalid_argument "Db.session_view: session is closed") (fun () ->
       ignore (count_in s1))
 
+let exp1_db ~n_vehicles =
+  let e = Dg.exp1 ~n_vehicles ~seed:3 () in
+  let db = Db.create e.store in
+  Db.attach_index db e.ch_color;
+  Db.attach_index db e.path_age;
+  (e, db)
+
+(* A pin of a warm epoch is a reference-count bump: open, attach one
+   index, close allocates the same words at 2,000 and at 20,000 vehicles
+   (trees of about 300 and 3,000 pages each). *)
+let test_pin_cost_flat () =
+  let pin_words n_vehicles =
+    let e, db = exp1_db ~n_vehicles in
+    let cycle () =
+      let s = Db.open_session db in
+      ignore (Db.session_view s e.ch_color);
+      Db.close_session s
+    in
+    (* the first cycle freezes both epochs and caches ch_color's shape *)
+    cycle ();
+    cycle ();
+    let (), w = Alloc_words.measure cycle in
+    Alcotest.(check int) "sessions drained" 0 (Db.active_sessions ());
+    w
+  in
+  let small = pin_words 2_000 and large = pin_words 20_000 in
+  if abs (large - small) > 4 then
+    Alcotest.failf "a warm pin allocates %d words at 2,000 vehicles, %d at 20,000"
+      small large
+
+(* Copy-on-commit stashes a page once per epoch: one memory-pager write
+   allocates the same words with 1 and with 500 sessions pinned at one
+   cut.  The write puts back the page's own image, so the index stays
+   whole. *)
+let test_write_cost_flat () =
+  let e, db = exp1_db ~n_vehicles:300 in
+  let tree = Uindex.Index.tree e.ch_color in
+  let pager = Btree.pager tree and root = Btree.root tree in
+  let write_words sessions =
+    let ss = List.init sessions (fun _ -> Db.open_session db) in
+    let img = Storage.Pager.read pager root in
+    let (), w =
+      Alloc_words.measure (fun () -> Storage.Pager.write pager root img)
+    in
+    List.iter Db.close_session ss;
+    w
+  in
+  ignore (write_words 1);
+  let one = write_words 1 and many = write_words 500 in
+  Alcotest.(check int) "one write, 1 vs 500 pinned sessions" one many;
+  Alcotest.(check int) "sessions drained" 0 (Db.active_sessions ());
+  Alcotest.(check int) "no snapshots left" 0
+    (Storage.Pager.live_snapshots pager)
+
 (* --- durability watermark ------------------------------------------------ *)
 
 (* A small file-backed Db: vehicles with a color index, synced once so
@@ -518,7 +572,14 @@ let () =
           Alcotest.test_case "file view" `Quick
             (run_pin_before_commit ~durable:true);
         ] );
-      ("sessions", [ Alcotest.test_case "Db sessions" `Quick test_db_sessions ]);
+      ( "sessions",
+        [
+          Alcotest.test_case "Db sessions" `Quick test_db_sessions;
+          Alcotest.test_case "a warm pin costs the same at any size" `Quick
+            test_pin_cost_flat;
+          Alcotest.test_case "a write costs the same at any pin count" `Quick
+            test_write_cost_flat;
+        ] );
       ( "watermark",
         [
           Alcotest.test_case "async commit semantics" `Quick

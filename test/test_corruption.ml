@@ -584,6 +584,89 @@ let test_verify_clean () =
         (r.Verify.node_pages + r.Verify.overflow_pages + r.Verify.free_pages);
       Pager.close pager)
 
+(* ------------------------------------------------------------------ *)
+(* Containment: damage under one index fails only the queries that use
+   it                                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Db = Uindex.Db
+module Service = Uindex_server.Service
+module Protocol = Uindex_server.Protocol
+
+(* One service over two checksummed in-memory indexes: [a] on colours
+   (arity 1) and the path index on ages (arity 3). *)
+let served_pair () =
+  let e = Dg.exp1 ~n_vehicles:400 ~seed:7 () in
+  let b = e.Dg.ext.Ps.b in
+  (* small nodes, as in the paper's first experiment: taller trees *)
+  let config = { (Btree.default_config ~page_size:1024) with max_entries = Some 10 } in
+  let index make =
+    let idx = make (Pager.create ~checksums:true ()) in
+    Index.build idx e.Dg.store;
+    idx
+  in
+  let a =
+    index (fun p ->
+        Index.create_class_hierarchy ~config p b.Ps.enc
+          ~root:b.Ps.vehicle ~attr:"color")
+  in
+  let ages =
+    index (fun p ->
+        Index.create_path ~config p b.Ps.enc ~head:b.Ps.vehicle
+          ~refs:[ "manufactured_by"; "president" ] ~attr:"age")
+  in
+  let db = Db.create e.Dg.store in
+  Db.attach_index db a;
+  Db.attach_index db ages;
+  (a, Service.create ~schema:b.Ps.schema db)
+
+let a_lines = [ "query (Red, Vehicle*)"; "query-forward (White, Bus*)" ]
+
+let b_lines =
+  [
+    "query ([30-31], Employee*, Company*, Vehicle*)";
+    "query-forward ([40-60], Employee*, AutoCompany*, Truck*)";
+    "query (*, Employee*, Company*, Vehicle*)";
+  ]
+
+(* Index A's committed root is zeroed under a running service.  Cold:
+   A was never attached in this epoch, so its attach trips; warm: A's
+   root and height are cached in its epoch, so its descent trips.
+   Either way A's queries get a typed data_corruption, B's replies stay
+   byte-identical to the undamaged ones, and every session drains. *)
+let test_damage_contained () =
+  List.iter
+    (fun warm ->
+      let a, svc = served_pair () in
+      let serve line = Obs.Json.of_string (Service.serve_line svc line) in
+      let before = List.map (Service.serve_line svc) b_lines in
+      if warm then
+        List.iter
+          (fun line ->
+            Alcotest.(check bool) ("undamaged " ^ line) true
+              (Protocol.response_is_ok (serve line)))
+          a_lines;
+      let tree = Index.tree a in
+      ignore
+        (Pager.create_faulty
+           { Pager.no_faults with media = [ Pager.Zero_page { page = Btree.root tree } ] }
+           (Btree.pager tree));
+      for _ = 1 to 2 do
+        List.iter
+          (fun line ->
+            Alcotest.(check (option string)) ("damaged " ^ line)
+              (Some "data_corruption")
+              (Protocol.response_error_kind (serve line)))
+          a_lines;
+        List.iter2
+          (fun line want ->
+            Alcotest.(check string) ("untouched " ^ line) want
+              (Service.serve_line svc line))
+          b_lines before
+      done;
+      Alcotest.(check int) "sessions drained" 0 (Db.active_sessions ()))
+    [ false; true ]
+
 let unit_suite =
   [
     Alcotest.test_case "open: truncated file" `Quick test_open_truncated;
@@ -618,6 +701,8 @@ let unit_suite =
       (test_damaged_leaf garbage_leaf_body);
     Alcotest.test_case "verify accepts a healthy index" `Quick
       test_verify_clean;
+    Alcotest.test_case "containment: damage fails only its index" `Quick
+      test_damage_contained;
   ]
 
 let () =

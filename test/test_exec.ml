@@ -348,6 +348,36 @@ let test_rejected_alloc () =
     Alcotest.failf "parallel walk: %d minor words over %d rejecting seeks"
       seek_words seeks
 
+(* --- allocation: page reads on a snapshot view ----------------------------- *)
+
+(* A snapshot's in-memory page images are borrowed, not copied: a served
+   walk with a row that builds nothing costs a few words per page read,
+   not the 129 words of a 1 KiB copy. *)
+let test_snapshot_read_alloc () =
+  let e = Dg.exp1 ~n_vehicles:12_000 ~seed:20260706 () in
+  let schema = e.ext.b.schema in
+  List.iter
+    (fun (idx, text) ->
+      let q = Uindex.Qparse.parse schema text in
+      let view = Index.snapshot_view idx in
+      Fun.protect ~finally:(fun () -> Index.release_view view) @@ fun () ->
+      List.iter
+        (fun algo ->
+          let run () = Exec.run_rows ~algo ~row:(fun _ _ _ acc -> acc) view q in
+          ignore (run ());
+          let out, words = Alloc_words.measure run in
+          if out.Exec.page_reads < 20 then
+            Alcotest.failf "%s read only %d pages" text out.page_reads;
+          if words >= 40 * out.page_reads then
+            Alcotest.failf "%s: %d words over %d page reads (want < 40 per read)"
+              text words out.page_reads)
+        [ `Parallel; `Forward ])
+    [
+      (e.ch_color, "(Red, HeavyTruck*)");
+      (e.ch_color, "(White, Bus*)");
+      (e.path_age, "([30-31], Employee*, Company*, Vehicle*)");
+    ]
+
 let () =
   Alcotest.run "exec"
     [
@@ -370,5 +400,9 @@ let () =
           Alcotest.test_case "explain (Fig. 3 search tree)" `Quick test_explain;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "rejected entries" `Quick test_rejected_alloc ] );
+        [
+          Alcotest.test_case "rejected entries" `Quick test_rejected_alloc;
+          Alcotest.test_case "snapshot page reads are borrowed" `Quick
+            test_snapshot_read_alloc;
+        ] );
     ]
