@@ -496,14 +496,12 @@ let run_telemetry_overhead (e : Dg.exp1) =
     row "off"
       {
         Service.tracing = false;
-        sample_every = 1;
         slow_threshold_ns = max_int;
         slow_capacity = 0;
       };
     row "on"
       {
         Service.tracing = true;
-        sample_every = 1;
         slow_threshold_ns = 0;
         slow_capacity = 64;
       };

@@ -1215,7 +1215,7 @@ let run_server e ~file ~shard ~churn ~group_window ~scrub_every config
    recovers the page file it returns. *)
 let serve_term =
   let serve data addr workers backlog timeout file churn group_window slow_ms
-      slow_log trace_sample no_tracing chaos scrub_every restart_budget
+      slow_log no_tracing chaos scrub_every restart_budget
       shard_map shard_id =
     let chaos =
       Option.map (fun spec -> Chaos.arm (or_die (Chaos.parse spec))) chaos
@@ -1227,7 +1227,6 @@ let serve_term =
     let telemetry =
       {
         Service.tracing = not no_tracing;
-        sample_every = max 1 trace_sample;
         slow_threshold_ns = int_of_float (slow_ms *. 1e6);
         slow_capacity = max 0 slow_log;
       }
@@ -1314,14 +1313,6 @@ let serve_term =
             "Slow-query log capacity (a ring keeping the most recent \
              $(i,N) slow requests); 0 disables the log.")
   in
-  let trace_sample =
-    Arg.(
-      value & opt int 1
-      & info [ "trace-sample" ] ~docv:"K"
-          ~doc:
-            "Trace 1 in $(i,K) requests (requests carrying a client \
-             trace id are always traced).")
-  in
   let no_tracing =
     Arg.(
       value & flag
@@ -1385,7 +1376,7 @@ let serve_term =
   Term.(
     const serve $ dataset_arg () $ addr_args $ workers $ backlog $ timeout
     $ (const (Option.map existing) $ file)
-    $ churn $ group_window $ slow_ms $ slow_log $ trace_sample $ no_tracing
+    $ churn $ group_window $ slow_ms $ slow_log $ no_tracing
     $ chaos $ scrub_every $ restart_budget $ shard_map $ shard_id)
 
 let serve_info =

@@ -27,15 +27,20 @@ let head_oids o =
 
 type 'a row = Btree.Scanner.t -> int -> 'a list -> 'a list
 
-(* The single-value layout's row for library callers: only accepted
-   entries are copied out of the scanner and decoded, to the key's value
-   and first [arity] components. *)
-let binding_row idx =
-  let enc = Index.encoding idx and ty = Index.attr_ty idx in
-  fun sc arity acc ->
-    let key = Btree.Scanner.key_bytes sc and len = Btree.Scanner.key_length sc in
-    let d = Ukey.decode ~arity ~enc ~ty (Bytes.sub_string key 0 len) in
-    { value = d.value; comps = d.comps } :: acc
+(* The single-value layout's row for library callers: the key's value
+   and first [arity] components, read where the classifier found them. *)
+let binding_row _idx plan sc arity acc =
+  let key = Btree.Scanner.key_bytes sc in
+  let value =
+    match Plan.attr_ty plan with
+    | Schema.Int -> Value.Int (Storage.Bytes_util.get_int key 0)
+    | _ -> Value.Str (Bytes.sub_string key 0 (Plan.value_end plan))
+  in
+  let comps =
+    List.init arity (fun j ->
+        (Plan.comp_class plan j, Storage.Bytes_util.get_u32 key (Plan.comp_end plan j)))
+  in
+  { value; comps } :: acc
 
 (* The forward scan reads every leaf of the bracket, so it meets the
    adjacent duplicate bindings a partial-path query produces (the skips
@@ -270,7 +275,7 @@ let impl ?trace algo idx query make_row =
     | `Forward -> (Btree.raw_read tree, false)
     | `Parallel -> (Pager.Cache.read (Btree.cached_read tree), true)
   in
-  let row = make_row idx in
+  let row = make_row idx plan in
   let row = if skip then row else dedup plan row in
   with_read_count tree (fun () ->
       with_scanner tree read (fun sc -> scan ?trace ~skip tree sc plan row))
@@ -345,9 +350,10 @@ let analyze ~algo idx query =
 type visit = { depth : int; page : int; is_leaf : bool }
 
 (* A dry run of the parallel walk on its own scanner, whose reader
-   records every page the first time it is touched, at the level the
-   scanner reports for it.  (A finger seek starts below the root, so the
-   order of touches alone does not give depth.) *)
+   records a page when its per-query cache fetches it (the cache's
+   distinct count grows), at the level the scanner reports for it.  (A
+   finger seek starts below the root, so the order of touches alone does
+   not give depth.) *)
 let explain idx query =
   let plan = compile idx query in
   let tree = Index.tree idx in
@@ -358,12 +364,11 @@ let explain idx query =
      must not disturb) and roll the read counter back after *)
   let cache = Pager.Cache.create (Btree.pager tree) in
   let scanner = ref None in
-  let seen = Hashtbl.create 64 in
   let visits = ref [] in
   let read id =
+    let distinct = Pager.Cache.distinct_reads cache in
     let b = Pager.Cache.read cache id in
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
+    if Pager.Cache.distinct_reads cache > distinct then begin
       let depth = Option.fold ~none:0 ~some:Btree.Scanner.level !scanner in
       let is_leaf =
         try Btree.Node.is_leaf_page b with Invalid_argument _ -> false

@@ -47,7 +47,11 @@ type outcome = binding result
 type 'a row = Btree.Scanner.t -> int -> 'a list -> 'a list
 (** [row sc arity acc] adds the rows of the accepted entry under the
     cursor ({!Btree.Scanner.key_bytes}, {!Btree.Scanner.value}) to
-    [acc], newest first; [arity] is the classifier's accepted arity. *)
+    [acc], newest first; [arity] is the classifier's accepted arity.  It
+    is called right after the plan accepted the cursor's key, so it
+    reads the value's end, each component's end and class from the
+    plan's findings ({!Plan.value_end}, {!Plan.comp_end},
+    {!Plan.comp_rank}) instead of parsing the key again. *)
 
 val scan :
   ?trace:Obs.Trace.span ->
@@ -59,9 +63,10 @@ val scan :
     the plan's skip targets (Algorithm 1), without it advances over all
     of them (the forward scan).  Returns the rows, newest first, and the
     entries classified; [trace] gets the segment spans {!analyze}
-    describes.  {!run} passes a row that decodes one {!binding}, the
+    describes.  {!run} passes a row that builds one {!binding}, the
     server one that prints a JSON row from the key bytes ({!Keyrow}),
-    {!Grouped.query} one that expands an OID list. *)
+    {!Grouped.query} one that expands an OID list: all three from the
+    plan's findings. *)
 
 val head_oids : outcome -> Objstore.Value.oid list
 (** The distinct OIDs of the last (head-class) component of each binding —
@@ -78,12 +83,13 @@ val run : algo:[ `Forward | `Parallel ] -> Index.t -> Query.t -> outcome
 
 val run_rows :
   algo:[ `Forward | `Parallel ] ->
-  row:(Index.t -> 'a row) ->
+  row:(Index.t -> Plan.t -> 'a row) ->
   Index.t ->
   Query.t ->
   'a result
-(** {!run} with its row function: [row idx] is called once per query
-    and builds that query's row for each accepted entry.  The same walk,
+(** {!run} with its row function: [row idx plan] is called once per
+    query, with the query's compiled plan, and builds that query's row
+    for each accepted entry from the plan's findings.  The same walk,
     spans, page-read accounting and [exec.*] instruments as {!run}; the
     forward scan drops a binding equal to the one before it (same key
     bytes up to the end of the accepted arity's last component) before

@@ -87,23 +87,15 @@ let build t store =
 
 (* --- queries -------------------------------------------------------------- *)
 
-(* An accepted entry's rows: its class is the code between the key's last
-   two separators (codes hold no 0x01, value bytes may), and the slot,
-   which a grouped plan does not test, filters its OID list. *)
-let row t (slot : Query.slot) sc _arity acc =
-  let key = Btree.Scanner.key_bytes sc and len = Btree.Scanner.key_length sc in
-  let start = Bytes.rindex_from key (len - 2) '\x01' + 1 in
-  match
-    Encoding.class_of_serialized t.enc
-      (Bytes.sub_string key start (len - 1 - start))
-  with
-  | None -> acc (* the classifier accepts known codes only *)
-  | Some cls ->
-      List.fold_left
-        (fun acc oid ->
-          if Query.slot_matches slot oid then (cls, oid) :: acc else acc)
-        acc
-        (decode_oids (Btree.Scanner.value sc))
+(* An accepted entry's rows: its class is its one component's, as the
+   classifier found it, and the slot, which a grouped plan does not
+   test, filters its OID list. *)
+let row plan (slot : Query.slot) sc _arity acc =
+  let cls = Plan.comp_class plan 0 in
+  List.fold_left
+    (fun acc oid -> if Query.slot_matches slot oid then (cls, oid) :: acc else acc)
+    acc
+    (decode_oids (Btree.Scanner.value sc))
 
 let query t (q : Query.t) =
   let slot =
@@ -118,7 +110,7 @@ let query t (q : Query.t) =
     Btree.Scanner.create t.tree
       ~read:(Pager.Cache.read (Btree.cached_read t.tree))
   in
-  let rows, _ = Exec.scan ~skip:true t.tree sc plan (row t slot) in
+  let rows, _ = Exec.scan ~skip:true t.tree sc plan (row plan slot) in
   (List.rev rows, (Stats.diff ~before ~after:(Stats.snapshot stats)).Stats.reads)
 
 let entry_count t =

@@ -2,13 +2,13 @@ module Bu = Storage.Bytes_util
 module Schema = Oodb_schema.Schema
 module Encoding = Oodb_schema.Encoding
 
-(* --- class names by code ------------------------------------------------ *)
+(* --- class names by code rank ---------------------------------------- *)
 
 (* One code set's class names, JSON-quoted, in the order of the sorted
-   serialized codes they belong to.  [Encoding.serialized_codes] hands
-   out the same array until a class is added, so the array itself is the
-   table's key: a stale table is one whose [codes] is no longer the
-   encoding's. *)
+   serialized codes they belong to, so a component's name is the entry
+   at its code's rank.  [Encoding.serialized_codes] hands out the same
+   array until a class is added, and a plan keeps the one it was
+   compiled with, so the array itself is the table's key. *)
 type names = { codes : string array; quoted : string array }
 
 let build enc codes =
@@ -29,36 +29,20 @@ let build enc codes =
 let tables : names list Atomic.t = Atomic.make []
 let max_tables = 8
 
-let names enc =
-  let codes = Encoding.serialized_codes enc in
+let names enc codes =
   let live = Atomic.get tables in
   match List.find_opt (fun n -> n.codes == codes) live with
-  | Some n -> n
+  | Some n -> n.quoted
   | None ->
       let n = build enc codes in
       Atomic.set tables (n :: List.filteri (fun i _ -> i < max_tables - 1) live);
-      n
-
-(* the rank of [key.[off, off + len)] among the sorted codes, [-1] if it
-   is none of them *)
-let search codes key off len =
-  let lo = ref 0 and hi = ref (Array.length codes) and hit = ref (-1) in
-  while !hit < 0 && !lo < !hi do
-    let m = (!lo + !hi) lsr 1 in
-    let c = Bu.compare_sub key off len (Array.unsafe_get codes m) in
-    if c = 0 then hit := m else if c < 0 then hi := m else lo := m + 1
-  done;
-  !hit
+      n.quoted
 
 (* --- the renderer --------------------------------------------------------- *)
 
 type t = {
-  enc : Encoding.t;
-  ty : Schema.attr_type;
-  mutable names : names;
-  (* per component position, the rank of the code the last row had
-     there: a run of rows under one path prefix looks each code up once *)
-  ranks : int array;
+  plan : Plan.t;
+  quoted : string array;  (* the names of the plan's codes, by rank *)
   (* the row being written is [out.[0, pos)] *)
   mutable out : Bytes.t;
   mutable pos : int;
@@ -70,16 +54,10 @@ type t = {
   scratch : Buffer.t;
 }
 
-let create ~enc ~ty =
-  (match ty with
-  | Schema.Int | Schema.String -> ()
-  | Schema.Ref _ | Schema.Ref_set _ ->
-      invalid_arg "Keyrow.create: indexed attribute must be Int or String");
+let create ~enc plan =
   {
-    enc;
-    ty;
-    names = names enc;
-    ranks = Array.make 8 (-1);
+    plan;
+    quoted = names enc (Plan.known plan);
     out = Bytes.create 128;
     pos = 0;
     value = Bytes.create 16;
@@ -121,22 +99,6 @@ let put_oid t n =
   done;
   t.pos <- stop
 
-let index_of key off len c =
-  let i = ref off in
-  while !i < len && Bytes.unsafe_get key !i <> c do
-    incr i
-  done;
-  if !i < len then !i else -1
-
-(* index of the separator after the value, [-1] where [Ukey.decode]
-   rejects the value *)
-let value_end t key len =
-  match t.ty with
-  | Schema.Int ->
-      if len > 8 && Bytes.get key 8 = '\x01' && Bu.int_fits key 0 then 8 else -1
-  | Schema.String -> index_of key 0 len '\x01'
-  | Schema.Ref _ | Schema.Ref_set _ -> -1
-
 (* Starts the row with the prefix of the value in [key.[0, vend)]: the
    last row's when the value bytes are the same, so a value group's
    prefix is printed once, through the printer [Obs.Json] uses for
@@ -149,7 +111,7 @@ let start_row t key vend =
     let b = t.scratch in
     Buffer.clear b;
     Buffer.add_string b {|{"value":|};
-    (match t.ty with
+    (match Plan.attr_ty t.plan with
     | Schema.Int -> Buffer.add_string b (string_of_int (Bu.get_int key 0))
     | _ -> Obs.Json.add_quoted b (Bytes.unsafe_to_string key) 0 vend);
     Buffer.add_string b {|,"comps":[|};
@@ -162,61 +124,19 @@ let start_row t key vend =
   reserve t (String.length t.prefix);
   put_string t t.prefix
 
-(* the rank of the code [key.[off, off + len)] at component position
-   [j]; a code the table lacks sends it to the encoding for a table that
-   has it, [-1] when none does *)
-let rec rank t j key off len =
-  let codes = t.names.codes and memo = j < Array.length t.ranks in
-  let last = if memo then Array.unsafe_get t.ranks j else -1 in
-  if last >= 0 && Bu.compare_sub key off len (Array.unsafe_get codes last) = 0
-  then last
-  else
-    let r = search codes key off len in
-    if r >= 0 then begin
-      if memo then Array.unsafe_set t.ranks j r;
-      r
-    end
-    else
-      let n = names t.enc in
-      if n == t.names then -1
-      else begin
-        t.names <- n;
-        Array.fill t.ranks 0 (Array.length t.ranks) (-1);
-        rank t j key off len
-      end
-
-(* A key the renderer cannot print is one [Ukey.decode] rejects: raise
-   its exception, so the reply is the one the decoding path gave. *)
-let reject t key len arity =
-  ignore
-    (Ukey.decode ~arity ~enc:t.enc ~ty:t.ty (Bytes.sub_string key 0 len));
-  invalid_arg "Keyrow.render: a key Ukey.decode accepts"
-
-let render t key len ~arity =
-  let vend = value_end t key len in
-  if vend < 0 then reject t key len arity;
-  start_row t key vend;
-  let pos = ref (vend + 1) and k = ref 0 in
-  while !pos < len && !k < arity do
-    let p = !pos in
-    let code_end = index_of key p len '\x01' in
-    if code_end < 0 then reject t key len arity;
-    let r = rank t !k key p (code_end - p) in
-    if r < 0 then reject t key len arity;
-    let oid_at = code_end + 1 in
-    if oid_at + 4 > len then reject t key len arity;
-    let name = Array.unsafe_get t.names.quoted r in
+let render t key ~arity =
+  let p = t.plan in
+  start_row t key (Plan.value_end p);
+  for j = 0 to arity - 1 do
+    let name = t.quoted.(Plan.comp_rank p j) in
     reserve t (String.length name + 14);
-    if !k > 0 then put_char t ',';
+    if j > 0 then put_char t ',';
     put_char t '[';
     put_string t name;
     put_char t ',';
-    put_oid t (Bu.get_u32 key oid_at);
-    put_char t ']';
-    pos := oid_at + 4;
-    incr k
+    put_oid t (Bu.get_u32 key (Plan.comp_end p j));
+    put_char t ']'
   done;
-  if !k = 0 then reject t key len arity;
   reserve t 2;
   put_char t ']';
   put_char t '}';

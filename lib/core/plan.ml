@@ -30,6 +30,7 @@ type t = {
          [clo], disjoint *)
   comps : ctest array;
   known : string array;  (* every serialized code, sorted *)
+  classes : Schema.class_id array;  (* the class of each of [known] *)
   pad : int;  (* room a target needs beyond twice its source's length *)
   (* scratch: the last skip target lives in [tgt.[0, tlen)];
      successor prefixes are built in [work] *)
@@ -44,9 +45,10 @@ type t = {
   mutable prev_vok : int;  (* its value test: 1 passed, 0 failed, -1 not run *)
   mutable m_count : int;  (* its leading components that decoded *)
   mutable m_end : int array;  (* per component: offset past code and terminator *)
+  mutable m_rank : int array;  (* per component: its code's rank in [known], or -1 *)
   mutable m_flags : int array;
-      (* per component: bit 0 known code; bit 1 tested against the query
-         component of the same position, bit 2 inside its intervals *)
+      (* per component: bit 0 tested against the query component of the
+         same position, bit 1 inside its intervals *)
 }
 
 (* --- compilation -------------------------------------------------------- *)
@@ -150,6 +152,7 @@ let compile ?(grouped = false) ~enc ~ty (q : Query.t) =
     cspecs = Array.of_list cspecs;
     comps = Array.of_list (List.map (compile_comp enc) q.comps);
     known = Encoding.serialized_codes enc;
+    classes = Encoding.serialized_classes enc;
     pad = max 8 (max_len Fun.id values) + max_len (fun c -> c.clo) cspecs + 2;
     tgt = Bytes.empty;
     tlen = 0;
@@ -160,6 +163,7 @@ let compile ?(grouped = false) ~enc ~ty (q : Query.t) =
     prev_vok = -1;
     m_count = 0;
     m_end = [||];
+    m_rank = [||];
     m_flags = [||];
   }
 
@@ -383,8 +387,7 @@ let m_undecodable =
     ~help:"index entries whose keys failed to decode during classify"
     "undecodable_entries"
 
-let undecodable_entries () =
-  Option.value ~default:0 (Obs.Metrics.find Obs.Metrics.default "exec.undecodable_entries")
+let undecodable_entries () = Obs.Metrics.value m_undecodable
 
 (* A verdict is packed into an immediate int: the accepted arity (0 for a
    rejection) shifted left twice, over the move — 0 advance, 1 seek to
@@ -401,26 +404,27 @@ let target_length t = t.tlen
 
 (* index of the value separator: [-1] when the value is truncated, is no
    int's image or is not followed by one *)
-let value_end ty key len =
+let find_value_end ty key len =
   match ty with
   | Schema.Int ->
       if len > 8 && Bytes.get key 8 = sep_char && Bu.int_fits key 0 then 8 else -1
   | Schema.String -> index_of key 0 len sep_char
   | Schema.Ref _ | Schema.Ref_set _ -> assert false
 
-(* [key.[off, off + n)] is one of the sorted strings of [a] *)
-let mem_sorted a key off n =
-  let lo = ref 0 and hi = ref (Array.length a) and hit = ref false in
-  while (not !hit) && !lo < !hi do
+(* the index of [key.[off, off + n)] among the sorted strings of [a],
+   [-1] if it is none of them *)
+let rank_sorted a key off n =
+  let lo = ref 0 and hi = ref (Array.length a) and hit = ref (-1) in
+  while !hit < 0 && !lo < !hi do
     let m = (!lo + !hi) lsr 1 in
     let c = Bu.compare_sub key off n (Array.unsafe_get a m) in
-    if c = 0 then hit := true else if c < 0 then hi := m else lo := m + 1
+    if c = 0 then hit := m else if c < 0 then hi := m else lo := m + 1
   done;
   !hit
 
 let value_ok t key vend =
   match t.vspec with
-  | Vs_enum vs -> mem_sorted vs key 0 vend
+  | Vs_enum vs -> rank_sorted vs key 0 vend >= 0
   | Vs_contig (lo, hi) ->
       (match lo with Some l -> Bu.compare_sub key 0 vend l >= 0 | None -> true)
       && match hi with Some h -> Bu.compare_sub key 0 vend h <= 0 | None -> true
@@ -445,11 +449,12 @@ let reserve_memo t j =
       a'
     in
     t.m_end <- grow t.m_end;
+    t.m_rank <- grow t.m_rank;
     t.m_flags <- grow t.m_flags
   end
 
 (* Remember [key] as the previous key, with its value and component
-   findings (already stored in [m_end]/[m_flags]). *)
+   findings (already stored in [m_end]/[m_rank]/[m_flags]). *)
 let remember t key len vend vok count =
   if Bytes.length t.prev < len then t.prev <- Bytes.create (max len (2 * Bytes.length t.prev));
   Bytes.blit key 0 t.prev 0 len;
@@ -476,7 +481,7 @@ let classify_in_place t ~skip key len =
   in
   let vend =
     if t.prev_vend >= 0 && t.prev_vend < same then t.prev_vend
-    else value_end t.ty key len
+    else find_value_end t.ty key len
   in
   let vok = if vend >= 0 && vend = t.prev_vend && vend < same then t.prev_vok else -1 in
   let ncomp = Array.length t.comps and w = t.oid_width in
@@ -497,20 +502,20 @@ let classify_in_place t ~skip key len =
       if code_end < 0 then ok := false
       else begin
         t.m_end.(j) <- code_end + 1;
-        t.m_flags.(j) <- Bool.to_int (mem_sorted t.known key p (code_end - p))
+        t.m_rank.(j) <- rank_sorted t.known key p (code_end - p);
+        t.m_flags.(j) <- 0
       end
     end;
     let oid_at = Array.unsafe_get t.m_end j in
-    if (not !ok) || t.m_flags.(j) land 1 = 0 || oid_at + w > len then ok := false
+    if (not !ok) || t.m_rank.(j) < 0 || oid_at + w > len then ok := false
     else begin
       (if !fail = 0 && !matched < ncomp then begin
          (* no failure yet, so [matched = j] *)
          let c = Array.unsafe_get t.comps j in
-         if t.m_flags.(j) land 2 = 0 then
+         if t.m_flags.(j) land 1 = 0 then
            t.m_flags.(j) <-
-             t.m_flags.(j) lor 2
-             lor (4 * Bool.to_int (in_intervals c.ivs key p (oid_at - p)));
-         if t.m_flags.(j) land 4 = 0 then begin
+             1 lor (2 * Bool.to_int (in_intervals c.ivs key p (oid_at - p)));
+         if t.m_flags.(j) land 2 = 0 then begin
            fail := if j = 0 then 1 else 2;
            fail_end := oid_at
          end
@@ -548,6 +553,14 @@ let classify_in_place t ~skip key len =
       (ncomp lsl 2) lor seek_or_stop (candidate_past t key !match_end)
   end
 
+(* --- the findings on the last key classified ------------------------------ *)
+
+let attr_ty t = t.ty
+let known t = t.known
+let value_end t = t.prev_vend
+let comp_end t j = t.m_end.(j)
+let comp_rank t j = t.m_rank.(j)
+let comp_class t j = t.classes.(t.m_rank.(j))
 let prefix_length t n = t.m_end.(n - 1) + t.oid_width
 
 type next = Seek of string | Advance | Stop

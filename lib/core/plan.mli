@@ -100,8 +100,9 @@ val undecodable_entries : unit -> int
       pattern ({!Oodb_schema.Encoding.exact_interval},
       {!Oodb_schema.Encoding.subtree_interval}) — a class subtree is one
       code interval, so this is the pattern test with no schema walk —
-      and found by binary search among the encoding's known codes
-      ({!Oodb_schema.Encoding.serialized_codes});
+      and its rank found by binary search among the encoding's known
+      codes ({!Oodb_schema.Encoding.serialized_codes}), where the row
+      functions read it back ({!comp_rank});
     - oids are read as 4 raw bytes;
     - a skip target is written into the plan's reused buffer, and only
       when the walk will seek;
@@ -132,8 +133,39 @@ val target_length : t -> int
 (** The last seek target: bytes [[0, target_length t)] of [target t],
     valid until the plan classifies again. *)
 
+(** {1 The accepted key's findings}
+
+    The classifier is the only code on the read path that parses a key.
+    After {!classify_in_place} accepted a key at arity [a], these read
+    what it found, for the value and components [j < a]; a row function
+    ({!Exec.run_rows}) builds its row from them and the key's bytes.
+    They are valid until the plan classifies again, and only for the
+    bytes it classified.  Each is an array read. *)
+
+val attr_ty : t -> Schema.attr_type
+(** The indexed attribute's type the plan was compiled for. *)
+
+val known : t -> string array
+(** The {!Oodb_schema.Encoding.serialized_codes} array the plan was
+    compiled with (physically the same): every code it accepts, sorted.
+    A class added after compilation is none of them. *)
+
+val value_end : t -> int
+(** The offset of the value separator: the value is bytes [[0, value_end)]. *)
+
+val comp_end : t -> int -> int
+(** [comp_end t j]: the offset past component [j]'s code and its
+    terminator, where its four oid bytes start (a grouped key has none). *)
+
+val comp_rank : t -> int -> int
+(** [comp_rank t j]: the rank of component [j]'s code in {!known}. *)
+
+val comp_class : t -> int -> Schema.class_id
+(** [comp_class t j]: the class of component [j]'s code
+    ({!Oodb_schema.Encoding.serialized_classes} at its rank). *)
+
 val prefix_length : t -> int -> int
-(** [prefix_length t n], after {!classify_in_place} accepted a key at
-    arity [a >= n]: the length of that key's prefix that holds its value
-    and first [n] components.  Two accepted keys bind the same value and
-    components at arity [n] exactly when these prefixes are equal. *)
+(** [prefix_length t n], for [n <= a]: the length of the key's prefix
+    that holds its value and first [n] components.  Two accepted keys
+    bind the same value and components at arity [n] exactly when these
+    prefixes are equal. *)

@@ -5,8 +5,9 @@ type t = {
   codes : (Schema.class_id, Code.t) Hashtbl.t;
   by_ser : (string, Schema.class_id) Hashtbl.t;
   sers : (Schema.class_id, string) Hashtbl.t;  (* [by_ser] inverted *)
-  (* [by_ser]'s keys in order, built on first use after a change *)
-  mutable sorted : string array option;
+  (* [by_ser]'s keys in order and the class of each, built on first use
+     after a change *)
+  mutable sorted : (string array * Schema.class_id array) option;
   (* next fresh-unit rank per parent; key [-1] is the top level *)
   ranks : (int, int ref) Hashtbl.t;
 }
@@ -24,14 +25,18 @@ let code t id =
 let class_of_serialized t s = Hashtbl.find_opt t.by_ser s
 let class_of_code t c = class_of_serialized t (Code.serialize c)
 
-let serialized_codes t =
+let sorted t =
   match t.sorted with
-  | Some a -> a
+  | Some s -> s
   | None ->
       let a = Array.of_seq (Hashtbl.to_seq_keys t.by_ser) in
       Array.sort String.compare a;
-      t.sorted <- Some a;
-      a
+      let s = (a, Array.map (Hashtbl.find t.by_ser) a) in
+      t.sorted <- Some s;
+      s
+
+let serialized_codes t = fst (sorted t)
+let serialized_classes t = snd (sorted t)
 
 let serialized t id =
   match Hashtbl.find_opt t.sers id with

@@ -42,6 +42,11 @@ val serialized_codes : t -> string array
     shared and must not be written; a class added later yields a fresh
     one. *)
 
+val serialized_classes : t -> Schema.class_id array
+(** The class of each of {!serialized_codes}' codes, at the same index:
+    a code's rank in that array is its class's index in this one.
+    Shared like it, and replaced with it when a class is added. *)
+
 val subtree_interval : t -> Schema.class_id -> string * string
 (** Serialized-key interval of the class-hierarchy subtree rooted at the
     class. *)

@@ -59,7 +59,6 @@ let corruption_replies =
 
 type telemetry = {
   tracing : bool;
-  sample_every : int;
   slow_threshold_ns : int;
   slow_capacity : int;
 }
@@ -67,7 +66,6 @@ type telemetry = {
 let default_telemetry =
   {
     tracing = true;
-    sample_every = 1;
     slow_threshold_ns = 10_000_000 (* 10 ms *);
     slow_capacity = 128;
   }
@@ -89,14 +87,11 @@ type pipeline = {
   schema : Schema.t;
   tel : telemetry;
   slow : slow_entry Ring.t;
-  seq : int Atomic.t;  (* server-assigned trace ids and the sampling clock *)
+  seq : int Atomic.t;  (* server-assigned trace ids *)
   started : float;
 }
 
 let pipeline ?(telemetry = default_telemetry) ~schema () =
-  let telemetry =
-    { telemetry with sample_every = max 1 telemetry.sample_every }
-  in
   {
     schema;
     tel = telemetry;
@@ -260,11 +255,7 @@ let serve_core ?(queued_ns = 0) ?deadline p ~health ~answer line =
   let client_id =
     match parsed with Ok (id, _) -> id | Error _ -> None
   in
-  let traced =
-    p.tel.tracing
-    && (match parsed with Ok _ -> true | Error _ -> false)
-    && (client_id <> None || seq mod p.tel.sample_every = 0)
-  in
+  let traced = p.tel.tracing && Result.is_ok parsed in
   let trace_id = match client_id with Some id -> id | None -> seq in
   let root = if traced then Some (Trace.span "request") else None in
   (match root with
@@ -339,14 +330,9 @@ let db t = t.db
 
 (* Each accepted entry becomes its reply row where the scanner holds it:
    printed from the key bytes, with no decode and no Json.t. *)
-let json_row idx =
-  let r =
-    Uindex.Keyrow.create ~enc:(Index.encoding idx) ~ty:(Index.attr_ty idx)
-  in
-  fun sc arity acc ->
-    Uindex.Keyrow.render r (Btree.Scanner.key_bytes sc)
-      (Btree.Scanner.key_length sc) ~arity
-    :: acc
+let json_row idx plan =
+  let r = Uindex.Keyrow.create ~enc:(Index.encoding idx) plan in
+  fun sc arity acc -> Uindex.Keyrow.render r (Btree.Scanner.key_bytes sc) ~arity :: acc
 
 let health_fields t () =
   let acked = Db.acked_lsn t.db and durable = Db.durable_lsn t.db in

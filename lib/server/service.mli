@@ -61,10 +61,9 @@
 type t
 
 type telemetry = {
-  tracing : bool;  (** master switch for span capture *)
-  sample_every : int;
-      (** trace 1 in [n] requests (requests with a client trace id are
-          always traced); clamped to at least 1 *)
+  tracing : bool;
+      (** span capture for every request that parses; off, no request
+          is traced *)
   slow_threshold_ns : int;
       (** requests at least this slow enter the slow-query log; [0]
           logs everything *)
@@ -72,8 +71,7 @@ type telemetry = {
 }
 
 val default_telemetry : telemetry
-(** Tracing on, every request sampled, 10 ms slow threshold, 128-entry
-    slow log. *)
+(** Tracing on, 10 ms slow threshold, 128-entry slow log. *)
 
 val create :
   ?telemetry:telemetry ->

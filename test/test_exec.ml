@@ -363,7 +363,7 @@ let test_snapshot_read_alloc () =
       Fun.protect ~finally:(fun () -> Index.release_view view) @@ fun () ->
       List.iter
         (fun algo ->
-          let run () = Exec.run_rows ~algo ~row:(fun _ _ _ acc -> acc) view q in
+          let run () = Exec.run_rows ~algo ~row:(fun _ _ _ _ acc -> acc) view q in
           ignore (run ());
           let out, words = Alloc_words.measure run in
           if out.Exec.page_reads < 20 then

@@ -587,12 +587,17 @@ let prop_compiled_classifier =
           | exception Invalid_argument _ -> 1
           | _ -> 0
         in
+        (* an accepted key's findings, which every row function reads,
+           are where the decoder found the value and components *)
         let binding_ok =
           match (got, decoded) with
           | Plan.Accept { arity; _ }, Some d ->
-              let g = Ukey.decode ~arity ~enc ~ty key in
-              g.Ukey.value = d.Ukey.value
-              && g.Ukey.comps = List.filteri (fun i _ -> i < arity) d.Ukey.comps
+              let first l = List.filteri (fun i _ -> i < arity) l in
+              Plan.value_end plan
+              = (match d.Ukey.value with Value.Str s -> String.length s | _ -> 8)
+              && List.init arity (Plan.comp_class plan) = List.map fst (first d.Ukey.comps)
+              && List.init arity (Plan.comp_end plan)
+                 = List.map (fun (_, oid_at, _) -> oid_at) (first d.Ukey.comp_offsets)
           | _ -> true
         in
         if got <> want then

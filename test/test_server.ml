@@ -378,7 +378,6 @@ let test_slow_ring_eviction () =
   let telemetry =
     {
       Service.tracing = true;
-      sample_every = 1;
       slow_threshold_ns = 0;
       slow_capacity = 3;
     }
@@ -450,7 +449,7 @@ let test_telemetry_reply_bytes () =
   let service tracing slow_threshold_ns slow_capacity =
     Service.create
       ~telemetry:
-        { Service.tracing; sample_every = 1; slow_threshold_ns; slow_capacity }
+        { Service.tracing; slow_threshold_ns; slow_capacity }
       ~schema:e.ext.b.schema db
   in
   let dark = service false max_int 0 and traced = service true 0 64 in
@@ -490,7 +489,7 @@ let test_slow_log_compacts_wide_trees () =
   let service tracing slow_threshold_ns slow_capacity =
     Service.create
       ~telemetry:
-        { Service.tracing; sample_every = 1; slow_threshold_ns; slow_capacity }
+        { Service.tracing; slow_threshold_ns; slow_capacity }
       ~schema:e.ext.b.schema db
   in
   let dark = service false max_int 0 and traced = service true 0 4 in
@@ -593,7 +592,6 @@ let test_page_read_reconciliation () =
   let telemetry =
     {
       Service.tracing = true;
-      sample_every = 1;
       slow_threshold_ns = 0;
       slow_capacity = 512;
     }
@@ -686,14 +684,9 @@ let partial_rows_agree idx schema line =
   match Protocol.parse_line line with
   | Ok (_, Protocol.Query { algo; text }) ->
       let q = Uindex.Qparse.parse schema text in
-      let key_row idx =
-        let r =
-          Uindex.Keyrow.create ~enc:(Index.encoding idx) ~ty:(Index.attr_ty idx)
-        in
-        fun sc arity acc ->
-          Uindex.Keyrow.render r (Btree.Scanner.key_bytes sc)
-            (Btree.Scanner.key_length sc) ~arity
-          :: acc
+      let key_row idx plan =
+        let r = Uindex.Keyrow.create ~enc:(Index.encoding idx) plan in
+        fun sc arity acc -> Uindex.Keyrow.render r (Btree.Scanner.key_bytes sc) ~arity :: acc
       in
       (Uindex.Exec.run_rows ~algo ~row:key_row idx q).bindings
       = List.map (Row_oracle.row schema)

@@ -164,17 +164,40 @@ let ty_of = function Value.Int _ -> Schema.Int | _ -> Schema.String
 
 let outcome f = match f () with s -> Ok s | exception e -> Error (Printexc.to_string e)
 
-(* one renderer per value type for the whole run, so the value-group and
-   code memos carry over from key to key; the key sits in a larger
-   buffer whose tail must not be read *)
+module Plan = Uindex.Plan
+module Query = Uindex.Query
+
+(* A plan whose [arity] components each admit every class (the union of
+   the hierarchy roots' subtrees) with any value: it accepts exactly the
+   keys that decode whole and have at least [arity] components. *)
+let any_plan (b : Ps.t) ty arity =
+  let every =
+    Query.comp (P_union (List.map (fun r -> Query.P_subtree r) (Schema.roots b.schema)))
+  in
+  Plan.compile ~enc:b.enc ~ty { value = V_any; comps = List.init arity (fun _ -> every) }
+
+(* Classifies a key, then renders it at the accepted arity from the
+   plan's findings: [None] when the plan rejects it.  One plan and
+   renderer per value type and arity for the whole run, so the
+   classifier's shared-prefix memo and the renderer's value-group memo
+   carry over from key to key; the key sits in a larger buffer whose
+   tail must not be read. *)
 let renderers (b : Ps.t) =
-  let int = Keyrow.create ~enc:b.enc ~ty:Schema.Int
-  and str = Keyrow.create ~enc:b.enc ~ty:Schema.String in
+  let made = Hashtbl.create 8 in
   fun ty key ~arity ->
+    let plan, r =
+      match Hashtbl.find_opt made (ty, arity) with
+      | Some pr -> pr
+      | None ->
+          let plan = any_plan b ty arity in
+          let pr = (plan, Keyrow.create ~enc:b.enc plan) in
+          Hashtbl.add made (ty, arity) pr;
+          pr
+    in
     let buf = Bytes.of_string (key ^ "\x01garbage") in
-    Keyrow.render
-      (if ty = Schema.Int then int else str)
-      buf (String.length key) ~arity
+    match Plan.arity (Plan.classify_in_place plan ~skip:false buf (String.length key)) with
+    | 0 -> None
+    | a -> Some (outcome (fun () -> Keyrow.render r buf ~arity:a))
 
 let prop_keyrow_oracle =
   let b, _ = setup () in
@@ -186,15 +209,17 @@ let prop_keyrow_oracle =
       List.for_all
         (fun arity ->
           render ty key ~arity
-          = Row_oracle.key_row ~enc:b.enc ~ty ~arity key)
+          = Some (Ok (Row_oracle.key_row ~enc:b.enc ~ty ~arity key)))
         (List.init n (fun i -> i + 1)))
 
 (* a byte replaced, dropped or inserted, or the key cut short: the
-   renderer prints the decoding path's row or raises its exception *)
+   classifier rejects the key, or the renderer prints the decoding
+   path's row for it (so a key the classifier accepted but
+   [Ukey.decode] rejects fails) *)
 let prop_keyrow_malformed =
   let b, _ = setup () in
   let render = renderers b in
-  QCheck.Test.make ~count:1000 ~name:"Keyrow.render fails where Ukey.decode does"
+  QCheck.Test.make ~count:1000 ~name:"a damaged key is rejected, or renders as the oracle's row"
     (QCheck.make ~print:(fun (k, _, _) -> Printf.sprintf "%S" k)
        QCheck.Gen.(
          let* value, key, n = gen_key b in
@@ -212,18 +237,29 @@ let prop_keyrow_malformed =
     (fun (key, ty, n) ->
       List.for_all
         (fun arity ->
-          outcome (fun () -> render ty key ~arity)
-          = outcome (fun () -> Row_oracle.key_row ~enc:b.enc ~ty ~arity key))
+          match render ty key ~arity with
+          | None -> true
+          | Some row ->
+              let want = outcome (fun () -> Row_oracle.key_row ~enc:b.enc ~ty ~arity key) in
+              Result.is_ok want && row = want)
         (List.init (n + 1) (fun i -> i + 1)))
 
-(* A class added after the renderer built its name table: the miss
-   rebuilds the table, and a name that needs escaping prints escaped. *)
+(* A class added after a plan was compiled is none of its codes, so that
+   plan rejects its keys; a plan compiled after it names the class, and
+   a name that needs escaping prints escaped. *)
 let test_keyrow_new_class () =
   let b, code = setup () in
-  let r = Keyrow.create ~enc:b.enc ~ty:Schema.String in
-  let render key = Keyrow.render r (Bytes.of_string key) (String.length key) ~arity:2 in
+  let row plan key =
+    let buf = Bytes.of_string key in
+    match Plan.arity (Plan.classify_in_place plan ~skip:false buf (Bytes.length buf)) with
+    | 0 -> None
+    | a -> Some (Keyrow.render (Keyrow.create ~enc:b.enc plan) buf ~arity:a)
+  in
+  let oracle ~arity key = Some (Row_oracle.key_row ~enc:b.enc ~ty:Schema.String ~arity key) in
   let known = Ukey.entry_key ~value:(Value.Str "Red") [ (code b.truck, 5) ] in
-  Alcotest.(check string) "known class" (Row_oracle.key_row ~enc:b.enc ~ty:Schema.String ~arity:2 known) (render known);
+  Alcotest.(check (option string)) "known class" (oracle ~arity:1 known)
+    (row (any_plan b Schema.String 1) known);
+  let before = any_plan b Schema.String 2 in
   let odd =
     Oodb_schema.Schema.add_class b.schema ~parent:b.truck ~name:"Odd\"Truck\\\t" ~attrs:[]
   in
@@ -231,9 +267,11 @@ let test_keyrow_new_class () =
   let key =
     Ukey.entry_key ~value:(Value.Str "Re\"d") [ (code b.employee, 1); (code odd, 7) ]
   in
-  let expected = Row_oracle.key_row ~enc:b.enc ~ty:Schema.String ~arity:2 key in
-  Alcotest.(check string) "new class" expected (render key);
-  Alcotest.(check string) "escaped" {|{"value":"Re\"d","comps":[["Employee",1],["Odd\"Truck\\\t",7]]}|} expected
+  Alcotest.(check (option string)) "compiled before the class" None (row before key);
+  let expected = oracle ~arity:2 key in
+  Alcotest.(check (option string)) "new class" expected (row (any_plan b Schema.String 2) key);
+  Alcotest.(check (option string)) "escaped"
+    (Some {|{"value":"Re\"d","comps":[["Employee",1],["Odd\"Truck\\\t",7]]}|}) expected
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
